@@ -37,10 +37,9 @@ from .errors import (
     BadArity,
     EvalError,
     MissingSignature,
-    NotAdmitted,
     UnknownOperator,
 )
-from .evaluator import DefEnv, evaluate
+from .evaluator import DefEnv, evaluate, on_deep_stack
 from .properties import RandomObject, Stream, generate
 from .syntax import (
     App,
@@ -55,7 +54,6 @@ from .syntax import (
     PSucc,
     PVar,
     RawDefun,
-    SymLit,
     Term,
     Var,
     pattern_to_term,
@@ -605,11 +603,7 @@ def check_constructive(
                     )
         return CheckResult(PROVED, "every self-call shrinks a cons or successor binding")
 
-    loose = term_vars(measure) - set(d.params)
-    if loose:
-        raise UnknownOperator(
-            f"measure for {d.name} uses unbound variable(s) {', '.join(sorted(loose))}", d.loc
-        )
+    # admit has already rejected a measure with variables outside the params.
     prov = _provisional_env(d, env)
     stream = Stream(_derive_seed(seed, f"constructive:{d.name}"))
     doms = domains if domains is not None else tuple("any" for _ in d.params)
@@ -698,14 +692,6 @@ def _translate(d: DefEquations) -> RawDefun:
     return RawDefun(d.name, d.params, body, loc=d.loc)
 
 
-def compile_to_defun(d: DefEquations, report: AdmissibilityReport | None = None) -> RawDefun:
-    if report is not None:
-        if not report.admitted:
-            raise NotAdmitted(f"{d.name} failed admissibility", d.loc)
-        return report.compiled
-    return _translate(d)
-
-
 # ---------------------------------------------------------------------------
 # Entry point
 
@@ -736,6 +722,7 @@ def _validate_operators(d: DefEquations, env: DefEnv) -> None:
             walk(eq.guard)
 
 
+@on_deep_stack
 def admit(
     d: DefEquations,
     env: DefEnv,
@@ -751,10 +738,10 @@ def admit(
     """
     _validate_operators(d, env)
     if measure is not None:
-        _mvars = term_vars(measure) - set(d.params)
-        if _mvars:
+        loose = term_vars(measure) - set(d.params)
+        if loose:
             raise UnknownOperator(
-                f"measure for {d.name} uses unbound variable(s) {', '.join(sorted(_mvars))}",
+                f"measure for {d.name} uses unbound variable(s) {', '.join(sorted(loose))}",
                 d.loc,
             )
     consistent = check_consistent(d, env, seed, trials)

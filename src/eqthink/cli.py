@@ -278,6 +278,9 @@ def cmd_circuit(args) -> int:
 
 
 def cmd_mr(args) -> int:
+    if args.job == "grep" and not args.pattern:
+        print("mr grep requires --pattern", file=sys.stderr)
+        return EXIT_USAGE
     with open(args.input) as fh:
         data = json.load(fh)
     pairs = [(value_from_json(k), value_from_json(v)) for k, v in data]
@@ -287,9 +290,6 @@ def cmd_mr(args) -> int:
     if args.job == "wordcount":
         out = mapreduce.job_wordcount(pairs, session.env)
     elif args.job == "grep":
-        if not args.pattern:
-            print("mr grep requires --pattern", file=sys.stderr)
-            return EXIT_USAGE
         out = mapreduce.job_grep(Symbol(args.pattern), pairs, session.env)
     elif args.job == "invert":
         out = mapreduce.invert_links(pairs, session.env)

@@ -106,10 +106,6 @@ class ConditionUnmet(ProofError):
     code = "ConditionUnmet"
 
 
-class ChainEndpointsWrong(ProofError):
-    code = "ChainEndpointsWrong"
-
-
 class TooManyVariables(EqError):
     code = "TooManyVariables"
 

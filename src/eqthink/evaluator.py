@@ -15,10 +15,18 @@ frame; defined operators resolve through their definition record at call
 time so self-recursion works.  Evaluation runs on a dedicated worker
 thread with a large stack because structural recursion over lists with
 thousands of elements would otherwise exhaust the C stack.
+
+Crossing to that thread costs a queue hand-off, so public operations that
+evaluate in a loop (``admit``, ``run_property``, ``measure_steps``,
+``mapreduce``) are marked ``on_deep_stack``: they cross once, and every
+evaluation inside them runs as a plain call on the worker.  A direct
+``evaluate`` or ``eval_counting`` from any other thread still crosses per
+call.
 """
 
 from __future__ import annotations
 
+import functools
 import queue
 import sys
 import threading
@@ -31,8 +39,8 @@ from .errors import (
     UnboundVariable,
     UnknownOperator,
 )
-from .syntax import App, IntLit, PRIMITIVE_ARITY, RawDefun, SymLit, Term, Var
-from .values import NIL, Pair, Symbol, T, Value, boolean, value_compare, value_equal
+from .syntax import IntLit, PRIMITIVE_ARITY, RawDefun, SymLit, Term, Var
+from .values import NIL, Pair, Symbol, T, Value, value_compare, value_equal
 
 DEFAULT_FUEL = 10**8
 
@@ -154,11 +162,6 @@ _PRIM_FNS = {
     "nor": lambda a, b: T if (a is NIL and b is NIL) else NIL,
     "before": lambda a, b: T if value_compare(a, b) < 0 else NIL,
 }
-
-
-def apply_primitive(name: str, args: list[Value]) -> Value:
-    """Apply one primitive to already-evaluated values (no step accounting)."""
-    return _PRIM_FNS[name](*args)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +295,16 @@ def _run_deep(job):
     if ok:
         return payload
     raise payload
+
+
+def on_deep_stack(fn):
+    """Run each call of ``fn`` on the deep-stack worker, crossing once."""
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        return _run_deep(lambda: fn(*args, **kwargs))
+
+    return run
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from functools import cmp_to_key
 from typing import TypeVar
 
 from .errors import BadDamping, JobError, MapperArity, ReducerArity, UnknownOperator
-from .evaluator import DefEnv, evaluate
+from .evaluator import DefEnv, evaluate, on_deep_stack
 from .syntax import App, Var
 from .values import Pair, Value, from_list, is_true_list, print_value, to_list, value_compare
 
@@ -75,6 +75,7 @@ def _unpack_emissions(op: str, result: Value) -> list[KVPair]:
     return out
 
 
+@on_deep_stack
 def mapreduce(job: Job, input_pairs: list[KVPair], defs: DefEnv) -> list[KVPair]:
     _require_arity(defs, job.mapper, MapperArity)
     _require_arity(defs, job.reducer, ReducerArity)
@@ -125,10 +126,7 @@ DEFAULT_DAMPING = Fraction(85, 100)
 
 
 def pagerank(
-    graph: list[KVPair],
-    iterations: int,
-    damping: Fraction = DEFAULT_DAMPING,
-    defs: DefEnv | None = None,
+    graph: list[KVPair], iterations: int, damping: Fraction = DEFAULT_DAMPING
 ) -> list[tuple[Value, Fraction]]:
     """graph: (node, successor list) pairs.  Returns (node, rank) in key
     order with exact rational ranks summing to 1.
@@ -143,35 +141,23 @@ def pagerank(
     if iterations < 0:
         raise BadDamping(f"iterations must be nonnegative, got {iterations}")
 
+    # Values hash and compare structurally, so equal nodes share one key.
     adjacency: list[tuple[Value, list[Value]]] = []
-    seen: list[Value] = []
-
-    def note(node: Value) -> None:
-        for existing in seen:
-            if value_compare(existing, node) == 0:
-                return
-        seen.append(node)
-
+    seen: set[Value] = set()
     for node, succ in graph:
         targets = to_list(succ) if not isinstance(succ, list) else list(succ)
         adjacency.append((node, targets))
-        note(node)
-        for t in targets:
-            note(t)
+        seen.add(node)
+        seen.update(targets)
     nodes = sorted(seen, key=cmp_to_key(value_compare))
     if not nodes:
         return []
     n = len(nodes)
-
-    def index_of(node: Value) -> int:
-        for i, existing in enumerate(nodes):
-            if value_compare(existing, node) == 0:
-                return i
-        raise JobError(f"unknown node {print_value(node)}")
+    index_of = {node: i for i, node in enumerate(nodes)}
 
     out_edges: list[list[int]] = [[] for _ in nodes]
     for node, targets in adjacency:
-        out_edges[index_of(node)].extend(index_of(t) for t in targets)
+        out_edges[index_of[node]].extend(index_of[t] for t in targets)
 
     ranks = [Fraction(1, n)] * n
     for _ in range(iterations):
@@ -186,7 +172,7 @@ def pagerank(
                 dangling += ranks[i]
         incoming = [Fraction(0)] * n
         for key, values in group_pairs(contributions):
-            incoming[index_of(key)] = sum(values, Fraction(0))
+            incoming[index_of[key]] = sum(values, Fraction(0))
         base = (1 - damping + damping * dangling) / n
         ranks = [base + damping * incoming[i] for i in range(n)]
         assert sum(ranks) == 1

@@ -11,10 +11,10 @@ as generated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import EqError, EvalError, UnexpectedToken
-from .evaluator import DefEnv, DEFAULT_FUEL, evaluate
+from .evaluator import DefEnv, DEFAULT_FUEL, evaluate, on_deep_stack
 from .syntax import App, IntLit, Property, Term, Var
 from .values import NIL, Symbol, Value, from_list
 
@@ -179,6 +179,7 @@ class PropertyReport:
     trials: int
 
 
+@on_deep_stack
 def run_property(
     p: Property,
     seed: int,

@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from . import circuits
 from .errors import (
     AmbiguousWithoutPosition,
     ConditionUnmet,
     EvalError,
     NoMatchingPosition,
-    NonBooleanOperator,
     TooManyVariables,
     UnknownLabel,
 )
@@ -34,10 +34,9 @@ from .rewriting import (
     subterm_at,
 )
 from .syntax import App, Chain, IntLit, ProofScript, SymLit, Term, Var, print_term, substitute, term_vars
-from .values import NIL, T, truthy, value_equal, print_value
+from .values import truthy, value_equal, print_value
 
 _ARITH_OPS = frozenset({"+", "-", "*", "1+", "1-", "zp", "<", "<=", ">", ">=", "="})
-_BOOLEAN_OPS = frozenset({"and", "or", "not", "implies", "xor", "nand", "nor"})
 _CLOSURE_CAP = 64
 _STEP_FUEL = 100_000
 T_LIT = SymLit("t")
@@ -66,10 +65,6 @@ class ProofOutcome:
             out["step"] = self.step_index
             out["reason"] = self.reason
         return out
-
-
-def _instantiate(t: Term, bindings: dict[str, Term]) -> Term:
-    return substitute(t, bindings)
 
 
 def _ground(t: Term) -> bool:
@@ -133,12 +128,12 @@ def rewrite_step(
                 f"{rule.label} does not match at position {list(position)}"
             )
         if rule.condition is not None and not _condition_holds(
-            _instantiate(rule.condition, sigma), hypotheses, env
+            substitute(rule.condition, sigma), hypotheses, env
         ):
             raise ConditionUnmet(
-                f"{rule.label} needs {print_term(_instantiate(rule.condition, sigma))}"
+                f"{rule.label} needs {print_term(substitute(rule.condition, sigma))}"
             )
-        rewritten = replace_at(current, position, _instantiate(rhs, sigma))
+        rewritten = replace_at(current, position, substitute(rhs, sigma))
         if rewritten != target:
             return StepReport(
                 False,
@@ -154,11 +149,11 @@ def rewrite_step(
         if sigma is None:
             continue
         if rule.condition is not None and not _condition_holds(
-            _instantiate(rule.condition, sigma), hypotheses, env
+            substitute(rule.condition, sigma), hypotheses, env
         ):
             condition_failures += 1
             continue
-        candidates.append((path, replace_at(current, path, _instantiate(rhs, sigma))))
+        candidates.append((path, replace_at(current, path, substitute(rhs, sigma))))
     if not candidates:
         if condition_failures:
             raise ConditionUnmet(
@@ -224,7 +219,7 @@ def hypothesis_closure(seed: Term | None, db: RuleDatabase, cap: int = _CLOSURE_
         for rule in rules:
             sigma = match(rule.lhs, t, rule.rigid)
             if sigma is not None:
-                queue.append(_instantiate(rule.rhs, sigma))
+                queue.append(substitute(rule.rhs, sigma))
     return frozenset(seen)
 
 
@@ -340,30 +335,14 @@ def check_proof(script: ProofScript, db: RuleDatabase, env: DefEnv | None = None
     return ProofOutcome(script.name, True)
 
 
-def derive_truth_table(
-    f: Term, env: DefEnv | None = None
-) -> list[tuple[dict[str, bool], bool]]:
+def derive_truth_table(f: Term) -> list[tuple[dict[str, bool], bool]]:
     """One row per assignment; variables in sorted order, true first."""
-    env = env if env is not None else DefEnv()
-    _check_boolean(f)
-    names = sorted(term_vars(f))
+    net = circuits.formula_to_circuit(f)
+    names = net.inputs
     if len(names) > 20:
         raise TooManyVariables(f"{len(names)} variables exceed the 20-variable limit")
     rows: list[tuple[dict[str, bool], bool]] = []
     for values in product((True, False), repeat=len(names)):
-        bindings = {n: (T if v else NIL) for n, v in zip(names, values)}
-        result = evaluate(f, bindings, env)
-        rows.append((dict(zip(names, values)), result is not NIL))
+        (bit,) = circuits.simulate(net, {n: int(v) for n, v in zip(names, values)})
+        rows.append((dict(zip(names, values)), bit == 1))
     return rows
-
-
-def _check_boolean(f: Term) -> None:
-    if isinstance(f, App):
-        if f.op not in _BOOLEAN_OPS:
-            raise NonBooleanOperator(f"{f.op} is not a boolean connective", f.loc)
-        for a in f.args:
-            _check_boolean(a)
-    elif isinstance(f, IntLit):
-        raise NonBooleanOperator("integer literals are not boolean formulas", f.loc)
-    elif isinstance(f, SymLit) and f.name not in ("t", "nil"):
-        raise NonBooleanOperator(f"{f.name} is not a boolean constant", f.loc)

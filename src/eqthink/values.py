@@ -50,19 +50,15 @@ class Pair:
         h = 0x517CC1B7
         node = self
         while isinstance(node, Pair):
-            h = hash((h, _shallow_hash(node.head)))
+            h = hash((h, hash(node.head)))
             node = node.tail
-        return hash((h, _shallow_hash(node)))
+        return hash((h, hash(node)))
 
     def __repr__(self):
         return f"Pair({self.head!r}, {self.tail!r})"
 
 
 Value = int | Symbol | Pair
-
-
-def _shallow_hash(v) -> int:
-    return hash(v)
 
 
 def truthy(v: Value) -> bool:

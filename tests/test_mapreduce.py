@@ -184,13 +184,26 @@ def test_pagerank_two_cycle_is_uniform():
     assert [r for _, r in ranks] == [Fraction(1, 2), Fraction(1, 2)]
 
 
-def test_pagerank_accepts_language_lists(corpus_env):
+def test_pagerank_accepts_language_lists():
     graph = [
         (Symbol("a"), from_list([Symbol("b")])),
         (Symbol("b"), from_list([Symbol("a")])),
     ]
-    ranks = pagerank(graph, 3, defs=corpus_env)
+    ranks = pagerank(graph, 3)
     assert sum(r for _, r in ranks) == 1
+
+
+def test_pagerank_merges_equal_nodes_built_separately():
+    # each mention of a node is a fresh Pair; equal values are one node
+    def node(i):
+        return from_list([Symbol("n"), i])
+
+    graph = [(node(0), [node(1)]), (node(1), [node(0), node(2)])]
+    ranks = pagerank(graph, 20)
+    assert [to_list(k)[1] for k, _ in ranks] == [0, 1, 2]
+    assert sum(r for _, r in ranks) == 1
+    symbolic = pagerank([(0, [1]), (1, [0, 2])], 20)
+    assert [r for _, r in ranks] == [r for _, r in symbolic]
 
 
 def test_pagerank_parameter_validation():
