@@ -39,7 +39,7 @@ from .errors import (
     MissingSignature,
     UnknownOperator,
 )
-from .evaluator import DefEnv, evaluate, on_deep_stack
+from .evaluator import DefEnv, evaluate
 from .properties import RandomObject, Stream, generate
 from .syntax import (
     App,
@@ -722,7 +722,6 @@ def _validate_operators(d: DefEquations, env: DefEnv) -> None:
             walk(eq.guard)
 
 
-@on_deep_stack
 def admit(
     d: DefEquations,
     env: DefEnv,

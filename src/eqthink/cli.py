@@ -42,7 +42,7 @@ def _dump(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True)
 
 
-def _print_json(args, report: dict) -> None:
+def _print_json(report: dict) -> None:
     report["schema"] = SCHEMA
     print(_dump(report))
 
@@ -84,7 +84,6 @@ def cmd_check(args) -> int:
     code = EXIT_OK if all(r.admitted for r in reports) else EXIT_VERDICT
     if args.json:
         _print_json(
-            args,
             {
                 "command": "check",
                 "inputs": list(args.files),
@@ -113,7 +112,6 @@ def cmd_test(args) -> int:
     code = EXIT_OK if not failures else EXIT_VERDICT
     if args.json:
         _print_json(
-            args,
             {
                 "command": "test",
                 "inputs": list(args.files),
@@ -142,7 +140,6 @@ def cmd_prove(args) -> int:
     code = EXIT_OK if all(o.accepted for o in outcomes) else EXIT_VERDICT
     if args.json:
         _print_json(
-            args,
             {
                 "command": "prove",
                 "inputs": list(args.files),
@@ -169,7 +166,6 @@ def cmd_eval(args) -> int:
     value = evaluate(term, {}, session.env)
     if args.json:
         _print_json(
-            args,
             {
                 "command": "eval",
                 "inputs": list(args.files),
@@ -207,7 +203,7 @@ def cmd_steps(args) -> int:
         payload.update(
             {"command": "steps", "op": args.op, "seed": args.seed, "exit": code}
         )
-        _print_json(args, payload)
+        _print_json(payload)
     else:
         sys.stdout.write(cost.emit_csv(report))
         print(
@@ -251,10 +247,7 @@ def cmd_circuit(args) -> int:
             assignment[name] = int(bit)
         bits = circuits.simulate(net, assignment)
         if args.json:
-            _print_json(
-                args,
-                {"command": "circuit sim", "outputs": bits, "exit": EXIT_OK},
-            )
+            _print_json({"command": "circuit sim", "outputs": bits, "exit": EXIT_OK})
         else:
             print(" ".join(str(b) for b in bits))
         return EXIT_OK
@@ -264,7 +257,7 @@ def cmd_circuit(args) -> int:
     if args.json:
         payload = result.to_json()
         payload.update({"command": "circuit equiv", "exit": code})
-        _print_json(args, payload)
+        _print_json(payload)
     elif result.equivalent:
         print("Equivalent")
     else:
@@ -284,25 +277,25 @@ def cmd_mr(args) -> int:
     with open(args.input) as fh:
         data = json.load(fh)
     pairs = [(value_from_json(k), value_from_json(v)) for k, v in data]
-    session, _ = _load_session(
-        [str(p) for p in sorted((corpus_root() / "defs").glob("*.lx"))], args.seed
-    )
-    if args.job == "wordcount":
-        out = mapreduce.job_wordcount(pairs, session.env)
-    elif args.job == "grep":
-        out = mapreduce.job_grep(Symbol(args.pattern), pairs, session.env)
-    elif args.job == "invert":
-        out = mapreduce.invert_links(pairs, session.env)
-    else:
+    if args.job == "pagerank":
         ranks = mapreduce.pagerank(pairs, args.iterations, Fraction(args.damping))
         out = [(node, rank) for node, rank in ranks]
+    else:
+        session, _ = _load_session(
+            [str(p) for p in sorted((corpus_root() / "defs").glob("*.lx"))], args.seed
+        )
+        if args.job == "wordcount":
+            out = mapreduce.job_wordcount(pairs, session.env)
+        elif args.job == "grep":
+            out = mapreduce.job_grep(Symbol(args.pattern), pairs, session.env)
+        else:
+            out = mapreduce.invert_links(pairs, session.env)
     rendered = [
         [value_to_json(k), str(v) if isinstance(v, Fraction) else value_to_json(v)]
         for k, v in out
     ]
     if args.json:
         _print_json(
-            args,
             {
                 "command": f"mr {args.job}",
                 "input": args.input,
@@ -381,7 +374,6 @@ def cmd_ci(args) -> int:
     code = EXIT_OK if not problems and not mismatches else EXIT_VERDICT
     if args.json:
         _print_json(
-            args,
             {
                 "command": "ci",
                 "seed": args.seed,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .evaluator import DefEnv, eval_counting, on_deep_stack
+from .evaluator import DefEnv, eval_counting
 from .properties import Stream, trial_seed
 from .syntax import App, Var
 from .values import Value, from_list
@@ -37,7 +37,6 @@ def reverse_sorted_list(size: int, stream: Stream) -> Value:
     return from_list(range(size - 1, -1, -1))
 
 
-@on_deep_stack
 def measure_steps(
     op: str,
     gen: Callable[[int, Stream], Value],

@@ -12,24 +12,16 @@ and the taken branch only.  Variables and literals are free.
 
 Terms are compiled once into nested Python closures over a positional
 frame; defined operators resolve through their definition record at call
-time so self-recursion works.  Evaluation runs on a dedicated worker
-thread with a large stack because structural recursion over lists with
-thousands of elements would otherwise exhaust the C stack.
-
-Crossing to that thread costs a queue hand-off, so public operations that
-evaluate in a loop (``admit``, ``run_property``, ``measure_steps``,
-``mapreduce``) are marked ``on_deep_stack``: they cross once, and every
-evaluation inside them runs as a plain call on the worker.  A direct
-``evaluate`` or ``eval_counting`` from any other thread still crosses per
-call.
+time so self-recursion works.  Evaluation runs as plain calls on the
+caller's thread: the closures only call Python functions, which CPython
+3.11+ runs without growing the C stack.  Deep structural recursion over
+long lists therefore needs only a high recursion limit, which
+``eval_counting`` raises on first use.
 """
 
 from __future__ import annotations
 
-import functools
-import queue
 import sys
-import threading
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -43,6 +35,7 @@ from .syntax import IntLit, PRIMITIVE_ARITY, RawDefun, SymLit, Term, Var
 from .values import NIL, Pair, Symbol, T, Value, value_compare, value_equal
 
 DEFAULT_FUEL = 10**8
+_RECURSION_LIMIT = 20_000_000
 
 _PRIMITIVES = [name for name in PRIMITIVE_ARITY]
 
@@ -252,62 +245,6 @@ def _compile(t: Term, slots: dict[str, int], env: DefEnv):
 
 
 # ---------------------------------------------------------------------------
-# Deep-stack execution
-
-_WORK_QUEUE: queue.Queue = queue.Queue()
-_WORKER: threading.Thread | None = None
-_WORKER_LOCK = threading.Lock()
-_STACK_BYTES = 512 * 1024 * 1024
-
-
-def _worker_loop():
-    sys.setrecursionlimit(20_000_000)
-    while True:
-        job, box, done = _WORK_QUEUE.get()
-        try:
-            box.append((True, job()))
-        except BaseException as exc:  # propagate everything to the caller
-            box.append((False, exc))
-        done.set()
-
-
-def _ensure_worker():
-    global _WORKER
-    with _WORKER_LOCK:
-        if _WORKER is None or not _WORKER.is_alive():
-            old = threading.stack_size(_STACK_BYTES)
-            try:
-                _WORKER = threading.Thread(target=_worker_loop, daemon=True, name="eqthink-eval")
-                _WORKER.start()
-            finally:
-                threading.stack_size(old)
-
-
-def _run_deep(job):
-    if threading.current_thread() is _WORKER:
-        return job()
-    _ensure_worker()
-    box: list = []
-    done = threading.Event()
-    _WORK_QUEUE.put((job, box, done))
-    done.wait()
-    ok, payload = box[0]
-    if ok:
-        return payload
-    raise payload
-
-
-def on_deep_stack(fn):
-    """Run each call of ``fn`` on the deep-stack worker, crossing once."""
-
-    @functools.wraps(fn)
-    def run(*args, **kwargs):
-        return _run_deep(lambda: fn(*args, **kwargs))
-
-    return run
-
-
-# ---------------------------------------------------------------------------
 # Entry points
 
 
@@ -323,7 +260,9 @@ def eval_counting(
     closure = _compile(t, slots, env)
     frame = [bindings[n] for n in names] if bindings else []
     ctr = _Counter(fuel, len(env.op_names))
-    value = _run_deep(lambda: closure(frame, ctr))
+    if sys.getrecursionlimit() < _RECURSION_LIMIT:
+        sys.setrecursionlimit(_RECURSION_LIMIT)
+    value = closure(frame, ctr)
     per = {env.op_names[i]: n for i, n in enumerate(ctr.per) if n}
     return value, StepCount(ctr.total, per)
 

@@ -18,7 +18,7 @@ from functools import cmp_to_key
 from typing import TypeVar
 
 from .errors import BadDamping, JobError, MapperArity, ReducerArity, UnknownOperator
-from .evaluator import DefEnv, evaluate, on_deep_stack
+from .evaluator import DefEnv, evaluate
 from .syntax import App, Var
 from .values import Pair, Value, from_list, is_true_list, print_value, to_list, value_compare
 
@@ -60,10 +60,6 @@ def _require_arity(defs: DefEnv, name: str, err) -> None:
         raise err(f"{name} takes {arity} argument(s), mappers and reducers take 2")
 
 
-def _apply2(defs: DefEnv, op: str, a: Value, b: Value) -> Value:
-    return evaluate(App(op, (Var("a"), Var("b"))), {"a": a, "b": b}, defs)
-
-
 def _unpack_emissions(op: str, result: Value) -> list[KVPair]:
     if not is_true_list(result):
         raise JobError(f"{op} must return a list of pairs, got {print_value(result)}")
@@ -75,17 +71,18 @@ def _unpack_emissions(op: str, result: Value) -> list[KVPair]:
     return out
 
 
-@on_deep_stack
 def mapreduce(job: Job, input_pairs: list[KVPair], defs: DefEnv) -> list[KVPair]:
     _require_arity(defs, job.mapper, MapperArity)
     _require_arity(defs, job.reducer, ReducerArity)
+    map_call = App(job.mapper, (Var("a"), Var("b")))
+    reduce_call = App(job.reducer, (Var("a"), Var("b")))
     intermediate: list[KVPair] = []
     for key, value in input_pairs:
-        result = _apply2(defs, job.mapper, key, value)
+        result = evaluate(map_call, {"a": key, "b": value}, defs)
         intermediate.extend(_unpack_emissions(job.mapper, result))
     output: list[KVPair] = []
     for key, values in group_pairs(intermediate):
-        result = _apply2(defs, job.reducer, key, from_list(values))
+        result = evaluate(reduce_call, {"a": key, "b": from_list(values)}, defs)
         output.extend(_unpack_emissions(job.reducer, result))
     return output
 

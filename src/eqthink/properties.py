@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EqError, EvalError, UnexpectedToken
-from .evaluator import DefEnv, DEFAULT_FUEL, evaluate, on_deep_stack
+from .evaluator import DefEnv, DEFAULT_FUEL, evaluate
 from .syntax import App, IntLit, Property, Term, Var
 from .values import NIL, Symbol, Value, from_list
 
@@ -179,7 +179,6 @@ class PropertyReport:
     trials: int
 
 
-@on_deep_stack
 def run_property(
     p: Property,
     seed: int,

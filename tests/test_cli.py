@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from eqthink import cli
 from eqthink.cli import corpus_root, main
 
 CORPUS = corpus_root()
@@ -178,6 +179,18 @@ def test_mr_pagerank_exact(tmp_path, capsys):
     )
     assert code == 0
     assert report["pairs"] == [["a", "1/2"], ["b", "1/2"]]
+
+
+def test_mr_pagerank_loads_no_corpus(tmp_path, capsys, monkeypatch):
+    def refuse(paths, seed):
+        raise AssertionError("mr pagerank must not load the corpus")
+
+    monkeypatch.setattr(cli, "_load_session", refuse)
+    data = tmp_path / "graph.json"
+    data.write_text('[["a", ["b"]], ["b", []]]')
+    code, report = run_json(capsys, "mr", "pagerank", str(data), "--iterations", "1")
+    assert code == 0
+    assert [node for node, _ in report["pairs"]] == ["a", "b"]
 
 
 def test_mr_grep_needs_pattern(tmp_path, capsys):

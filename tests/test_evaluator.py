@@ -7,12 +7,16 @@ a call pays 1 plus its body).  It shares no code with the compiled
 evaluator beyond the value types.
 """
 
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eqthink.admissibility import admit
 from eqthink.errors import StepLimitExceeded, UnboundVariable, UnknownOperator
 from eqthink.evaluator import DEFAULT_FUEL, DefEnv, eval_counting, evaluate
+from eqthink.properties import Pass, run_property
 from eqthink.syntax import App, IntLit, SymLit, Var, parse_program, parse_term
 from eqthink.values import NIL, Pair, Symbol, T, from_list, to_list, value_compare, value_equal
 
@@ -191,11 +195,29 @@ def test_call_cost_is_one_plus_body():
     agree("(nth-down 2 (cons 10 (cons 11 (cons 12 nil))))", env=env)
 
 
+def _in_plain_thread(job):
+    box = []
+    worker = threading.Thread(target=lambda: box.append(job()))
+    worker.start()
+    worker.join()
+    return box[0]
+
+
 def test_deep_recursion_runs_without_host_overflow():
     env = _library()
-    n = 200_000
-    value = evaluate(parse_term(f"(count-down {n})"), {}, env)
-    assert value == 0
+    term = parse_term("(count-down 200000)")
+    assert evaluate(term, {}, env) == 0
+    assert _in_plain_thread(lambda: evaluate(term, {}, env)) == 0
+
+
+def test_evaluation_starts_no_thread():
+    env = _library()
+    evaluate(parse_term("(count-down 10)"), {}, env)
+    [p] = parse_program("(defproperty always (x :value (random-integer)) (equal x x))")
+    assert run_property(p, 0) == Pass(100)
+    [d] = parse_program("(defeqs n (xs) (n0 (n nil) 0) (n1 (n (cons x xs)) (1+ (n xs))))")
+    assert admit(d, DefEnv(), domains=("list",)).admitted
+    assert threading.enumerate() == [threading.current_thread()]
 
 
 def test_step_limit():
