@@ -47,23 +47,14 @@ from .syntax import (
     Equation,
     IntLit,
     NIL_LIT,
-    Pattern,
-    PCons,
-    PInt,
-    PNil,
-    PSucc,
-    PVar,
     RawDefun,
     Term,
     Var,
-    pattern_to_term,
-    pattern_vars,
-    print_pattern,
     print_term,
     substitute,
     term_vars,
 )
-from .values import NIL, Pair, Symbol, Value, print_value, value_equal
+from .values import NIL, Pair, Symbol, Value, from_list, print_value, value_equal
 
 PROVED = "Proved"
 TESTED = "TestedOnly"
@@ -127,111 +118,84 @@ def _derive_seed(seed: int, tag: str) -> int:
 
 # ---------------------------------------------------------------------------
 # Pattern utilities
+#
+# A pattern is the term syntax.read_pattern returns: a Var, an IntLit, nil,
+# or an App of cons or 1+.  The walks below rely on those five shapes.
 
 
-def match_value(p: Pattern, v: Value, bindings: dict[str, Value]) -> bool:
+def match_value(p: Term, v: Value, bindings: dict[str, Value]) -> bool:
     """Match one pattern against a runtime value, extending bindings."""
-    if isinstance(p, PVar):
+    if isinstance(p, Var):
         bindings[p.name] = v
         return True
-    if isinstance(p, PInt):
+    if isinstance(p, IntLit):
         return isinstance(v, int) and v == p.value
-    if isinstance(p, PNil):
+    if not isinstance(p, App):
         return v is NIL
-    if isinstance(p, PCons):
+    if p.op == "cons":
         return (
             isinstance(v, Pair)
-            and match_value(p.head, v.head, bindings)
-            and match_value(p.tail, v.tail, bindings)
+            and match_value(p.args[0], v.head, bindings)
+            and match_value(p.args[1], v.tail, bindings)
         )
-    return isinstance(v, int) and v >= 1 and match_value(p.arg, v - 1, bindings)
+    return isinstance(v, int) and v >= 1 and match_value(p.args[0], v - 1, bindings)
 
 
-def _rename_pattern(p: Pattern, suffix: str) -> Pattern:
-    if isinstance(p, PVar):
-        return PVar(p.name + suffix)
-    if isinstance(p, PCons):
-        return PCons(_rename_pattern(p.head, suffix), _rename_pattern(p.tail, suffix))
-    if isinstance(p, PSucc):
-        return PSucc(_rename_pattern(p.arg, suffix))
-    return p
-
-
-def _subst_pattern(p: Pattern, s: dict[str, Pattern]) -> Pattern:
-    if isinstance(p, PVar):
-        return s.get(p.name, p)
-    if isinstance(p, PCons):
-        return PCons(_subst_pattern(p.head, s), _subst_pattern(p.tail, s))
-    if isinstance(p, PSucc):
-        return PSucc(_subst_pattern(p.arg, s))
-    return p
-
-
-def _unify(a: Pattern, b: Pattern, s: dict[str, Pattern]) -> bool:
-    a = _subst_pattern(a, s)
-    b = _subst_pattern(b, s)
-    if isinstance(a, PVar):
-        if isinstance(b, PVar) and b.name == a.name:
+def _unify(a: Term, b: Term, s: dict[str, Term]) -> bool:
+    a = substitute(a, s)
+    b = substitute(b, s)
+    if isinstance(a, Var):
+        if isinstance(b, Var) and b.name == a.name:
             return True
         s[a.name] = b
         _recanonize(s)
         return True
-    if isinstance(b, PVar):
+    if isinstance(b, Var):
         s[b.name] = a
         _recanonize(s)
         return True
-    if isinstance(a, PInt):
-        if isinstance(b, PInt):
+    if isinstance(a, IntLit):
+        if isinstance(b, IntLit):
             return a.value == b.value
-        if isinstance(b, PSucc):
-            return a.value >= 1 and _unify(PInt(a.value - 1), b.arg, s)
+        if isinstance(b, App) and b.op == "1+":
+            return a.value >= 1 and _unify(IntLit(a.value - 1), b.args[0], s)
         return False
-    if isinstance(a, PNil):
-        return isinstance(b, PNil)
-    if isinstance(a, PCons):
-        return isinstance(b, PCons) and _unify(a.head, b.head, s) and _unify(a.tail, b.tail, s)
-    # a is PSucc
-    if isinstance(b, PSucc):
-        return _unify(a.arg, b.arg, s)
-    if isinstance(b, PInt):
-        return b.value >= 1 and _unify(a.arg, PInt(b.value - 1), s)
+    if not isinstance(a, App):
+        return b == NIL_LIT
+    if isinstance(b, App) and b.op == a.op:
+        return all(_unify(x, y, s) for x, y in zip(a.args, b.args))
+    if a.op == "1+" and isinstance(b, IntLit):
+        return b.value >= 1 and _unify(a.args[0], IntLit(b.value - 1), s)
     return False
 
 
-def _recanonize(s: dict[str, Pattern]) -> None:
+def _recanonize(s: dict[str, Term]) -> None:
     for k in list(s):
-        s[k] = _subst_pattern(s[k], s)
+        s[k] = substitute(s[k], s)
 
 
-def unify_vectors(ps: tuple[Pattern, ...], qs: tuple[Pattern, ...]) -> dict[str, Pattern] | None:
-    s: dict[str, Pattern] = {}
+def unify_vectors(ps: tuple[Term, ...], qs: tuple[Term, ...]) -> dict[str, Term] | None:
+    s: dict[str, Term] = {}
     for a, b in zip(ps, qs):
         if not _unify(a, b, s):
             return None
     return s
 
 
-def _alpha_equal(ps: tuple[Pattern, ...], qs: tuple[Pattern, ...]) -> dict[str, str] | None:
+def _alpha_equal(ps: tuple[Term, ...], qs: tuple[Term, ...]) -> dict[str, str] | None:
     """Structural equality up to variable renaming; returns q-var -> p-var."""
     fwd: dict[str, str] = {}
     rev: dict[str, str] = {}
 
-    def walk(a: Pattern, b: Pattern) -> bool:
-        if isinstance(a, PVar) and isinstance(b, PVar):
-            if fwd.setdefault(b.name, a.name) != a.name:
-                return False
-            if rev.setdefault(a.name, b.name) != b.name:
-                return False
-            return True
-        if isinstance(a, PInt) and isinstance(b, PInt):
-            return a.value == b.value
-        if isinstance(a, PNil) and isinstance(b, PNil):
-            return True
-        if isinstance(a, PCons) and isinstance(b, PCons):
-            return walk(a.head, b.head) and walk(a.tail, b.tail)
-        if isinstance(a, PSucc) and isinstance(b, PSucc):
-            return walk(a.arg, b.arg)
-        return False
+    def walk(a: Term, b: Term) -> bool:
+        if isinstance(a, Var) and isinstance(b, Var):
+            return (
+                fwd.setdefault(b.name, a.name) == a.name
+                and rev.setdefault(a.name, b.name) == b.name
+            )
+        if isinstance(a, App) and isinstance(b, App):
+            return a.op == b.op and all(walk(x, y) for x, y in zip(a.args, b.args))
+        return a == b
 
     for a, b in zip(ps, qs):
         if not walk(a, b):
@@ -252,48 +216,40 @@ def _complementary(g1: Term | None, g2: Term | None) -> bool:
 def _nat_vars(patterns) -> set[str]:
     out: set[str] = set()
 
-    def walk(p: Pattern, under_succ: bool) -> None:
-        if isinstance(p, PVar):
+    def walk(p: Term, under_succ: bool) -> None:
+        if isinstance(p, Var):
             if under_succ:
                 out.add(p.name)
-        elif isinstance(p, PCons):
-            walk(p.head, False)
-            walk(p.tail, False)
-        elif isinstance(p, PSucc):
-            walk(p.arg, True)
+        elif isinstance(p, App):
+            for a in p.args:
+                walk(a, p.op == "1+")
 
     for p in patterns:
         walk(p, False)
     return out
 
 
-def _instantiate(p: Pattern, assign: dict[str, Value], nats: set[str], stream: Stream) -> Value:
-    if isinstance(p, PVar):
+def _instantiate(p: Term, assign: dict[str, Value], nats: set[str], stream: Stream) -> Value:
+    if isinstance(p, Var):
         if p.name not in assign:
             if p.name in nats:
                 assign[p.name] = stream.int_between(0, 40)
             else:
                 assign[p.name] = generate(RandomObject(), stream)
         return assign[p.name]
-    if isinstance(p, PInt):
+    if isinstance(p, IntLit):
         return p.value
-    if isinstance(p, PNil):
+    if not isinstance(p, App):
         return NIL
-    if isinstance(p, PCons):
-        head = _instantiate(p.head, assign, nats, stream)
-        return Pair(head, _instantiate(p.tail, assign, nats, stream))
-    inner = _instantiate(p.arg, assign, nats, stream)
+    if p.op == "cons":
+        head = _instantiate(p.args[0], assign, nats, stream)
+        return Pair(head, _instantiate(p.args[1], assign, nats, stream))
+    inner = _instantiate(p.args[0], assign, nats, stream)
     return (inner if isinstance(inner, int) else 0) + 1
 
 
 # ---------------------------------------------------------------------------
 # Provisional evaluation
-
-
-def _provisional_env(d: DefEquations, env: DefEnv) -> DefEnv:
-    child = env.copy()
-    child.define(_translate(d))
-    return child
 
 
 def _equation_bindings(
@@ -319,31 +275,24 @@ def _describe_input(params, args) -> str:
 
 
 def check_consistent(
-    d: DefEquations, env: DefEnv, seed: int = 0, trials: int = 1000
+    d: DefEquations, prov: DefEnv, seed: int = 0, trials: int = 1000
 ) -> CheckResult:
-    overlap_pairs: list[tuple[Equation, Equation, tuple[Pattern, ...]]] = []
+    overlap_pairs: list[tuple[Equation, Equation, tuple[Term, ...]]] = []
     for i, eq1 in enumerate(d.equations):
         for eq2 in d.equations[i + 1 :]:
-            renamed = tuple(_rename_pattern(p, "~") for p in eq2.patterns)
-            mgu = unify_vectors(eq1.patterns, renamed)
+            rename = {v: Var(v + "~") for p in eq2.patterns for v in term_vars(p)}
+            mgu = unify_vectors(eq1.patterns, tuple(substitute(p, rename) for p in eq2.patterns))
             if mgu is None:
                 continue
-            g2 = (
-                substitute(eq2.guard, {v: Var(v + "~") for v in term_vars(eq2.guard)})
-                if eq2.guard is not None
-                else None
-            )
-            subst_terms = {v: pattern_to_term(p) for v, p in mgu.items()}
-            g1u = substitute(eq1.guard, subst_terms) if eq1.guard is not None else None
-            g2u = substitute(g2, subst_terms) if g2 is not None else None
+            g1u = substitute(eq1.guard, mgu) if eq1.guard is not None else None
+            g2u = substitute(substitute(eq2.guard, rename), mgu) if eq2.guard is not None else None
             if _complementary(g1u, g2u):
                 continue
-            unified = tuple(_subst_pattern(p, mgu) for p in eq1.patterns)
+            unified = tuple(substitute(p, mgu) for p in eq1.patterns)
             overlap_pairs.append((eq1, eq2, unified))
     if not overlap_pairs:
         return CheckResult(PROVED, "equations are pairwise disjoint or complement-guarded")
 
-    prov = _provisional_env(d, env)
     stream = Stream(_derive_seed(seed, f"consistent:{d.name}"))
     for eq1, eq2, unified in overlap_pairs:
         nats = _nat_vars(unified)
@@ -377,12 +326,12 @@ def check_consistent(
 # Comprehensiveness
 
 
-def _collapse_guard_pairs(equations) -> tuple[list[tuple[Pattern, ...]], bool]:
+def _collapse_guard_pairs(equations) -> tuple[list[tuple[Term, ...]], bool]:
     """Unguarded coverage rows; complementary-guard pairs merge into one row.
 
     Returns (rows, any_guarded_left_over).
     """
-    rows: list[tuple[Pattern, ...]] = []
+    rows: list[tuple[Term, ...]] = []
     consumed = [False] * len(equations)
     for i, eq1 in enumerate(equations):
         if consumed[i]:
@@ -409,18 +358,18 @@ def _collapse_guard_pairs(equations) -> tuple[list[tuple[Pattern, ...]], bool]:
 _DEFAULT_WITNESS = {"nat": 0, "list": NIL, "any": NIL}
 
 
-def _int_marks(p: Pattern, depth: int = 0) -> set[int]:
+def _int_marks(p: Term, depth: int = 0) -> set[int]:
     """Integers at which the pattern's coverage of the number line changes."""
-    if isinstance(p, PInt):
+    if isinstance(p, IntLit):
         return {p.value + depth}
-    if isinstance(p, PSucc):
-        return _int_marks(p.arg, depth + 1)
-    if isinstance(p, PVar) and depth:
+    if isinstance(p, App) and p.op == "1+":
+        return _int_marks(p.args[0], depth + 1)
+    if isinstance(p, Var) and depth:
         return {depth}
     return set()
 
 
-def _uncovered(rows: list[list[Pattern]], doms: list[str]) -> list[Value] | None:
+def _uncovered(rows: list[list[Term]], doms: list[str]) -> list[Value] | None:
     """A witness value vector missing from every row, or None if covered.
 
     Case analysis follows the domain constructors; sub-patterns of a cons
@@ -430,7 +379,7 @@ def _uncovered(rows: list[list[Pattern]], doms: list[str]) -> list[Value] | None
         return None if rows else []
     dom = doms[0]
     rest = doms[1:]
-    if all(isinstance(row[0], PVar) for row in rows):
+    if all(isinstance(row[0], Var) for row in rows):
         w = _uncovered([row[1:] for row in rows], rest)
         if w is None:
             return None
@@ -440,7 +389,7 @@ def _uncovered(rows: list[list[Pattern]], doms: list[str]) -> list[Value] | None
         zero_rows = [
             row[1:]
             for row in rows
-            if isinstance(row[0], PVar) or (isinstance(row[0], PInt) and row[0].value == 0)
+            if isinstance(row[0], Var) or row[0] == IntLit(0)
         ]
         w = _uncovered(zero_rows, rest)
         if w is not None:
@@ -448,22 +397,26 @@ def _uncovered(rows: list[list[Pattern]], doms: list[str]) -> list[Value] | None
         succ_rows = []
         for row in rows:
             p = row[0]
-            if isinstance(p, PVar):
+            if isinstance(p, Var):
                 succ_rows.append(row)
-            elif isinstance(p, PSucc):
-                succ_rows.append([p.arg] + row[1:])
-            elif isinstance(p, PInt) and p.value >= 1:
-                succ_rows.append([PInt(p.value - 1)] + row[1:])
+            elif isinstance(p, App) and p.op == "1+":
+                succ_rows.append([p.args[0]] + row[1:])
+            elif isinstance(p, IntLit) and p.value >= 1:
+                succ_rows.append([IntLit(p.value - 1)] + row[1:])
         w = _uncovered(succ_rows, doms)
         if w is not None:
             return [w[0] + 1] + w[1:]
         return None
 
-    nil_rows = [row[1:] for row in rows if isinstance(row[0], (PVar, PNil))]
+    nil_rows = [row[1:] for row in rows if isinstance(row[0], Var) or row[0] == NIL_LIT]
     w = _uncovered(nil_rows, rest)
     if w is not None:
         return [NIL] + w
-    cons_rows = [row[1:] for row in rows if isinstance(row[0], (PVar, PCons))]
+    cons_rows = [
+        row[1:]
+        for row in rows
+        if isinstance(row[0], Var) or (isinstance(row[0], App) and row[0].op == "cons")
+    ]
     w = _uncovered(cons_rows, rest)
     if w is not None:
         return [Pair(0, NIL)] + w
@@ -493,25 +446,19 @@ def _random_domain_value(dom: str, stream: Stream) -> Value:
         return stream.int_between(0, 60)
     if dom == "list":
         length = stream.int_between(0, 10)
-        items = []
-        for _ in range(length):
-            items.append(generate(RandomObject(), stream))
-        v: Value = NIL
-        for item in reversed(items):
-            v = Pair(item, v)
-        return v
+        return from_list([generate(RandomObject(), stream) for _ in range(length)])
     return generate(RandomObject(), stream)
 
 
 def check_comprehensive(
     d: DefEquations,
-    env: DefEnv,
+    prov: DefEnv,
     domains: tuple[str, ...] | None,
     seed: int = 0,
     trials: int = 1000,
 ) -> CheckResult:
     if domains is None:
-        if all(isinstance(p, PVar) for eq in d.equations for p in eq.patterns):
+        if all(isinstance(p, Var) for eq in d.equations for p in eq.patterns):
             return CheckResult(PROVED, "catch-all patterns cover every input")
         raise MissingSignature(
             f"{d.name} has structured patterns but no sig directive", d.loc
@@ -531,7 +478,6 @@ def check_comprehensive(
             _describe_input(d.params, witness),
         )
 
-    prov = _provisional_env(d, env)
     stream = Stream(_derive_seed(seed, f"comprehensive:{d.name}"))
     for _ in range(trials):
         args = [_random_domain_value(dom, stream) for dom in domains]
@@ -554,16 +500,14 @@ def _self_calls(d: DefEquations, t: Term, acc: list[App]) -> None:
             _self_calls(d, a, acc)
 
 
-def _strict_vars(p: Pattern) -> set[str]:
+def _strict_vars(p: Term) -> set[str]:
     """Variables bound strictly inside a cons or successor pattern."""
-    if isinstance(p, (PVar, PInt, PNil)):
-        return set()
-    return set(pattern_vars(p))
+    return term_vars(p) if isinstance(p, App) else set()
 
 
 def check_constructive(
     d: DefEquations,
-    env: DefEnv,
+    prov: DefEnv,
     measure: Term | None = None,
     domains: tuple[str, ...] | None = None,
     seed: int = 0,
@@ -585,13 +529,13 @@ def check_constructive(
                 for pos, (arg, pat) in enumerate(zip(call.args, eq.patterns)):
                     if isinstance(arg, Var) and arg.name in _strict_vars(pat):
                         strict += 1
-                    elif arg == pattern_to_term(pat):
+                    elif arg == pat:
                         continue
                     else:
                         return CheckResult(
                             FAILED,
                             f"{eq.label}: argument {pos + 1} of {print_term(call)} is neither "
-                            f"the unchanged pattern {print_pattern(pat)} nor a variable bound "
+                            f"the unchanged pattern {print_term(pat)} nor a variable bound "
                             "inside it",
                             print_term(call),
                         )
@@ -604,7 +548,6 @@ def check_constructive(
         return CheckResult(PROVED, "every self-call shrinks a cons or successor binding")
 
     # admit has already rejected a measure with variables outside the params.
-    prov = _provisional_env(d, env)
     stream = Stream(_derive_seed(seed, f"constructive:{d.name}"))
     doms = domains if domains is not None else tuple("any" for _ in d.params)
     checked = 0
@@ -639,20 +582,18 @@ def check_constructive(
 # Compilation
 
 
-def _pattern_test(p: Pattern, expr: Term, conds: list[Term], binds: dict[str, Term]) -> None:
-    if isinstance(p, PVar):
+def _pattern_test(p: Term, expr: Term, conds: list[Term], binds: dict[str, Term]) -> None:
+    if isinstance(p, Var):
         binds[p.name] = expr
-    elif isinstance(p, PInt):
-        conds.append(App("equal", (expr, IntLit(p.value))))
-    elif isinstance(p, PNil):
-        conds.append(App("equal", (expr, NIL_LIT)))
-    elif isinstance(p, PCons):
+    elif not isinstance(p, App):
+        conds.append(App("equal", (expr, p)))
+    elif p.op == "cons":
         conds.append(App("consp", (expr,)))
-        _pattern_test(p.head, App("first", (expr,)), conds, binds)
-        _pattern_test(p.tail, App("rest", (expr,)), conds, binds)
+        _pattern_test(p.args[0], App("first", (expr,)), conds, binds)
+        _pattern_test(p.args[1], App("rest", (expr,)), conds, binds)
     else:
         conds.append(App("not", (App("zp", (expr,)),)))
-        _pattern_test(p.arg, App("-", (expr, IntLit(1))), conds, binds)
+        _pattern_test(p.args[0], App("-", (expr, IntLit(1))), conds, binds)
 
 
 def _conjoin(conds: list[Term]) -> Term | None:
@@ -743,9 +684,14 @@ def admit(
                 f"measure for {d.name} uses unbound variable(s) {', '.join(sorted(loose))}",
                 d.loc,
             )
-    consistent = check_consistent(d, env, seed, trials)
-    comprehensive = check_comprehensive(d, env, domains, seed, trials)
-    constructive = check_constructive(d, env, measure, domains, seed, trials)
-    ok = FAILED not in (consistent.verdict, comprehensive.verdict, constructive.verdict)
-    compiled = _translate(d) if ok else None
+    # The checks evaluate d's equations in a copy of env where d's compiled
+    # defun is provisionally defined; env itself is left unchanged.
+    compiled = _translate(d)
+    prov = env.copy()
+    prov.define(compiled)
+    consistent = check_consistent(d, prov, seed, trials)
+    comprehensive = check_comprehensive(d, prov, domains, seed, trials)
+    constructive = check_constructive(d, prov, measure, domains, seed, trials)
+    if FAILED in (consistent.verdict, comprehensive.verdict, constructive.verdict):
+        compiled = None
     return AdmissibilityReport(d.name, consistent, comprehensive, constructive, compiled)

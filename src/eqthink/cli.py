@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import circuits, cost, mapreduce
 from .errors import EqError, ParseError
-from .evaluator import evaluate
+from .evaluator import eval_counting
 from .loader import Session, property_report_json
 from .properties import Counterexample, Pass
 from .syntax import parse_term
@@ -163,7 +163,7 @@ def cmd_prove(args) -> int:
 def cmd_eval(args) -> int:
     session, _ = _load_session(args.files, args.seed)
     term = parse_term(args.expr)
-    value = evaluate(term, {}, session.env)
+    value, count = eval_counting(term, {}, session.env)
     if args.json:
         _print_json(
             {
@@ -172,6 +172,8 @@ def cmd_eval(args) -> int:
                 "expr": args.expr,
                 "value": print_value(value),
                 "json_value": value_to_json(value),
+                "steps": count.total,
+                "per_operator": count.per_operator,
                 "exit": EXIT_OK,
             },
         )

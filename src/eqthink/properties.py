@@ -93,6 +93,9 @@ class RandomSymbol(GenSpec):
     alphabet: tuple[str, ...] = DEFAULT_ALPHABET
 
 
+_OBJECT_KINDS = (RandomInteger(), RandomSymbol(), RandomListOf(RandomInteger()))
+
+
 def parse_genspec(t: Term) -> GenSpec:
     """Interpret a generator form like (random-list-of (random-integer))."""
     if not isinstance(t, App):
@@ -128,13 +131,7 @@ def generate(g: GenSpec, stream: Stream) -> Value:
     if isinstance(g, RandomSymbol):
         return Symbol(g.alphabet[stream.below(len(g.alphabet))])
     if isinstance(g, RandomObject):
-        branch = stream.below(3)
-        if branch == 0:
-            return stream.int_between(-100, 100)
-        if branch == 1:
-            return Symbol(DEFAULT_ALPHABET[stream.below(len(DEFAULT_ALPHABET))])
-        length = stream.int_between(0, 20)
-        return from_list([stream.int_between(-100, 100) for _ in range(length)])
+        return generate(_OBJECT_KINDS[stream.below(3)], stream)
     raise TypeError(f"not a generator spec: {g!r}")
 
 

@@ -20,7 +20,6 @@ from .syntax import (
     Term,
     Var,
     parse_term,
-    pattern_to_term,
     term_vars,
 )
 
@@ -177,7 +176,7 @@ class RuleDatabase:
     def add_definitional(self, d: DefEquations) -> None:
         """Each equation of an admitted definition becomes a rule."""
         for eq in d.equations:
-            lhs = App(d.name, tuple(pattern_to_term(p) for p in eq.patterns))
+            lhs = App(d.name, eq.patterns)
             self._insert(RewriteRule(eq.label, lhs, eq.rhs, eq.guard))
 
     def add_lemma(self, rule: RewriteRule) -> None:

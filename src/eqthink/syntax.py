@@ -108,51 +108,13 @@ T_LIT = SymLit("t")
 
 
 # ---------------------------------------------------------------------------
-# Patterns
-
-
-class Pattern:
-    __slots__ = ()
-
-
-@dataclass(frozen=True, slots=True)
-class PVar(Pattern):
-    name: str
-    loc: SourceLocation = field(default=NOWHERE, compare=False, repr=False)
-
-
-@dataclass(frozen=True, slots=True)
-class PInt(Pattern):
-    value: int
-    loc: SourceLocation = field(default=NOWHERE, compare=False, repr=False)
-
-
-@dataclass(frozen=True, slots=True)
-class PNil(Pattern):
-    loc: SourceLocation = field(default=NOWHERE, compare=False, repr=False)
-
-
-@dataclass(frozen=True, slots=True)
-class PCons(Pattern):
-    head: Pattern
-    tail: Pattern
-    loc: SourceLocation = field(default=NOWHERE, compare=False, repr=False)
-
-
-@dataclass(frozen=True, slots=True)
-class PSucc(Pattern):
-    arg: Pattern
-    loc: SourceLocation = field(default=NOWHERE, compare=False, repr=False)
-
-
-# ---------------------------------------------------------------------------
 # Top-level forms
 
 
 @dataclass(frozen=True, slots=True)
 class Equation:
     label: str
-    patterns: tuple[Pattern, ...]
+    patterns: tuple[Term, ...]
     rhs: Term
     guard: Term | None = None
     loc: SourceLocation = field(default=NOWHERE, compare=False, repr=False)
@@ -355,29 +317,22 @@ class _Reader:
 
     # -- patterns -----------------------------------------------------------
 
-    def read_pattern(self) -> Pattern:
+    def read_pattern(self) -> Term:
+        """A pattern is read as the term it denotes: a variable, a numeral,
+        nil, (cons P P) or (1+ P)."""
         tok = self.next()
         if tok.kind == "atom":
             text = tok.text
-            if _INT_RE.match(text):
-                return PInt(int(text), loc=tok.loc)
-            if text == "nil":
-                return PNil(loc=tok.loc)
             if text == "t" or text.startswith(":"):
                 raise UnexpectedToken(f"{text} is not a pattern", tok.loc)
-            return PVar(text, loc=tok.loc)
+            return self._atom_term(tok)
         if tok.kind == "(":
             head = self.expect("atom")
-            if head.text == "cons":
-                a = self.read_pattern()
-                b = self.read_pattern()
-                self.expect(")")
-                return PCons(a, b, loc=tok.loc)
-            if head.text == "1+":
-                a = self.read_pattern()
-                self.expect(")")
-                return PSucc(a, loc=tok.loc)
-            raise UnexpectedToken(f"{head.text} is not a pattern constructor", head.loc)
+            if head.text not in ("cons", "1+"):
+                raise UnexpectedToken(f"{head.text} is not a pattern constructor", head.loc)
+            args = tuple(self.read_pattern() for _ in range(PRIMITIVE_ARITY[head.text]))
+            self.expect(")")
+            return App(head.text, args, loc=tok.loc)
         raise UnexpectedToken("expected a pattern", tok.loc)
 
     # -- help ---------------------------------------------------------------
@@ -416,14 +371,12 @@ def term_vars(t: Term) -> set[str]:
     return out
 
 
-def pattern_vars(p: Pattern) -> list[str]:
+def pattern_vars(p: Term) -> list[str]:
     """Variables of a pattern, in left-to-right order (with repeats)."""
-    if isinstance(p, PVar):
+    if isinstance(p, Var):
         return [p.name]
-    if isinstance(p, PCons):
-        return pattern_vars(p.head) + pattern_vars(p.tail)
-    if isinstance(p, PSucc):
-        return pattern_vars(p.arg)
+    if isinstance(p, App):
+        return [v for a in p.args for v in pattern_vars(a)]
     return []
 
 
@@ -434,19 +387,6 @@ def substitute(t: Term, mapping: dict[str, Term]) -> Term:
     if isinstance(t, App):
         return App(t.op, tuple(substitute(a, mapping) for a in t.args), loc=t.loc)
     return t
-
-
-def pattern_to_term(p: Pattern) -> Term:
-    """The term a pattern denotes: (cons h t) and (1+ n) applications."""
-    if isinstance(p, PVar):
-        return Var(p.name)
-    if isinstance(p, PInt):
-        return IntLit(p.value)
-    if isinstance(p, PNil):
-        return NIL_LIT
-    if isinstance(p, PCons):
-        return App("cons", (pattern_to_term(p.head), pattern_to_term(p.tail)))
-    return App("1+", (pattern_to_term(p.arg),))
 
 
 # ---------------------------------------------------------------------------
@@ -474,20 +414,8 @@ def _print_term(t: Term, parts: list[str]) -> None:
         parts.append(")")
 
 
-def print_pattern(p: Pattern) -> str:
-    if isinstance(p, PVar):
-        return p.name
-    if isinstance(p, PInt):
-        return str(p.value)
-    if isinstance(p, PNil):
-        return "nil"
-    if isinstance(p, PCons):
-        return f"(cons {print_pattern(p.head)} {print_pattern(p.tail)})"
-    return f"(1+ {print_pattern(p.arg)})"
-
-
 def print_equation(name: str, eq: Equation) -> str:
-    pats = " ".join(print_pattern(p) for p in eq.patterns)
+    pats = " ".join(print_term(p) for p in eq.patterns)
     body = f"({eq.label} ({name} {pats}) {print_term(eq.rhs)}"
     if eq.guard is not None:
         body += f" :when {print_term(eq.guard)}"

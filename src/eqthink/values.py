@@ -121,14 +121,20 @@ def from_list(items) -> Value:
     return out
 
 
+def _spine(v: Value) -> tuple[list[Value], Value]:
+    """The heads along a value's tail spine, and the atom the spine ends in."""
+    heads = []
+    while isinstance(v, Pair):
+        heads.append(v.head)
+        v = v.tail
+    return heads, v
+
+
 def to_list(v: Value) -> list[Value]:
     """Unpack a true list; raises ValueError on improper lists or atoms."""
-    out = []
-    while isinstance(v, Pair):
-        out.append(v.head)
-        v = v.tail
-    if v is not NIL:
-        raise ValueError(f"not a true list (ends in {print_value(v)})")
+    out, end = _spine(v)
+    if end is not NIL:
+        raise ValueError(f"not a true list (ends in {print_value(end)})")
     return out
 
 
@@ -148,9 +154,11 @@ def print_value(v: Value) -> str:
         return str(v)
     if isinstance(v, Symbol):
         return v.name if v in (T, NIL) else "'" + v.name
-    if is_true_list(v):
-        return "'(" + " ".join(_datum(x) for x in to_list(v)) + ")"
-    return f"(cons {print_value(v.head)} {print_value(v.tail)})"
+    heads, end = _spine(v)
+    if end is NIL:
+        return "'(" + " ".join(_datum(x) for x in heads) + ")"
+    opens = "".join(f"(cons {print_value(h)} " for h in heads)
+    return opens + print_value(end) + ")" * len(heads)
 
 
 def _datum(v: Value) -> str:
@@ -158,13 +166,10 @@ def _datum(v: Value) -> str:
         return str(v)
     if isinstance(v, Symbol):
         return v.name
-    spine = []
-    while isinstance(v, Pair):
-        spine.append(_datum(v.head))
-        v = v.tail
-    if v is not NIL:
+    heads, end = _spine(v)
+    if end is not NIL:
         raise ValueError("cannot print improper pair inside a list literal")
-    return "(" + " ".join(spine) + ")"
+    return "(" + " ".join(_datum(x) for x in heads) + ")"
 
 
 def to_json(v: Value):
@@ -176,9 +181,13 @@ def to_json(v: Value):
         return v
     if isinstance(v, Symbol):
         return v.name
-    if is_true_list(v):
-        return [to_json(x) for x in to_list(v)]
-    return {"cons": [to_json(v.head), to_json(v.tail)]}
+    heads, end = _spine(v)
+    if end is NIL:
+        return [to_json(x) for x in heads]
+    out = to_json(end)
+    for h in reversed(heads):
+        out = {"cons": [to_json(h), out]}
+    return out
 
 
 def from_json(data) -> Value:

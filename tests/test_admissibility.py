@@ -5,16 +5,18 @@ negative cases pin concrete witnesses.  Compilation faithfulness is
 checked by replaying equations directly against the compiled defun.
 """
 
+import itertools
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqthink.admissibility import admit, match_value
-from eqthink.errors import NotAdmitted, UnknownOperator
+from eqthink.admissibility import admit, match_value, unify_vectors
+from eqthink.errors import DuplicateDefinition, NotAdmitted, UnknownOperator
 from eqthink.evaluator import DefEnv, evaluate
 from eqthink.loader import Session
-from eqthink.syntax import App, Var, parse_program, parse_term
-from eqthink.values import from_list, to_list, value_equal
+from eqthink.syntax import App, IntLit, Var, parse_program, parse_term, substitute
+from eqthink.values import NIL, Pair, Symbol, from_list, to_list, value_equal
 
 
 def _admit(src, **kw):
@@ -164,6 +166,17 @@ def test_measure_with_unbound_variable_rejected():
         )
 
 
+@pytest.mark.parametrize("rhs", ["1", "(f x)"])
+def test_redefinition_is_a_duplicate_whatever_its_verdicts(rhs):
+    # "(f x)" fails the constructive check; the name clash is reported first.
+    session = Session()
+    [first] = parse_program("(defeqs f (x) (f0 (f x) 0))")
+    session.load_form(first)
+    [again] = parse_program(f"(defeqs f (x) (f0 (f x) {rhs}))")
+    with pytest.raises(DuplicateDefinition, match="f is already defined"):
+        session.load_form(again)
+
+
 def test_unknown_operator_in_rhs_rejected():
     with pytest.raises(UnknownOperator):
         _admit("(sig f (nat))\n(defeqs f (n) (f0 (f n) (mystery n)))")
@@ -217,3 +230,56 @@ def test_admit_without_signature_still_judges():
     [d] = parse_program("(defeqs mirror (x) (m0 (mirror x) x))")
     report = admit(d, DefEnv())
     assert report.admitted
+
+
+# Pattern text with "?" holes; _pattern_vector numbers the holes so each
+# vector is linear, as the parser demands.
+_pattern_shapes = st.recursive(
+    st.sampled_from(["?", "?", "?", "nil", "0", "1", "-1"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda ab: f"(cons {ab[0]} {ab[1]})"),
+        inner.map(lambda a: f"(1+ {a})"),
+    ),
+    max_leaves=3,
+)
+
+_SMALL_ATOMS = [-1, 0, 1, 2, 3, NIL, Symbol("a")]
+_SMALL_VALUES = _SMALL_ATOMS + [
+    Pair(h, t) for h in (0, 1, NIL, Pair(0, NIL)) for t in _SMALL_ATOMS + [Pair(0, NIL), Pair(1, 0)]
+]
+
+
+def _pattern_vector(shapes, prefix):
+    counter = itertools.count()
+    text = " ".join(shapes)
+    while "?" in text:
+        text = text.replace("?", f"{prefix}{next(counter)}", 1)
+    [d] = parse_program(f"(defeqs f (u v) (e (f {text}) 0))")
+    return d.equations[0].patterns
+
+
+def _fold_numerals(t):
+    """Read (1+ k) with a numeral k as the numeral k+1, innermost first."""
+    if not isinstance(t, App):
+        return t
+    args = tuple(_fold_numerals(a) for a in t.args)
+    if t.op == "1+" and isinstance(args[0], IntLit):
+        return IntLit(args[0].value + 1)
+    return App(t.op, args)
+
+
+@settings(max_examples=300)
+@given(st.tuples(_pattern_shapes, _pattern_shapes), st.tuples(_pattern_shapes, _pattern_shapes))
+def test_unify_vectors_sound_and_complete(left, right):
+    ps = _pattern_vector(left, "a")
+    qs = _pattern_vector(right, "b")
+    mgu = unify_vectors(ps, qs)
+    if mgu is not None:
+        for p, q in zip(ps, qs):
+            assert _fold_numerals(substitute(p, mgu)) == _fold_numerals(substitute(q, mgu))
+    for vals in itertools.product(_SMALL_VALUES, repeat=2):
+        if all(
+            match_value(p, v, {}) and match_value(q, v, {}) for p, q, v in zip(ps, qs, vals)
+        ):
+            assert mgu is not None, f"both sides match {vals} but do not unify"
+            break

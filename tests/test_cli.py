@@ -59,6 +59,13 @@ def test_eval_prints_value(capsys):
     assert code == 0 and out.strip() == "'(1 2)"
 
 
+def test_eval_json_reports_step_counts(capsys):
+    code, report = run_json(capsys, "eval", "-e", "(+ 1 2)")
+    assert code == 0 and report["value"] == "3"
+    assert report["steps"] == 1
+    assert report["per_operator"] == {"+": 1}
+
+
 def test_eval_error_exit_codes(capsys):
     assert run(capsys, "eval", "-e", "(undefined-op 1)")[0] == 1
     assert run(capsys, "eval", "-e", "(cons 1")[0] == 2

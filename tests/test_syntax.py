@@ -16,7 +16,6 @@ from eqthink.syntax import (
     Var,
     parse_program,
     parse_term,
-    pattern_to_term,
     print_defun,
     print_equation,
     print_term,
@@ -173,8 +172,24 @@ def test_substitute_replaces_free_vars(t, name, replacement):
         assert name not in term_vars(out) or name in term_vars(replacement)
 
 
-def test_pattern_to_term():
+def test_patterns_read_as_terms():
     [d] = parse_program("(defeqs f (n xs) (f1 (f (1+ n) (cons x xs)) 0))")
-    lhs_terms = [pattern_to_term(p) for p in d.equations[0].patterns]
-    assert lhs_terms[0] == App("1+", (Var("n"),))
-    assert lhs_terms[1] == App("cons", (Var("x"), Var("xs")))
+    assert d.equations[0].patterns == (
+        App("1+", (Var("n"),)),
+        App("cons", (Var("x"), Var("xs"))),
+    )
+
+
+@pytest.mark.parametrize(
+    "pattern, message",
+    [
+        ("t", "<string>:1:22: UnexpectedToken: t is not a pattern"),
+        (":when", "<string>:1:22: UnexpectedToken: :when is not a pattern"),
+        ("(foo x)", "<string>:1:23: UnexpectedToken: foo is not a pattern constructor"),
+        ("(cons x)", "<string>:1:29: UnexpectedToken: expected a pattern"),
+    ],
+)
+def test_bad_pattern_rejected_with_message(pattern, message):
+    with pytest.raises(UnexpectedToken) as err:
+        parse_program(f"(defeqs f (x) (f0 (f {pattern}) 0))")
+    assert str(err.value) == message

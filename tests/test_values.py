@@ -86,3 +86,18 @@ def test_json_rejects_booleans():
         from_json(True)
     with pytest.raises(ValueError):
         from_json([1, False])
+
+
+def test_long_improper_list_prints_and_converts_in_one_walk():
+    # 20k elements is deeper than the default recursion limit and slow
+    # under a walk that retests the tail at every level.
+    n = 20_000
+    v = Symbol("end")
+    for i in reversed(range(n)):
+        v = Pair(i, v)
+    assert print_value(v) == "".join(f"(cons {i} " for i in range(n)) + "'end" + ")" * n
+    node = to_json(v)
+    for i in range(n):
+        assert node["cons"][0] == i
+        node = node["cons"][1]
+    assert node == "end"
