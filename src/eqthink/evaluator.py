@@ -10,18 +10,41 @@ Cost model: every application node visited costs one step (primitives,
 ``if``, and calls to defined operators alike).  ``if`` pays for its test
 and the taken branch only.  Variables and literals are free.
 
-Terms are compiled once into nested Python closures over a positional
-frame; defined operators resolve through their definition record at call
-time so self-recursion works.  Evaluation runs as plain calls on the
-caller's thread: the closures only call Python functions, which CPython
-3.11+ runs without growing the C stack.  Deep structural recursion over
-long lists therefore needs only a high recursion limit, which
-``eval_counting`` raises on first use.
+Each defined operator is translated to one generated Python function, and
+so is each top-level term (memoized per ``DefEnv``, keyed by the term and
+its sorted binding names, so a term is translated once however often it
+runs).  Parameters and bindings become Python locals, and terms are
+emitted in A-normal form: every sub-result goes to its own local, so the
+emitted expressions never nest.  The primitives are inlined as Python
+expressions; a call to a defined operator goes through its ``_DefRecord``
+at call time, so self-recursion works and a ``DefEnv.copy()`` shares the
+functions already generated.  A branch nested deeper than
+``_MAX_NESTING`` moves into a function of its own, which keeps the
+generated source within Python's indentation limit.
+
+Steps are paid once per branch region: the nodes that always run once a
+function is entered or an ``if`` branch is taken (an application's
+arguments, an ``if`` test, but not its branches).  Entering a region adds
+its node count to the total, checks the fuel once, and adds its
+per-operator counts.  The totals and tallies are exactly those of paying
+one step per node, because a region's nodes all run once it is entered:
+primitives cannot fail, and the only runtime error is running out of
+fuel.  The fuel outcome is exact too: the total paid so far never exceeds
+the total the whole evaluation would reach, so a run that fits in its
+fuel never raises, and the last region entered pays the final total and
+checks it, so a run that does not fit always raises.
+
+Evaluation runs as plain calls on the caller's thread: the generated
+functions only call Python functions, which CPython 3.11+ runs without
+growing the C stack.  Deep structural recursion over long lists therefore
+needs only a high recursion limit, which ``eval_counting`` raises before
+it translates or runs anything.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -31,11 +54,14 @@ from .errors import (
     UnboundVariable,
     UnknownOperator,
 )
-from .syntax import IntLit, PRIMITIVE_ARITY, RawDefun, SymLit, Term, Var
+from .syntax import App, IntLit, PRIMITIVE_ARITY, RawDefun, SymLit, Term, Var
 from .values import NIL, Pair, Symbol, T, Value, value_compare, value_equal
 
 DEFAULT_FUEL = 10**8
 _RECURSION_LIMIT = 20_000_000
+# Branches nested deeper than this in one generated function move into a
+# function of their own (Python refuses source indented 100 levels deep).
+_MAX_NESTING = 40
 
 _PRIMITIVES = [name for name in PRIMITIVE_ARITY]
 
@@ -56,12 +82,23 @@ class _Counter:
 
 
 class _DefRecord:
-    __slots__ = ("defun", "index", "closure")
+    __slots__ = ("defun", "index", "fn")
 
     def __init__(self, defun: RawDefun, index: int):
         self.defun = defun
         self.index = index
-        self.closure = None
+        self.fn = None
+
+
+# The names generated code refers to besides its records and constants.
+_GLOBALS = {
+    "Pair": Pair,
+    "NIL": NIL,
+    "T": T,
+    "value_equal": value_equal,
+    "value_compare": value_compare,
+    "StepLimitExceeded": StepLimitExceeded,
+}
 
 
 class DefEnv:
@@ -75,6 +112,11 @@ class DefEnv:
         self.defs: dict[str, _DefRecord] = {}
         self.op_names: list[str] = list(_PRIMITIVES)
         self.op_index: dict[str, int] = {name: i for i, name in enumerate(self.op_names)}
+        # Generated functions' globals: the records and constants they use
+        # and their split-off branches, one dictionary for the environment.
+        self._namespace = dict(_GLOBALS)
+        self._constants: dict[Value, str] = {}
+        self._memo: dict[tuple, object] = {}
 
     def define(self, d: RawDefun) -> None:
         if d.name in PRIMITIVE_ARITY:
@@ -88,8 +130,8 @@ class DefEnv:
             self.op_index[d.name] = index
         record = _DefRecord(d, index)
         self.defs[d.name] = record
-        slots = {p: i for i, p in enumerate(d.params)}
-        record.closure = _compile(d.body, slots, self)
+        _raise_recursion_limit()
+        record.fn = _Translator(self, d.params, f"f{index}").translate(d.body)
 
     def arity(self, name: str) -> int | None:
         if name in PRIMITIVE_ARITY:
@@ -104,144 +146,238 @@ class DefEnv:
         """A child environment sharing existing records.
 
         Definitions added to the copy are invisible to the original, so it
-        is safe for provisional what-if checks.
+        is safe for provisional what-if checks.  The copy translates its
+        own top-level terms into its own namespace.
         """
-        child = DefEnv.__new__(DefEnv)
+        child = DefEnv()
         child.defs = dict(self.defs)
         child.op_names = list(self.op_names)
         child.op_index = dict(self.op_index)
         return child
 
+    def _top_level(self, t: Term, names: tuple[str, ...]):
+        """The generated function for a top-level term over ``names``."""
+        key = (_shape(t), names)
+        fn = self._memo.get(key)
+        if fn is None:
+            fn = _Translator(self, names, f"t{len(self._memo)}").translate(t)
+            self._memo[key] = fn
+        return fn
+
+
+def _raise_recursion_limit() -> None:
+    if sys.getrecursionlimit() < _RECURSION_LIMIT:
+        sys.setrecursionlimit(_RECURSION_LIMIT)
+
+
+def _shape(t: Term) -> tuple:
+    """A term as a flat preorder tuple, to key the memo of top-level terms.
+
+    Terms hash and compare through C recursion, which overflows the C
+    stack on nests some ten thousand deep; a flat tuple does not recurse.
+    """
+    out = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App):
+            out += (App, t.op, len(t.args))
+            stack += reversed(t.args)
+        else:
+            out += (type(t), t.value if isinstance(t, IntLit) else t.name)
+    return tuple(out)
+
 
 # ---------------------------------------------------------------------------
-# Primitive semantics over values
+# Primitives as Python source over local names {0} and {1}; {i0} and {i1}
+# are the same operands coerced to integers.
 
+# Primitives that return t or nil, as Python conditions.
+_CONDITIONS = {
+    "consp": "isinstance({0}, Pair)",
+    "equal": "value_equal({0}, {1})",
+    "=": "{i0} == {i1}",
+    "<": "{i0} < {i1}",
+    "<=": "{i0} <= {i1}",
+    ">": "{i0} > {i1}",
+    ">=": "{i0} >= {i1}",
+    "zp": "not (isinstance({0}, int) and {0} > 0)",
+    "not": "{0} is NIL",
+    "and": "{0} is not NIL and {1} is not NIL",
+    "or": "{0} is not NIL or {1} is not NIL",
+    "implies": "{0} is NIL or {1} is not NIL",
+    "xor": "({0} is NIL) != ({1} is NIL)",
+    "nand": "{0} is NIL or {1} is NIL",
+    "nor": "{0} is NIL and {1} is NIL",
+    "before": "value_compare({0}, {1}) < 0",
+}
 
-def _as_int(v: Value) -> int:
-    return v if isinstance(v, int) else 0
-
-
-def _first(a):
-    return a.head if isinstance(a, Pair) else NIL
-
-
-def _rest(a):
-    return a.tail if isinstance(a, Pair) else NIL
-
-
-_PRIM_FNS = {
-    "cons": lambda a, b: Pair(a, b),
-    "first": _first,
-    "rest": _rest,
-    "consp": lambda a: T if isinstance(a, Pair) else NIL,
-    "equal": lambda a, b: T if value_equal(a, b) else NIL,
-    "=": lambda a, b: T if _as_int(a) == _as_int(b) else NIL,
-    "<": lambda a, b: T if _as_int(a) < _as_int(b) else NIL,
-    "<=": lambda a, b: T if _as_int(a) <= _as_int(b) else NIL,
-    ">": lambda a, b: T if _as_int(a) > _as_int(b) else NIL,
-    ">=": lambda a, b: T if _as_int(a) >= _as_int(b) else NIL,
-    "+": lambda a, b: _as_int(a) + _as_int(b),
-    "-": lambda a, b: _as_int(a) - _as_int(b),
-    "*": lambda a, b: _as_int(a) * _as_int(b),
-    "1+": lambda a: _as_int(a) + 1,
-    "1-": lambda a: _as_int(a) - 1,
-    "zp": lambda a: NIL if (isinstance(a, int) and a > 0) else T,
-    "not": lambda a: T if a is NIL else NIL,
-    "and": lambda a, b: T if (a is not NIL and b is not NIL) else NIL,
-    "or": lambda a, b: T if (a is not NIL or b is not NIL) else NIL,
-    "implies": lambda a, b: T if (a is NIL or b is not NIL) else NIL,
-    "xor": lambda a, b: T if (a is not NIL) != (b is not NIL) else NIL,
-    "nand": lambda a, b: NIL if (a is not NIL and b is not NIL) else T,
-    "nor": lambda a, b: T if (a is NIL and b is NIL) else NIL,
-    "before": lambda a, b: T if value_compare(a, b) < 0 else NIL,
+_EXPRESSIONS = {
+    "cons": "Pair({0}, {1})",
+    "first": "{0}.head if isinstance({0}, Pair) else NIL",
+    "rest": "{0}.tail if isinstance({0}, Pair) else NIL",
+    "+": "{i0} + {i1}",
+    "-": "{i0} - {i1}",
+    "*": "{i0} * {i1}",
+    "1+": "{i0} + 1",
+    "1-": "{i0} - 1",
+    **{op: "T if " + cond + " else NIL" for op, cond in _CONDITIONS.items()},
 }
 
 
 # ---------------------------------------------------------------------------
-# Compilation to closures
+# Translation to Python source
 
 
-def _compile(t: Term, slots: dict[str, int], env: DefEnv):
-    if isinstance(t, Var):
-        idx = slots.get(t.name)
-        if idx is None:
-            raise UnboundVariable(f"variable {t.name} is not bound", t.loc)
+class _Translator:
+    """Emits the Python function for one term over positional parameters.
 
-        def run_var(frame, ctr, _i=idx):
-            return frame[_i]
+    No text of the term reaches the source: parameters, records and
+    constants appear under generated names (``a0``, ``d25``, ``k3``).
+    Errors are raised in the order the term is read: left to right, an
+    operator before its arguments.
+    """
 
-        return run_var
-    if isinstance(t, IntLit):
-        v = t.value
-        return lambda frame, ctr: v
-    if isinstance(t, SymLit):
-        s = Symbol(t.name)
-        return lambda frame, ctr: s
-    op = t.op
-    if op == "if":
-        test = _compile(t.args[0], slots, env)
-        then = _compile(t.args[1], slots, env)
-        alt = _compile(t.args[2], slots, env)
-        opidx = env.op_index["if"]
-        limit_msg = "step limit exceeded"
+    def __init__(self, env: DefEnv, params, name: str):
+        self.env = env
+        self.name = name
+        self.locals = {p: f"a{i}" for i, p in enumerate(params)}
+        self.signature = ", ".join(["ctr", *(f"a{i}" for i in range(len(params)))])
+        self.lines: list[str] = []
+        self.functions: list[str] = []
+        self.temps = 0
 
-        def run_if(frame, ctr):
-            total = ctr.total + 1
-            ctr.total = total
-            if total > ctr.fuel:
-                raise StepLimitExceeded(limit_msg)
-            ctr.per[opidx] += 1
-            if test(frame, ctr) is not NIL:
-                return then(frame, ctr)
-            return alt(frame, ctr)
+    def translate(self, t: Term):
+        self.function(t, self.name)
+        namespace = self.env._namespace
+        exec("\n".join(self.functions), namespace)
+        return namespace[self.name]
 
-        return run_if
-    if op in _PRIM_FNS:
-        fn = _PRIM_FNS[op]
-        opidx = env.op_index[op]
-        compiled = [_compile(a, slots, env) for a in t.args]
-        if len(compiled) == 1:
-            a0 = compiled[0]
+    def function(self, t: Term, name: str) -> None:
+        outer = self.lines
+        self.lines = [f"def {name}({self.signature}):"]
+        self.region(t, 1, None)
+        self.functions.append("\n".join(self.lines))
+        self.lines = outer
 
-            def run_prim1(frame, ctr):
-                total = ctr.total + 1
-                ctr.total = total
-                if total > ctr.fuel:
-                    raise StepLimitExceeded("step limit exceeded")
-                ctr.per[opidx] += 1
-                return fn(a0(frame, ctr))
+    def emit(self, depth: int, line: str) -> None:
+        self.lines.append("    " * depth + line)
 
-            return run_prim1
-        a0, a1 = compiled
+    def region(self, t: Term, depth: int, out: str | None) -> None:
+        """Pay for the region rooted at ``t``, then put its value in ``out``
+        (return it when ``out`` is None)."""
+        ops = Counter()
+        _tally(t, ops)
+        steps = sum(ops.values())
+        if steps:
+            self.emit(depth, f"n = ctr.total + {steps}")
+            self.emit(depth, "ctr.total = n")
+            self.emit(depth, "if n > ctr.fuel: raise StepLimitExceeded('step limit exceeded')")
+            self.emit(depth, "p = ctr.per")
+            for op, count in ops.items():
+                index = self.env.op_index.get(op)
+                if index is not None:  # an unknown operator raises below
+                    self.emit(depth, f"p[{index}] += {count}")
+        self.result(t, depth, out)
 
-        def run_prim2(frame, ctr):
-            total = ctr.total + 1
-            ctr.total = total
-            if total > ctr.fuel:
-                raise StepLimitExceeded("step limit exceeded")
-            ctr.per[opidx] += 1
-            return fn(a0(frame, ctr), a1(frame, ctr))
+    def result(self, t: Term, depth: int, out: str | None) -> None:
+        if isinstance(t, App) and t.op == "if":
+            self.check_arity(t)
+            test = self.condition(t.args[0], depth)
+            self.emit(depth, f"if {test}:")
+            self.branch(t.args[1], depth + 1, out)
+            self.emit(depth, "else:")
+            self.branch(t.args[2], depth + 1, out)
+            return
+        value = self.expression(t, depth)
+        self.emit(depth, f"return {value}" if out is None else f"{out} = {value}")
 
-        return run_prim2
-    record = env.defs.get(op)
-    if record is None:
-        raise UnknownOperator(f"unknown operator {op}", t.loc)
-    want = len(record.defun.params)
-    if len(t.args) != want:
-        raise BadArity(f"{op} takes {want} argument(s), got {len(t.args)}", t.loc)
-    compiled = [_compile(a, slots, env) for a in t.args]
-    opidx = record.index
+    def branch(self, t: Term, depth: int, out: str | None) -> None:
+        if depth <= _MAX_NESTING:
+            self.region(t, depth, out)
+            return
+        self.temps += 1
+        name = f"{self.name}_{self.temps}"
+        self.function(t, name)
+        call = f"{name}({self.signature})"
+        self.emit(depth, f"return {call}" if out is None else f"{out} = {call}")
 
-    def run_call(frame, ctr, _args=compiled, _rec=record):
-        total = ctr.total + 1
-        ctr.total = total
-        if total > ctr.fuel:
-            raise StepLimitExceeded("step limit exceeded")
-        ctr.per[opidx] += 1
-        inner = [a(frame, ctr) for a in _args]
-        return _rec.closure(inner, ctr)
+    def value(self, t: Term, depth: int) -> str:
+        """Emit ``t`` and return the local or global name holding its value."""
+        if isinstance(t, Var):
+            local = self.locals.get(t.name)
+            if local is None:
+                raise UnboundVariable(f"variable {t.name} is not bound", t.loc)
+            return local
+        if isinstance(t, IntLit):
+            return self.constant(t.value)
+        if isinstance(t, SymLit):
+            return self.constant(Symbol(t.name))
+        out = f"v{self.temps}"
+        self.temps += 1
+        self.result(t, depth, out)
+        return out
 
-    return run_call
+    def condition(self, t: Term, depth: int) -> str:
+        """Emit ``t`` and return a Python condition true when it is not nil."""
+        if isinstance(t, App) and t.op in _CONDITIONS:
+            return self.primitive(_CONDITIONS, t, depth)
+        return f"{self.value(t, depth)} is not NIL"
+
+    def expression(self, t: Term, depth: int) -> str:
+        """Emit the arguments of ``t`` and return an expression for it."""
+        if not isinstance(t, App):
+            return self.value(t, depth)
+        if t.op in _EXPRESSIONS:
+            return self.primitive(_EXPRESSIONS, t, depth)
+        record = self.env.defs.get(t.op)
+        if record is None:
+            raise UnknownOperator(f"unknown operator {t.op}", t.loc)
+        want = len(record.defun.params)
+        if len(t.args) != want:
+            raise BadArity(f"{t.op} takes {want} argument(s), got {len(t.args)}", t.loc)
+        args = [self.value(a, depth) for a in t.args]
+        name = f"d{record.index}"
+        self.env._namespace[name] = record
+        return f"{name}.fn({', '.join(['ctr', *args])})"
+
+    def primitive(self, templates: dict[str, str], t: App, depth: int) -> str:
+        self.check_arity(t)
+        args = [self.value(a, depth) for a in t.args]
+        ints = [
+            arg if isinstance(a, IntLit) else f"({arg} if isinstance({arg}, int) else 0)"
+            for a, arg in zip(t.args, args)
+        ]
+        template = templates[t.op]
+        if t.op == "equal" and any(isinstance(a, SymLit) for a in t.args):
+            # Symbols are interned, so equality with one is identity.
+            template = template.replace("value_equal({0}, {1})", "{0} is {1}")
+        return template.format(*args, **{f"i{k}": v for k, v in enumerate(ints)})
+
+    def check_arity(self, t: App) -> None:
+        want = PRIMITIVE_ARITY[t.op]
+        if len(t.args) != want:
+            raise BadArity(f"{t.op} takes {want} argument(s), got {len(t.args)}", t.loc)
+
+    def constant(self, v: Value) -> str:
+        if v is NIL or v is T:
+            return v.name.upper()
+        name = self.env._constants.get(v)
+        if name is None:
+            name = f"k{len(self.env._constants)}"
+            self.env._constants[v] = name
+            self.env._namespace[name] = v
+        return name
+
+
+def _tally(t: Term, ops: Counter) -> None:
+    """Count the operators of the region rooted at ``t``: every application
+    that runs whenever ``t`` does, which stops at ``if`` branches."""
+    if not isinstance(t, App):
+        return
+    ops[t.op] += 1
+    for a in t.args[:1] if t.op == "if" else t.args:
+        _tally(a, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +391,11 @@ def eval_counting(
     fuel: int = DEFAULT_FUEL,
 ) -> tuple[Value, StepCount]:
     env = defs if defs is not None else DefEnv()
-    names = sorted(bindings) if bindings else []
-    slots = {n: i for i, n in enumerate(names)}
-    closure = _compile(t, slots, env)
-    frame = [bindings[n] for n in names] if bindings else []
+    names = tuple(sorted(bindings)) if bindings else ()
+    _raise_recursion_limit()
+    fn = env._top_level(t, names)
     ctr = _Counter(fuel, len(env.op_names))
-    if sys.getrecursionlimit() < _RECURSION_LIMIT:
-        sys.setrecursionlimit(_RECURSION_LIMIT)
-    value = closure(frame, ctr)
+    value = fn(ctr, *[bindings[n] for n in names])
     per = {env.op_names[i]: n for i, n in enumerate(ctr.per) if n}
     return value, StepCount(ctr.total, per)
 

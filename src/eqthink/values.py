@@ -147,29 +147,35 @@ def is_true_list(v: Value) -> bool:
 def print_value(v: Value) -> str:
     """Render a value as re-readable surface syntax.
 
-    True lists print as quoted literals like '(1 2 3); improper pairs fall
-    back to explicit (cons ...) applications.
+    True lists print as quoted literals like '(1 2 3); improper pairs, and
+    lists that hold one anywhere inside, fall back to explicit (cons ...)
+    applications.
     """
     if isinstance(v, int):
         return str(v)
     if isinstance(v, Symbol):
         return v.name if v in (T, NIL) else "'" + v.name
+    datum = _datum(v)
+    if datum is not None:
+        return "'" + datum
     heads, end = _spine(v)
-    if end is NIL:
-        return "'(" + " ".join(_datum(x) for x in heads) + ")"
     opens = "".join(f"(cons {print_value(h)} " for h in heads)
     return opens + print_value(end) + ")" * len(heads)
 
 
-def _datum(v: Value) -> str:
+def _datum(v: Value) -> str | None:
+    """The value inside a quoted literal, or None if it holds an improper pair."""
     if isinstance(v, int):
         return str(v)
     if isinstance(v, Symbol):
         return v.name
     heads, end = _spine(v)
     if end is not NIL:
-        raise ValueError("cannot print improper pair inside a list literal")
-    return "(" + " ".join(_datum(x) for x in heads) + ")"
+        return None
+    items = [_datum(x) for x in heads]
+    if None in items:
+        return None
+    return "(" + " ".join(items) + ")"
 
 
 def to_json(v: Value):

@@ -66,6 +66,11 @@ def test_eval_json_reports_step_counts(capsys):
     assert report["per_operator"] == {"+": 1}
 
 
+def test_eval_prints_list_holding_improper_pair(capsys):
+    code, out, _ = run(capsys, "eval", "-e", "(cons (cons 1 2) nil)")
+    assert code == 0 and out.strip() == "(cons (cons 1 2) nil)"
+
+
 def test_eval_error_exit_codes(capsys):
     assert run(capsys, "eval", "-e", "(undefined-op 1)")[0] == 1
     assert run(capsys, "eval", "-e", "(cons 1")[0] == 2

@@ -3,21 +3,39 @@
 The oracle below re-derives the language semantics from scratch:
 totalized selectors and arithmetic, strict binary connectives, and the
 cost model (primitives cost 1, `if` pays 1 plus test plus taken branch,
-a call pays 1 plus its body).  It shares no code with the compiled
-evaluator beyond the value types.
+a call pays 1 plus its body), one step at a time against its fuel.  It
+shares no code with the compiled evaluator beyond the value types.
 """
 
+import itertools
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from eqthink.admissibility import admit
-from eqthink.errors import StepLimitExceeded, UnboundVariable, UnknownOperator
+from eqthink.errors import (
+    BadArity,
+    SourceLocation,
+    StepLimitExceeded,
+    UnboundVariable,
+    UnknownOperator,
+)
 from eqthink.evaluator import DEFAULT_FUEL, DefEnv, eval_counting, evaluate
 from eqthink.properties import Pass, run_property
-from eqthink.syntax import App, IntLit, SymLit, Var, parse_program, parse_term
+from eqthink.syntax import (
+    NIL_LIT,
+    PRIMITIVE_ARITY,
+    T_LIT,
+    App,
+    IntLit,
+    SymLit,
+    Var,
+    parse_program,
+    parse_term,
+)
 from eqthink.values import NIL, Pair, Symbol, T, from_list, to_list, value_compare, value_equal
 
 
@@ -30,9 +48,17 @@ def _bool(flag):
 
 
 class Oracle:
-    def __init__(self, env=None):
+    def __init__(self, env=None, fuel=DEFAULT_FUEL):
         self.env = env
+        self.fuel = fuel
         self.steps = 0
+        self.per = Counter()
+
+    def step(self, op):
+        self.steps += 1
+        self.per[op] += 1
+        if self.steps > self.fuel:
+            raise StepLimitExceeded("step limit exceeded")
 
     def run(self, t, bindings):
         if isinstance(t, IntLit):
@@ -43,11 +69,11 @@ class Oracle:
             return bindings[t.name]
         op, args = t.op, t.args
         if op == "if":
-            self.steps += 1
+            self.step(op)
             test = self.run(args[0], bindings)
             return self.run(args[1] if test is not NIL else args[2], bindings)
         vals = [self.run(a, bindings) for a in args]
-        self.steps += 1
+        self.step(op)
         if op == "cons":
             return Pair(vals[0], vals[1])
         if op == "first":
@@ -105,35 +131,176 @@ def agree(src, bindings=None, env=None):
     expected = oracle.run(t, bindings)
     assert value_equal(value, expected), f"{src}: {value} != {expected}"
     assert count.total == oracle.steps, f"{src}: {count.total} != {oracle.steps}"
+    assert count.per_operator == dict(oracle.per)
     return value, count
 
 
-closed_terms = st.recursive(
+# Terms over every primitive, `if` in every position, variables bound
+# from a frame, and calls into `_library()`; `forever` and large
+# arguments to the counting functions run out of `_FUEL`.
+_VARS = ("x", "y", "z")
+_LIBRARY_ARITY = {"app": 2, "nth-down": 2, "count-down": 1, "forever": 1}
+_FUEL = 3000
+
+
+def _applications(inner):
+    ops = {**PRIMITIVE_ARITY, **_LIBRARY_ARITY}
+    return st.one_of(
+        *(
+            st.tuples(*[inner] * arity).map(lambda args, op=op: App(op, args))
+            for op, arity in ops.items()
+        )
+    )
+
+
+terms = st.recursive(
     st.one_of(
-        st.integers(-50, 50).map(lambda n: IntLit(n)),
-        st.sampled_from(["t", "nil"]).map(SymLit),
+        st.integers(-50, 50).map(IntLit),
+        st.sampled_from(["t", "nil", "a"]).map(SymLit),
+        st.sampled_from(_VARS).map(Var),
     ),
-    lambda inner: st.one_of(
-        st.tuples(inner, inner).map(lambda p: App("cons", p)),
-        st.tuples(inner, inner).map(lambda p: App("+", p)),
-        st.tuples(inner, inner).map(lambda p: App("equal", p)),
-        st.tuples(inner, inner).map(lambda p: App("or", p)),
-        st.tuples(inner, inner).map(lambda p: App("before", p)),
-        st.tuples(inner).map(lambda p: App("first", p)),
-        st.tuples(inner).map(lambda p: App("not", p)),
-        st.tuples(inner).map(lambda p: App("zp", p)),
-        st.tuples(inner, inner, inner).map(lambda p: App("if", p)),
-    ),
+    _applications,
     max_leaves=25,
+)
+values = st.recursive(
+    st.one_of(st.integers(-9, 9), st.sampled_from([NIL, T, Symbol("a")])),
+    lambda inner: st.one_of(
+        st.builds(Pair, inner, inner), st.lists(inner, max_size=4).map(from_list)
+    ),
+    max_leaves=8,
+)
+frames = st.fixed_dictionaries({name: values for name in _VARS})
+
+
+@given(terms, frames)
+def test_matches_oracle_on_random_terms(t, frame):
+    env = _library()
+    try:
+        value, count = eval_counting(t, frame, env, _FUEL)
+    except StepLimitExceeded:
+        with pytest.raises(StepLimitExceeded):
+            Oracle(env, _FUEL).run(t, frame)
+        return
+    oracle = Oracle(env, _FUEL)
+    assert value_equal(value, oracle.run(t, frame))
+    assert count.total == oracle.steps
+    assert count.per_operator == dict(oracle.per)
+    # The fuel outcome is exact: the total fits, one step less does not.
+    assert eval_counting(t, frame, env, count.total)[1] == count
+    if count.total:
+        with pytest.raises(StepLimitExceeded):
+            eval_counting(t, frame, env, count.total - 1)
+
+
+_SAMPLES = [NIL, T, Symbol("a"), 0, 1, -2, Pair(1, NIL), Pair(NIL, 2)]
+
+
+def _literal(v, name):
+    if isinstance(v, int):
+        return IntLit(v)
+    if isinstance(v, Symbol):
+        return SymLit(v.name)
+    return Var(name)
+
+
+def test_primitives_match_oracle_on_sample_values():
+    env = DefEnv()
+    for op, arity in PRIMITIVE_ARITY.items():
+        for args in itertools.product(_SAMPLES, repeat=arity):
+            frame = {f"v{i}": v for i, v in enumerate(args)}
+            for t in (
+                App(op, tuple(Var(name) for name in frame)),
+                App(op, tuple(_literal(v, name) for name, v in frame.items())),
+            ):
+                value, count = eval_counting(t, frame, env)
+                oracle = Oracle(env)
+                assert value_equal(value, oracle.run(t, frame)), (op, args)
+                assert count.total == oracle.steps and count.per_operator == dict(oracle.per)
+
+
+def _located(t, counter):
+    """``t`` with a distinct source location on every node, in reading order."""
+    loc = SourceLocation("<term>", next(counter), 1)
+    if isinstance(t, App):
+        return App(t.op, tuple(_located(a, counter) for a in t.args), loc=loc)
+    return type(t)(t.name if isinstance(t, (Var, SymLit)) else t.value, loc=loc)
+
+
+def _first_fault(t, env, frame):
+    """The error of the first offending node in left-to-right depth-first
+    order, an operator before its arguments."""
+    if isinstance(t, Var) and t.name not in frame:
+        return UnboundVariable(f"variable {t.name} is not bound", t.loc)
+    if not isinstance(t, App):
+        return None
+    if t.op not in PRIMITIVE_ARITY:
+        want = env.arity(t.op)
+        if want is None:
+            return UnknownOperator(f"unknown operator {t.op}", t.loc)
+        if want != len(t.args):
+            return BadArity(f"{t.op} takes {want} argument(s), got {len(t.args)}", t.loc)
+    for a in t.args:
+        fault = _first_fault(a, env, frame)
+        if fault is not None:
+            return fault
+    return None
+
+
+def _faulty_applications(inner):
+    return st.one_of(
+        _applications(inner),
+        st.tuples(inner).map(lambda args: App("mystery", args)),
+        st.tuples(inner, inner).map(lambda args: App("unknown", args)),
+        st.tuples(inner).map(lambda args: App("app", args)),
+    )
+
+
+faulty_terms = st.recursive(
+    st.one_of(
+        st.integers(-5, 5).map(IntLit),
+        st.sampled_from(["x", "w"]).map(Var),
+    ),
+    _faulty_applications,
+    max_leaves=12,
 )
 
 
-@given(closed_terms)
-def test_matches_oracle_on_random_closed_terms(t):
-    value, count = eval_counting(t, {}, None)
+@given(faulty_terms)
+def test_first_offending_node_raises(t):
+    env = _library()
+    frame = {"x": 1}
+    t = _located(t, itertools.count(1))
+    fault = _first_fault(t, env, frame)
+    if fault is None:
+        return
+    with pytest.raises(type(fault)) as raised:
+        eval_counting(t, frame, env, _FUEL)
+    assert type(raised.value) is type(fault)
+    assert (raised.value.message, raised.value.location) == (fault.message, fault.location)
+
+
+_DEEP = 5000
+_DEEP_NESTS = {
+    "then": lambda t: App("if", (Var("x"), t, IntLit(1))),
+    "else": lambda t: App("if", (NIL_LIT, IntLit(1), t)),
+    "test": lambda t: App("if", (t, IntLit(1), IntLit(2))),
+    "argument": lambda t: App("1+", (App("if", (T_LIT, t, Var("x"))),)),
+    "cons": lambda t: App("cons", (Var("x"), t)),
+    "1+": lambda t: App("1+", (t,)),
+}
+
+
+@pytest.mark.parametrize("position", sorted(_DEEP_NESTS))
+def test_deep_nests_match_oracle(position):
+    t = Var("x")
+    for _ in range(_DEEP):
+        t = _DEEP_NESTS[position](t)
+    frame = {"x": 3}
+    value, count = eval_counting(t, frame, None)
     oracle = Oracle()
-    assert value_equal(value, oracle.run(t, {}))
+    assert value_equal(value, oracle.run(t, frame))
     assert count.total == oracle.steps
+    assert count.per_operator == dict(oracle.per)
 
 
 def test_frozen_cost_examples():
@@ -233,6 +400,17 @@ def test_unbound_and_unknown_errors():
         evaluate(parse_term("(+ x 1)"), {}, None)
     with pytest.raises(UnknownOperator):
         evaluate(parse_term("(mystery 1 2)"), {}, DefEnv())
+
+
+def test_copies_translate_their_own_terms():
+    env = _library()
+    child = env.copy()
+    [g] = parse_program("(defun g (n) :trust (count-down n))")
+    child.define(g)
+    term = parse_term("(g 2)")
+    assert eval_counting(term, {}, child)[1].per_operator["g"] == 1
+    with pytest.raises(UnknownOperator):
+        evaluate(term, {}, env)
 
 
 def test_eval_counting_value_matches_evaluate():

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eqthink.evaluator import evaluate
+from eqthink.syntax import parse_term
 from eqthink.values import (
     NIL,
     Pair,
@@ -51,6 +53,19 @@ def test_print_value_forms():
     assert print_value(from_list([1, 2, 3])) == "'(1 2 3)"
     assert print_value(Pair(1, 2)) == "(cons 1 2)"
     assert print_value(Pair(Symbol("a"), Pair(1, 2))) == "(cons 'a (cons 1 2))"
+    assert print_value(from_list([Pair(1, 2)])) == "(cons (cons 1 2) nil)"
+
+
+nested = st.recursive(
+    atoms,
+    lambda v: st.one_of(st.builds(Pair, v, v), st.lists(v, max_size=4).map(from_list)),
+    max_leaves=12,
+)
+
+
+@given(nested)
+def test_printed_values_read_back(v):
+    assert value_equal(evaluate(parse_term(print_value(v))), v)
 
 
 @given(values, values)
