@@ -1,26 +1,43 @@
 """Admissibility checking for equation-defined operators.
 
 A definition earns its way into the evaluation environment by passing
-three checks:
+three checks.  Each check first decides its question statically; seeded
+random trials probe only what the static step leaves open.  Trials can
+still refute a definition with a concrete witness, but they earn at most
+TestedOnly.
 
 * consistent -- no two equations can disagree on a shared input.  Pattern
-  vectors that cannot unify are disjoint; unifiable pairs are accepted
-  when their guards are syntactic complements (g versus (not g), or a
-  relational pair like x<=y versus x>y); anything else is probed with
-  randomized overlap trials.
+  vectors that cannot unify are disjoint.  A unifiable pair is disjoint
+  when the guard decision below shows that its two guards, instantiated at
+  the unifier, cannot both hold.  A ground overlap is evaluated once:
+  Proved when both sides agree, Failed when they disagree.  Any other
+  overlap is probed with random instances of the unified patterns.
 * comprehensive -- the equations cover the declared parameter domains
   (from a ``sig`` directive; domains are nat, list, or any).  Coverage is
   judged by case analysis on the domain constructors: nat splits into
-  zero/successor exactly, list into nil/cons, and a cons pattern is taken
-  at face value for the cons case (its sub-patterns are the definition's
-  own business; inputs outside every equation fall back to nil at run
-  time).  Guarded equations do not count toward exact coverage; when they
-  are needed, coverage is probed with randomized trials instead.
-* constructive -- every self-call must shrink.  The syntactic rule asks
-  each argument to be either the unchanged parameter pattern or a
-  variable bound strictly inside a cons/successor pattern, with at least
-  one strict position.  A ``measure`` directive opts into randomized
-  strict-decrease testing instead (verdict TestedOnly).
+  zero/successor exactly, list into nil/cons, any into nil/cons/other
+  atoms, and a cons pattern is taken at face value for the cons case (its
+  sub-patterns are the definition's own business; inputs outside every
+  equation fall back to nil at run time).  A case that only guarded
+  equations reach is covered when their guards, instantiated at the case,
+  form a tautology; otherwise coverage is probed with random trials.
+* constructive -- every self-call must shrink.  Each argument must be the
+  unchanged parameter pattern or a strict part of it: a strict subterm, or
+  a first/rest chain over one, after unfolding every called operator whose
+  body calls no defined operator.  At least one argument must be strict,
+  so the total size of the arguments (cons cells plus the value of a
+  positive integer) falls at every call.  Only when that fails is a
+  ``measure`` directive consulted: its strict decrease is tested on random
+  inputs (verdict TestedOnly).
+
+The guard decision ground-simplifies constructor facts ((consp (cons a b))
+is t, (consp nil) and (equal (cons a b) nil) are nil), evaluates ground
+applications once, and enumerates truth assignments of the atoms that
+remain.  The relations < <= = > >= compare integer coercions, so over one
+pair of arguments exactly one of <, = and > holds: such atoms share one
+three-way ordering.  Every other atom is an independent boolean.  The
+enumeration may include assignments no input realizes, never the reverse,
+so "cannot both hold" and "one always holds" are sound.
 
 Each check yields Proved, TestedOnly, or Failed, with a concrete witness
 on failure.  Compilation turns an admitted definition into one defun
@@ -31,6 +48,8 @@ equations with identical right-hand sides share a branch.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -42,12 +61,15 @@ from .errors import (
 from .evaluator import DefEnv, evaluate
 from .properties import RandomObject, Stream, generate
 from .syntax import (
+    PRIMITIVE_ARITY,
     App,
     DefEquations,
     Equation,
     IntLit,
     NIL_LIT,
     RawDefun,
+    SymLit,
+    T_LIT,
     Term,
     Var,
     print_term,
@@ -61,7 +83,9 @@ TESTED = "TestedOnly"
 FAILED = "Failed"
 
 _CHECK_FUEL = 200_000
-_REL_COMPLEMENT = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
+# The guard decision gives up (and leaves the question to trials) beyond
+# this many truth assignments.
+_MAX_ASSIGNMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -182,35 +206,8 @@ def unify_vectors(ps: tuple[Term, ...], qs: tuple[Term, ...]) -> dict[str, Term]
     return s
 
 
-def _alpha_equal(ps: tuple[Term, ...], qs: tuple[Term, ...]) -> dict[str, str] | None:
-    """Structural equality up to variable renaming; returns q-var -> p-var."""
-    fwd: dict[str, str] = {}
-    rev: dict[str, str] = {}
-
-    def walk(a: Term, b: Term) -> bool:
-        if isinstance(a, Var) and isinstance(b, Var):
-            return (
-                fwd.setdefault(b.name, a.name) == a.name
-                and rev.setdefault(a.name, b.name) == b.name
-            )
-        if isinstance(a, App) and isinstance(b, App):
-            return a.op == b.op and all(walk(x, y) for x, y in zip(a.args, b.args))
-        return a == b
-
-    for a, b in zip(ps, qs):
-        if not walk(a, b):
-            return None
-    return fwd
-
-
-def _complementary(g1: Term | None, g2: Term | None) -> bool:
-    if g1 is None or g2 is None:
-        return False
-    if g2 == App("not", (g1,)) or g1 == App("not", (g2,)):
-        return True
-    if isinstance(g1, App) and isinstance(g2, App) and g1.args == g2.args:
-        return _REL_COMPLEMENT.get(g1.op) == g2.op
-    return False
+def _subst(t: Term | None, mapping: dict[str, Term]) -> Term | None:
+    return None if t is None else substitute(t, mapping)
 
 
 def _nat_vars(patterns) -> set[str]:
@@ -229,7 +226,8 @@ def _nat_vars(patterns) -> set[str]:
     return out
 
 
-def _instantiate(p: Term, assign: dict[str, Value], nats: set[str], stream: Stream) -> Value:
+def _instantiate(p: Term, assign: dict[str, Value], nats: set[str], stream: Stream | None) -> Value:
+    """A value matching p; its variables draw from stream (unused when p is ground)."""
     if isinstance(p, Var):
         if p.name not in assign:
             if p.name in nats:
@@ -246,6 +244,155 @@ def _instantiate(p: Term, assign: dict[str, Value], nats: set[str], stream: Stre
         return Pair(head, _instantiate(p.args[1], assign, nats, stream))
     inner = _instantiate(p.args[0], assign, nats, stream)
     return (inner if isinstance(inner, int) else 0) + 1
+
+
+# ---------------------------------------------------------------------------
+# Static guard decision
+
+# The outcomes of comparing two arguments' integer coercions (-1, 0, 1) at
+# which each relation holds; swapping the arguments flips the relation.
+_HOLDS = {"<": (-1,), "<=": (-1, 0), "=": (0,), ">": (1,), ">=": (0, 1)}
+_FLIP = {"<": ">", "<=": ">=", "=": "=", ">": "<", ">=": "<="}
+_ORDERING = (-1, 0, 1)
+_BOOLEAN = (False, True)
+_CONNECTIVES = {
+    "not": lambda a: not a,
+    "and": lambda a, b: a and b,
+    "or": lambda a, b: a or b,
+    "implies": lambda a, b: not a or b,
+    "xor": lambda a, b: a != b,
+    "nand": lambda a, b: not (a and b),
+    "nor": lambda a, b: not (a or b),
+    "if": lambda c, a, b: a if c else b,
+}
+
+
+def _shape(t: Term, atoms: frozenset[str] = frozenset()) -> str | None:
+    """cons, nil or atom, when t's form or a fact in ``atoms`` decides it.
+
+    A known shape also decides truth: every value but nil is true.
+    """
+    if isinstance(t, App):
+        return "cons" if t.op == "cons" else None
+    if isinstance(t, Var):
+        return "atom" if t.name in atoms else None
+    return "nil" if t == NIL_LIT else "atom"
+
+
+def _defined_op(t: Term) -> str | None:
+    """The first operator in t that is not a primitive, if any."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, App):
+            if node.op not in PRIMITIVE_ARITY:
+                return node.op
+            stack.extend(reversed(node.args))
+    return None
+
+
+def _simplify(t: Term, prov: DefEnv, atoms: frozenset[str] = frozenset()) -> Term:
+    """t with ground applications evaluated once, constructor facts decided
+    and calls of operators whose body calls no defined operator unfolded.
+
+    ``atoms`` names variables known to hold an atom other than nil.
+    """
+    if not isinstance(t, App):
+        return t
+    if t.op != "cons" and not term_vars(t):
+        try:
+            v = evaluate(t, None, prov, fuel=_CHECK_FUEL)
+        except EvalError:
+            return t
+        if isinstance(v, Pair):
+            return t
+        return IntLit(v) if isinstance(v, int) else SymLit(v.name)
+    if t.op == "if":
+        test = _simplify(t.args[0], prov, atoms)
+        shape = _shape(test, atoms)
+        if shape is not None:
+            return _simplify(t.args[2] if shape == "nil" else t.args[1], prov, atoms)
+        return App("if", (test, *(_simplify(a, prov, atoms) for a in t.args[1:])))
+    op = t.op
+    args = tuple(_simplify(a, prov, atoms) for a in t.args)
+    if op in ("first", "rest") and isinstance(args[0], App) and args[0].op == "cons":
+        return args[0].args[0 if op == "first" else 1]
+    shapes = [_shape(a, atoms) for a in args]
+    if op == "consp" and shapes[0] is not None:
+        return T_LIT if shapes[0] == "cons" else NIL_LIT
+    if op == "equal":
+        if args[0] == args[1]:
+            return T_LIT
+        if None not in shapes and shapes[0] != shapes[1]:
+            return NIL_LIT
+    if op in _HOLDS and args[0] == args[1]:
+        return T_LIT if 0 in _HOLDS[op] else NIL_LIT
+    record = prov.defs.get(op)
+    if record is not None and _defined_op(record.defun.body) is None:
+        body = substitute(record.defun.body, dict(zip(record.defun.params, args)))
+        return _simplify(body, prov, atoms)
+    return App(op, args, loc=t.loc)
+
+
+def _atom(t: Term) -> tuple[object, tuple]:
+    """The variable an atom reads and the values of it at which it holds."""
+    if isinstance(t, App) and t.op in _HOLDS:
+        a, b = t.args
+        op = t.op
+        if print_term(b) < print_term(a):
+            a, b, op = b, a, _FLIP[op]
+        return (a, b), _HOLDS[op]
+    return t, (True,)
+
+
+def _guard_table(
+    guards: list[Term | None], prov: DefEnv, atoms: frozenset[str] = frozenset()
+) -> list[tuple[bool, ...]] | None:
+    """Each guard's truth under every assignment to the atoms left after
+    simplification, or None past _MAX_ASSIGNMENTS.  None as a guard holds."""
+    terms = [T_LIT if g is None else _simplify(g, prov, atoms) for g in guards]
+    found: dict[Term, tuple] = {}
+    stack = list(terms)
+    while stack:
+        t = stack.pop()
+        if _shape(t, atoms) is not None:
+            continue
+        if isinstance(t, App) and t.op in _CONNECTIVES:
+            stack.extend(t.args)
+        elif t not in found:
+            found[t] = _atom(t)
+    domains = {key: _ORDERING if isinstance(key, tuple) else _BOOLEAN for key, _ in found.values()}
+    if math.prod(len(values) for values in domains.values()) > _MAX_ASSIGNMENTS:
+        return None
+
+    def holds(t: Term, assignment: dict) -> bool:
+        shape = _shape(t, atoms)
+        if shape is not None:
+            return shape != "nil"
+        if isinstance(t, App) and t.op in _CONNECTIVES:
+            return _CONNECTIVES[t.op](*(holds(a, assignment) for a in t.args))
+        key, values = found[t]
+        return assignment[key] in values
+
+    table = []
+    for combo in itertools.product(*domains.values()):
+        assignment = dict(zip(domains, combo))
+        table.append(tuple(holds(t, assignment) for t in terms))
+    return table
+
+
+def guards_exclusive(g1: Term | None, g2: Term | None, prov: DefEnv) -> bool:
+    """True when no input makes both guards hold (None stands for no guard)."""
+    table = _guard_table([g1, g2], prov)
+    return table is not None and not any(a and b for a, b in table)
+
+
+def guards_exhaustive(
+    guards: list[Term | None], prov: DefEnv, atoms: frozenset[str] = frozenset()
+) -> bool:
+    """True when every input makes at least one guard hold."""
+    table = _guard_table(guards, prov, atoms)
+    return table is not None and all(any(row) for row in table)
 
 
 # ---------------------------------------------------------------------------
@@ -274,88 +421,131 @@ def _describe_input(params, args) -> str:
 # Consistency
 
 
-def check_consistent(
-    d: DefEquations, prov: DefEnv, seed: int = 0, trials: int = 1000
-) -> CheckResult:
-    overlap_pairs: list[tuple[Equation, Equation, tuple[Term, ...]]] = []
+@dataclass(frozen=True)
+class Overlap:
+    """Two equations whose patterns unify, at their most general common
+    instance, with both guards instantiated there."""
+
+    eq1: Equation
+    eq2: Equation
+    patterns: tuple[Term, ...]
+    guard1: Term | None
+    guard2: Term | None
+
+    @property
+    def labels(self) -> str:
+        return f"{self.eq1.label}/{self.eq2.label}"
+
+
+def overlaps(d: DefEquations) -> list[Overlap]:
+    out = []
     for i, eq1 in enumerate(d.equations):
         for eq2 in d.equations[i + 1 :]:
-            rename = {v: Var(v + "~") for p in eq2.patterns for v in term_vars(p)}
+            # No parsed name holds a space, so the renamed variables are fresh.
+            rename = {v: Var(v + " ") for p in eq2.patterns for v in term_vars(p)}
             mgu = unify_vectors(eq1.patterns, tuple(substitute(p, rename) for p in eq2.patterns))
             if mgu is None:
                 continue
-            g1u = substitute(eq1.guard, mgu) if eq1.guard is not None else None
-            g2u = substitute(substitute(eq2.guard, rename), mgu) if eq2.guard is not None else None
-            if _complementary(g1u, g2u):
-                continue
-            unified = tuple(substitute(p, mgu) for p in eq1.patterns)
-            overlap_pairs.append((eq1, eq2, unified))
-    if not overlap_pairs:
-        return CheckResult(PROVED, "equations are pairwise disjoint or complement-guarded")
+            out.append(
+                Overlap(
+                    eq1,
+                    eq2,
+                    tuple(substitute(p, mgu) for p in eq1.patterns),
+                    _subst(eq1.guard, mgu),
+                    _subst(_subst(eq2.guard, rename), mgu),
+                )
+            )
+    return out
 
+
+def _both_sides(o: Overlap, args: list[Value], prov: DefEnv) -> tuple[Value, Value] | None:
+    """Both right-hand sides at args, or None when a pattern or guard fails."""
+    b1 = _equation_bindings(o.eq1, args, prov)
+    if b1 is None:
+        return None
+    b2 = _equation_bindings(o.eq2, args, prov)
+    if b2 is None:
+        return None
+    return (
+        evaluate(o.eq1.rhs, b1, prov, fuel=_CHECK_FUEL),
+        evaluate(o.eq2.rhs, b2, prov, fuel=_CHECK_FUEL),
+    )
+
+
+def _disagreement(d: DefEquations, o: Overlap, args: list[Value], v1: Value, v2: Value) -> CheckResult:
+    return CheckResult(
+        FAILED,
+        f"{o.eq1.label} and {o.eq2.label} disagree: {print_value(v1)} vs {print_value(v2)}",
+        _describe_input(d.params, args),
+    )
+
+
+def consistent_trials(
+    d: DefEquations, prov: DefEnv, pairs: list[Overlap], seed: int = 0, trials: int = 1000
+) -> CheckResult:
+    """Probe each overlap with random instances of its unified patterns."""
     stream = Stream(_derive_seed(seed, f"consistent:{d.name}"))
-    for eq1, eq2, unified in overlap_pairs:
-        nats = _nat_vars(unified)
+    reached = []
+    for o in pairs:
+        nats = _nat_vars(o.patterns)
+        count = 0
         for _ in range(trials):
             assign: dict[str, Value] = {}
-            args = [_instantiate(p, assign, nats, stream) for p in unified]
-            b1 = _equation_bindings(eq1, args, prov)
-            if b1 is None:
-                continue
-            b2 = _equation_bindings(eq2, args, prov)
-            if b2 is None:
-                continue
+            args = [_instantiate(p, assign, nats, stream) for p in o.patterns]
             try:
-                v1 = evaluate(eq1.rhs, b1, prov, fuel=_CHECK_FUEL)
-                v2 = evaluate(eq2.rhs, b2, prov, fuel=_CHECK_FUEL)
+                sides = _both_sides(o, args, prov)
             except EvalError:
                 continue
-            if not value_equal(v1, v2):
-                witness = _describe_input(d.params, args)
-                return CheckResult(
-                    FAILED,
-                    f"{eq1.label} and {eq2.label} disagree: "
-                    f"{print_value(v1)} vs {print_value(v2)}",
-                    witness,
-                )
-    labels = ", ".join(f"{a.label}/{b.label}" for a, b, _ in overlap_pairs)
-    return CheckResult(TESTED, f"overlap of {labels} probed with {trials} random trials")
+            if sides is None:
+                continue
+            count += 1
+            if not value_equal(*sides):
+                return _disagreement(d, o, args, *sides)
+        reached.append(f"{o.labels} {count} of {trials}")
+    return CheckResult(TESTED, f"random trials reaching both equations: {', '.join(reached)}")
+
+
+def check_consistent(
+    d: DefEquations, prov: DefEnv, seed: int = 0, trials: int = 1000
+) -> CheckResult:
+    undecided: list[tuple[Overlap, str]] = []
+    agreed: list[str] = []
+    for o in overlaps(d):
+        if guards_exclusive(o.guard1, o.guard2, prov):
+            continue
+        if any(term_vars(p) for p in o.patterns):
+            undecided.append((o, "guards may both hold"))
+            continue
+        args = [_instantiate(p, {}, set(), None) for p in o.patterns]
+        try:
+            sides = _both_sides(o, args, prov)
+        except EvalError as e:
+            undecided.append((o, f"ground evaluation raised {type(e).__name__}"))
+            continue
+        if sides is not None and not value_equal(*sides):
+            return _disagreement(d, o, args, *sides)
+        agreed.append(o.labels)
+    if not undecided:
+        detail = "equations are pairwise disjoint or complement-guarded"
+        if agreed:
+            detail += f"; {', '.join(agreed)} agree on their ground overlap"
+        return CheckResult(PROVED, detail)
+    probed = consistent_trials(d, prov, [o for o, _ in undecided], seed, trials)
+    if probed.verdict == FAILED:
+        return probed
+    why = "; ".join(f"{o.labels}: {reason}" for o, reason in undecided)
+    return CheckResult(TESTED, f"not decided statically ({why}); {probed.detail}")
 
 
 # ---------------------------------------------------------------------------
 # Comprehensiveness
 
 
-def _collapse_guard_pairs(equations) -> tuple[list[tuple[Term, ...]], bool]:
-    """Unguarded coverage rows; complementary-guard pairs merge into one row.
-
-    Returns (rows, any_guarded_left_over).
-    """
-    rows: list[tuple[Term, ...]] = []
-    consumed = [False] * len(equations)
-    for i, eq1 in enumerate(equations):
-        if consumed[i]:
-            continue
-        if eq1.guard is None:
-            rows.append(eq1.patterns)
-            consumed[i] = True
-            continue
-        for j in range(i + 1, len(equations)):
-            eq2 = equations[j]
-            if consumed[j] or eq2.guard is None:
-                continue
-            ren = _alpha_equal(eq1.patterns, eq2.patterns)
-            if ren is None:
-                continue
-            g2 = substitute(eq2.guard, {old: Var(new) for old, new in ren.items()})
-            if _complementary(eq1.guard, g2):
-                rows.append(eq1.patterns)
-                consumed[i] = consumed[j] = True
-                break
-    return rows, not all(consumed)
-
-
 _DEFAULT_WITNESS = {"nat": 0, "list": NIL, "any": NIL}
+
+# A coverage row: an equation's patterns still to analyze, its guard, and
+# its label.
+_Row = tuple[list[Term], Term | None, str]
 
 
 def _int_marks(p: Term, depth: int = 0) -> set[int]:
@@ -369,75 +559,108 @@ def _int_marks(p: Term, depth: int = 0) -> set[int]:
     return set()
 
 
-def _uncovered(rows: list[list[Term]], doms: list[str]) -> list[Value] | None:
-    """A witness value vector missing from every row, or None if covered.
+def _uncovered(
+    rows: list[_Row],
+    doms: list[str],
+    cols: list[Var],
+    prov: DefEnv,
+    atoms: frozenset[str] = frozenset(),
+) -> tuple[list[Value], list[str]] | None:
+    """A value vector no row covers, with the labels of the guarded rows
+    that reach it, or None if the rows cover every vector.
 
-    Case analysis follows the domain constructors; sub-patterns of a cons
-    are not analyzed further (the cons case is credited to any cons row).
+    ``cols`` holds one fresh variable per column.  A variable pattern is
+    bound to its column's variable, and each constructor case substitutes
+    the case for that variable in the guards, so a case reached only by
+    guarded rows is covered when their instantiated guards are exhaustive.
+    Sub-patterns of a cons are not analyzed further (the cons case is
+    credited to any cons row).
     """
     if not doms:
-        return None if rows else []
-    dom = doms[0]
-    rest = doms[1:]
-    if all(isinstance(row[0], Var) for row in rows):
-        w = _uncovered([row[1:] for row in rows], rest)
-        if w is None:
+        if any(guard is None for _, guard, _ in rows):
             return None
-        return [_DEFAULT_WITNESS[dom]] + w
+        if rows and guards_exhaustive([guard for _, guard, _ in rows], prov, atoms):
+            return None
+        return [], [label for _, _, label in rows]
+    dom, col = doms[0], cols[0]
+    rows = [
+        ([col, *pats[1:]], _subst(guard, {pats[0].name: col}), label)
+        if isinstance(pats[0], Var)
+        else (pats, guard, label)
+        for pats, guard, label in rows
+    ]
+
+    def prepend(value: Value, found):
+        return None if found is None else ([value] + found[0], found[1])
+
+    def split(term: Term, covers) -> list[_Row]:
+        """The rows whose pattern covers the case col = term, column dropped."""
+        return [
+            (pats[1:], _subst(guard, {col.name: term}), label)
+            for pats, guard, label in rows
+            if pats[0] == col or covers(pats[0])
+        ]
+
+    if all(pats[0] == col for pats, _, _ in rows):
+        w = _uncovered([(pats[1:], g, lab) for pats, g, lab in rows], doms[1:], cols[1:], prov, atoms)
+        return prepend(_DEFAULT_WITNESS[dom], w)
 
     if dom == "nat":
-        zero_rows = [
-            row[1:]
-            for row in rows
-            if isinstance(row[0], Var) or row[0] == IntLit(0)
-        ]
-        w = _uncovered(zero_rows, rest)
+        w = _uncovered(split(IntLit(0), lambda p: p == IntLit(0)), doms[1:], cols[1:], prov, atoms)
         if w is not None:
-            return [0] + w
+            return prepend(0, w)
+        pred = Var(col.name + "'")
+        succ = App("1+", (pred,))
         succ_rows = []
-        for row in rows:
-            p = row[0]
-            if isinstance(p, Var):
-                succ_rows.append(row)
+        for pats, guard, label in rows:
+            p = pats[0]
+            if p == col:
+                p = pred
             elif isinstance(p, App) and p.op == "1+":
-                succ_rows.append([p.args[0]] + row[1:])
+                p = p.args[0]
             elif isinstance(p, IntLit) and p.value >= 1:
-                succ_rows.append([IntLit(p.value - 1)] + row[1:])
-        w = _uncovered(succ_rows, doms)
+                p = IntLit(p.value - 1)
+            else:
+                continue
+            succ_rows.append(([p, *pats[1:]], _subst(guard, {col.name: succ}), label))
+        w = _uncovered(succ_rows, doms, [pred, *cols[1:]], prov, atoms)
         if w is not None:
-            return [w[0] + 1] + w[1:]
+            return [w[0][0] + 1] + w[0][1:], w[1]
         return None
 
-    nil_rows = [row[1:] for row in rows if isinstance(row[0], Var) or row[0] == NIL_LIT]
-    w = _uncovered(nil_rows, rest)
+    w = _uncovered(split(NIL_LIT, lambda p: p == NIL_LIT), doms[1:], cols[1:], prov, atoms)
     if w is not None:
-        return [NIL] + w
-    cons_rows = [
-        row[1:]
-        for row in rows
-        if isinstance(row[0], Var) or (isinstance(row[0], App) and row[0].op == "cons")
-    ]
-    w = _uncovered(cons_rows, rest)
+        return prepend(NIL, w)
+    head, tail = Var(col.name + "h"), Var(col.name + "t")
+    cell = App("cons", (head, tail))
+    cons_rows = []
+    for pats, guard, label in rows:
+        p = pats[0]
+        if p == col:
+            binding = {col.name: cell}
+        elif isinstance(p, App) and p.op == "cons":
+            binding = {q.name: v for q, v in zip(p.args, (head, tail)) if isinstance(q, Var)}
+        else:
+            continue
+        cons_rows.append((pats[1:], _subst(guard, binding), label))
+    w = _uncovered(cons_rows, doms[1:], cols[1:], prov, atoms)
     if w is not None:
-        return [Pair(0, NIL)] + w
+        return prepend(Pair(0, NIL), w)
     if dom == "list":
         return None
 
     # dom == "any": probe the integers around every numeral the column
-    # mentions (exact, since patterns are linear), then a fresh symbol.
+    # mentions (exact for the patterns, since they are linear), then a
+    # fresh symbol.  A guard knows the column only as an atom other than nil.
     marks = {0}
-    for row in rows:
-        marks.update(_int_marks(row[0]))
-    for v in sorted(m + d for m in marks for d in (-2, -1, 0, 1, 2)):
-        covering = [row[1:] for row in rows if match_value(row[0], v, {})]
-        w = _uncovered(covering, rest)
+    for pats, _, _ in rows:
+        marks.update(_int_marks(pats[0]))
+    atoms = atoms | {col.name}
+    for v in [*sorted(m + d for m in marks for d in (-2, -1, 0, 1, 2)), Symbol("a")]:
+        covering = [(pats[1:], g, lab) for pats, g, lab in rows if match_value(pats[0], v, {})]
+        w = _uncovered(covering, doms[1:], cols[1:], prov, atoms)
         if w is not None:
-            return [v] + w
-    sym = Symbol("a")
-    covering = [row[1:] for row in rows if match_value(row[0], sym, {})]
-    w = _uncovered(covering, rest)
-    if w is not None:
-        return [sym] + w
+            return prepend(v, w)
     return None
 
 
@@ -448,6 +671,20 @@ def _random_domain_value(dom: str, stream: Stream) -> Value:
         length = stream.int_between(0, 10)
         return from_list([generate(RandomObject(), stream) for _ in range(length)])
     return generate(RandomObject(), stream)
+
+
+def coverage_trials(
+    d: DefEquations, prov: DefEnv, domains: tuple[str, ...], seed: int = 0, trials: int = 1000
+) -> CheckResult:
+    """Probe coverage with random values of the declared domains."""
+    stream = Stream(_derive_seed(seed, f"comprehensive:{d.name}"))
+    for _ in range(trials):
+        args = [_random_domain_value(dom, stream) for dom in domains]
+        if not any(_equation_bindings(eq, args, prov) is not None for eq in d.equations):
+            return CheckResult(
+                FAILED, "no equation matched a sampled input", _describe_input(d.params, args)
+            )
+    return CheckResult(TESTED, f"guarded coverage probed with {trials} random trials")
 
 
 def check_comprehensive(
@@ -467,25 +704,26 @@ def check_comprehensive(
         raise BadArity(
             f"sig for {d.name} names {len(domains)} domain(s), expected {len(d.params)}", d.loc
         )
-    rows, guarded_left = _collapse_guard_pairs(d.equations)
-    witness = _uncovered([list(r) for r in rows], list(domains))
-    if witness is None:
+    # Rename each equation's variables apart (no parsed name holds a space),
+    # so guards of different equations share only the column variables.
+    rows: list[_Row] = []
+    for i, eq in enumerate(d.equations):
+        apart = {v: Var(f"{v} {i}") for p in eq.patterns for v in term_vars(p)}
+        rows.append(([substitute(p, apart) for p in eq.patterns], _subst(eq.guard, apart), eq.label))
+    cols = [Var(f" {i}") for i in range(len(domains))]
+    found = _uncovered(rows, list(domains), cols, prov)
+    if found is None:
         return CheckResult(PROVED, "patterns cover the declared domains")
-    if not guarded_left:
-        return CheckResult(
-            FAILED,
-            "patterns leave the declared domains uncovered",
-            _describe_input(d.params, witness),
-        )
-
-    stream = Stream(_derive_seed(seed, f"comprehensive:{d.name}"))
-    for _ in range(trials):
-        args = [_random_domain_value(dom, stream) for dom in domains]
-        if not any(_equation_bindings(eq, args, prov) is not None for eq in d.equations):
-            return CheckResult(
-                FAILED, "no equation matched a sampled input", _describe_input(d.params, args)
-            )
-    return CheckResult(TESTED, f"guarded coverage probed with {trials} random trials")
+    witness, guarded = found
+    where = _describe_input(d.params, witness)
+    if not guarded:
+        return CheckResult(FAILED, "patterns leave the declared domains uncovered", where)
+    probed = coverage_trials(d, prov, domains, seed, trials)
+    if probed.verdict == FAILED:
+        return probed
+    return CheckResult(
+        TESTED, f"guards of {', '.join(guarded)} may all fail at {where}; {probed.detail}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -500,54 +738,59 @@ def _self_calls(d: DefEquations, t: Term, acc: list[App]) -> None:
             _self_calls(d, a, acc)
 
 
-def _strict_vars(p: Term) -> set[str]:
-    """Variables bound strictly inside a cons or successor pattern."""
-    return term_vars(p) if isinstance(p, App) else set()
+def _strict_part(arg: Term, pat: Term) -> bool:
+    """arg is a strict subterm of the pattern, or a first/rest chain over one."""
+    while isinstance(arg, App) and arg.op in ("first", "rest"):
+        arg = arg.args[0]
+    stack = list(pat.args) if isinstance(pat, App) else []
+    while stack:
+        node = stack.pop()
+        if node == arg:
+            return True
+        if isinstance(node, App):
+            stack.extend(node.args)
+    return False
 
 
-def check_constructive(
+def _non_decreasing_call(
+    calls_by_eq: list[tuple[Equation, list[App]]], prov: DefEnv
+) -> tuple[str, str] | None:
+    """(detail, witness) for the first self-call not shown to shrink."""
+    for eq, calls in calls_by_eq:
+        for call in calls:
+            strict = 0
+            for pos, (arg, pat) in enumerate(zip(call.args, eq.patterns)):
+                if arg == pat:
+                    continue
+                simplified = _simplify(arg, prov)
+                if _strict_part(simplified, pat):
+                    strict += 1
+                    continue
+                blocked = _defined_op(simplified)
+                why = f" ({blocked} calls a defined operator, so it is not unfolded)" if blocked else ""
+                return (
+                    f"{eq.label}: argument {pos + 1} of {print_term(call)} is neither "
+                    f"the unchanged pattern {print_term(pat)} nor a strict part of it{why}",
+                    print_term(call),
+                )
+            if strict == 0:
+                return (
+                    f"{eq.label}: no argument of {print_term(call)} strictly decreases",
+                    print_term(call),
+                )
+    return None
+
+
+def measure_trials(
     d: DefEquations,
     prov: DefEnv,
-    measure: Term | None = None,
+    measure: Term,
     domains: tuple[str, ...] | None = None,
     seed: int = 0,
     trials: int = 1000,
 ) -> CheckResult:
-    calls_by_eq: list[tuple[Equation, list[App]]] = []
-    for eq in d.equations:
-        calls: list[App] = []
-        _self_calls(d, eq.rhs, calls)
-        if calls:
-            calls_by_eq.append((eq, calls))
-    if not calls_by_eq:
-        return CheckResult(PROVED, "no recursion")
-
-    if measure is None:
-        for eq, calls in calls_by_eq:
-            for call in calls:
-                strict = 0
-                for pos, (arg, pat) in enumerate(zip(call.args, eq.patterns)):
-                    if isinstance(arg, Var) and arg.name in _strict_vars(pat):
-                        strict += 1
-                    elif arg == pat:
-                        continue
-                    else:
-                        return CheckResult(
-                            FAILED,
-                            f"{eq.label}: argument {pos + 1} of {print_term(call)} is neither "
-                            f"the unchanged pattern {print_term(pat)} nor a variable bound "
-                            "inside it",
-                            print_term(call),
-                        )
-                if strict == 0:
-                    return CheckResult(
-                        FAILED,
-                        f"{eq.label}: no argument of {print_term(call)} strictly decreases",
-                        print_term(call),
-                    )
-        return CheckResult(PROVED, "every self-call shrinks a cons or successor binding")
-
-    # admit has already rejected a measure with variables outside the params.
+    """Test the measure's strict decrease across self-calls on random inputs."""
+    calls_by_eq = _calls_by_equation(d)
     stream = Stream(_derive_seed(seed, f"constructive:{d.name}"))
     doms = domains if domains is not None else tuple("any" for _ in d.params)
     checked = 0
@@ -576,6 +819,53 @@ def check_constructive(
                 pass
             break
     return CheckResult(TESTED, f"measure decrease held on {checked} matched random trials")
+
+
+def _calls_by_equation(d: DefEquations) -> list[tuple[Equation, list[App]]]:
+    out = []
+    for eq in d.equations:
+        calls: list[App] = []
+        _self_calls(d, eq.rhs, calls)
+        if calls:
+            out.append((eq, calls))
+    return out
+
+
+def check_constructive(
+    d: DefEquations,
+    prov: DefEnv,
+    measure: Term | None = None,
+    domains: tuple[str, ...] | None = None,
+    seed: int = 0,
+    trials: int = 1000,
+) -> CheckResult:
+    calls_by_eq = _calls_by_equation(d)
+    if not calls_by_eq:
+        return CheckResult(PROVED, "no recursion")
+    problem = _non_decreasing_call(calls_by_eq, prov)
+    if problem is None:
+        plain = all(
+            isinstance(arg, Var) or arg == pat
+            for eq, calls in calls_by_eq
+            for call in calls
+            for arg, pat in zip(call.args, eq.patterns)
+        )
+        detail = (
+            "every self-call shrinks a cons or successor binding"
+            if plain
+            else "every self-call shrinks to a strict part of its pattern"
+        )
+        if measure is not None:
+            detail += f"; measure {print_term(measure)} not needed"
+        return CheckResult(PROVED, detail)
+    detail, witness = problem
+    if measure is None:
+        return CheckResult(FAILED, detail, witness)
+    # admit has already rejected a measure with variables outside the params.
+    probed = measure_trials(d, prov, measure, domains, seed, trials)
+    if probed.verdict == FAILED:
+        return probed
+    return CheckResult(TESTED, f"{detail}; {probed.detail}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,39 @@ checked by replaying equations directly against the compiled defun.
 """
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqthink.admissibility import admit, match_value, unify_vectors
+from eqthink import admissibility
+from eqthink.admissibility import (
+    admit,
+    consistent_trials,
+    coverage_trials,
+    guards_exclusive,
+    guards_exhaustive,
+    match_value,
+    measure_trials,
+    overlaps,
+    unify_vectors,
+)
+from eqthink.cli import corpus_root
 from eqthink.errors import DuplicateDefinition, NotAdmitted, UnknownOperator
 from eqthink.evaluator import DefEnv, evaluate
 from eqthink.loader import Session
-from eqthink.syntax import App, IntLit, Var, parse_program, parse_term, substitute
+from eqthink.syntax import (
+    App,
+    DefEquations,
+    IntLit,
+    Var,
+    parse_file,
+    parse_program,
+    parse_term,
+    substitute,
+    term_vars,
+)
 from eqthink.values import NIL, Pair, Symbol, from_list, to_list, value_equal
 
 
@@ -44,15 +67,16 @@ def test_append_earns_proved_on_all_three(corpus):
 def test_corpus_verdicts_match_design(corpus):
     session, _ = corpus
     expect = {
-        # overlapping unguarded zero/nil cases agree but are not disjoint
-        "prefix": ("TestedOnly", "Proved", "Proved"),
-        # complement guards on <= and > are recognized syntactically
+        # the unguarded zero/nil overlap is ground: evaluated once, it agrees
+        "prefix": ("Proved", "Proved", "Proved"),
+        # complementary guards on <= and > share one three-way ordering
         "insert": ("Proved", "Proved", "Proved"),
         "merge": ("Proved", "Proved", "Proved"),
-        # halving recursion needs its length measure: TestedOnly
+        # halving through evens/odds needs its length measure: TestedOnly
         "merge-sort": ("Proved", "Proved", "TestedOnly"),
         "insertion-sort": ("Proved", "Proved", "Proved"),
-        "avl-insert": ("TestedOnly", "TestedOnly", "TestedOnly"),
+        # < = > are exclusive and exhaustive; tree-left/tree-right unfold
+        "avl-insert": ("Proved", "Proved", "Proved"),
         "binc": ("Proved", "Proved", "Proved"),
         "bmul": ("Proved", "Proved", "Proved"),
     }
@@ -85,6 +109,34 @@ def test_contradictory_equations_rejected_with_witness():
     assert report.consistent.verdict == "Failed"
     assert report.consistent.witness == "n = 0"
     assert "disagree" in report.consistent.detail
+
+
+def test_undecided_overlaps_report_the_trials_that_reached_them():
+    [d] = parse_program(
+        """
+        (defeqs same (x)
+          (s1 (same x) x :when (consp x))
+          (s2 (same x) x))
+        """
+    )
+    detail = admit(d, DefEnv(), domains=("any",)).consistent.detail
+    assert detail.startswith("not decided statically (s1/s2: guards may both hold)")
+    assert "random trials reaching both equations: s1/s2 319 of 1000" in detail
+
+    # The ground overlap (loopy 0) runs out of fuel, so no trial reaches it.
+    [d] = parse_program(
+        """
+        (defeqs loopy (n)
+          (l0 (loopy 0) (loopy 0))
+          (l1 (loopy n) 0))
+        """
+    )
+    report = admit(d, DefEnv(), domains=("nat",), trials=5)
+    assert report.consistent.verdict == "TestedOnly"
+    assert report.consistent.detail == (
+        "not decided statically (l0/l1: ground evaluation raised StepLimitExceeded); "
+        "random trials reaching both equations: l0/l1 0 of 5"
+    )
 
 
 def test_missing_case_rejected_with_witness():
@@ -127,7 +179,8 @@ def test_rejected_definition_not_installed():
 
 
 def test_bad_measure_fails_trials():
-    # constant measure never decreases across the self-call
+    # The constant measure never decreases, but (countup n) under (1+ n)
+    # shrinks statically, so the measure is never consulted.
     report, _ = _admit(
         """
         (sig countup (nat))
@@ -137,11 +190,13 @@ def test_bad_measure_fails_trials():
           (cu1 (countup (1+ n)) (countup n)))
         """
     )
-    assert report.constructive.verdict == "Failed"
-    assert not report.admitted
+    assert report.admitted
+    assert report.constructive.verdict == "Proved"
+    assert "measure 7 not needed" in report.constructive.detail
 
 
 def test_good_measure_earns_tested_only():
+    # (halve n) under (1+ n) is proved statically; the measure is not needed.
     report, _ = _admit(
         """
         (sig halve (nat))
@@ -152,7 +207,46 @@ def test_good_measure_earns_tested_only():
         """
     )
     assert report.admitted
+    assert report.constructive.verdict == "Proved"
+
+
+# thin recurses through odds, which is recursive and so is not unfolded:
+# only the declared measure can admit it.
+_THIN = """
+    (sig len (list))
+    (defeqs len (xs)
+      (len0 (len nil) 0)
+      (len1 (len (cons x xs)) (1+ (len xs))))
+    (sig odds (list))
+    (defeqs odds (xs)
+      (od0 (odds nil) nil)
+      (od1 (odds (cons x nil)) nil)
+      (od2 (odds (cons x (cons y ys))) (cons y (odds ys))))
+    (sig thin (list))
+    (measure thin MEASURE)
+    (defeqs thin (xs)
+      (th0 (thin nil) 0)
+      (th1 (thin (cons x xs)) (1+ (thin (odds xs)))))
+    """
+
+
+def test_measure_fallback_through_recursive_helper_earns_tested_only():
+    report, _ = _admit(_THIN.replace("MEASURE", "(len xs)"))
+    assert report.admitted
     assert report.constructive.verdict == "TestedOnly"
+    detail = report.constructive.detail
+    assert "argument 1 of (thin (odds xs))" in detail
+    assert "odds calls a defined operator" in detail
+    assert "measure decrease held on" in detail and "matched random trials" in detail
+
+
+def test_measure_fallback_through_recursive_helper_rejects_constant_measure():
+    report, session = _admit(_THIN.replace("MEASURE", "7"))
+    assert report.constructive.verdict == "Failed"
+    assert "measure does not decrease at (thin (odds xs))" in report.constructive.detail
+    assert report.constructive.witness.startswith("xs = ")
+    assert not report.admitted
+    assert "thin" not in session.env.names()
 
 
 def test_measure_with_unbound_variable_rejected():
@@ -283,3 +377,141 @@ def test_unify_vectors_sound_and_complete(left, right):
         ):
             assert mgu is not None, f"both sides match {vals} but do not unify"
             break
+
+
+# Verdicts the static decisions moved from TestedOnly to Proved.
+_NEWLY_PROVED = [
+    ("consistent", "prefix"),
+    ("consistent", "true-listp"),
+    ("consistent", "csize"),
+    ("consistent", "avl-insert"),
+    ("consistent", "badd"),
+    ("comprehensive", "true-listp"),
+    ("comprehensive", "csize"),
+    ("comprehensive", "avl-insert"),
+    ("comprehensive", "badd"),
+    ("constructive", "sortedp"),
+    ("constructive", "avl-insert"),
+    ("constructive", "inorder"),
+    ("constructive", "balancedp"),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 11])
+def test_newly_proved_verdicts_survive_the_trials(corpus, seed):
+    """The trials that earned these verdicts TestedOnly find no counterexample."""
+    session, _ = corpus
+    forms = {
+        form.name: form
+        for path in sorted((corpus_root() / "defs").glob("*.lx"))
+        for form in parse_file(path)
+        if isinstance(form, DefEquations)
+    }
+    env = session.env
+    for check, name in _NEWLY_PROVED:
+        d = forms[name]
+        assert session.admissibility[name].verdicts()[check] == "Proved", (check, name)
+        if check == "consistent":
+            result = consistent_trials(d, env, overlaps(d), seed)
+        elif check == "comprehensive":
+            result = coverage_trials(d, env, session.sigs[name], seed)
+        else:
+            result = measure_trials(d, env, session.measures[name], session.sigs[name], seed)
+        assert result.verdict != "Failed", (check, name, seed, result)
+
+
+def test_admitting_defs_leaves_few_trials(monkeypatch):
+    calls = 0
+    evaluate_in_checks = admissibility.evaluate
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return evaluate_in_checks(*args, **kwargs)
+
+    monkeypatch.setattr(admissibility, "evaluate", counting)
+    session = Session(seed=0)
+    for path in sorted((corpus_root() / "defs").glob("*.lx")):
+        session.load_file(path)
+    assert calls <= 5000
+    tested = sum(
+        d[check]["verdict"] == "TestedOnly"
+        for path in (corpus_root() / "golden").glob("*.json")
+        for d in json.loads(path.read_text()).get("definitions", [])
+        for check in ("consistent", "comprehensive", "constructive")
+    )
+    assert tested <= 4
+
+
+_RELATIONS = ["<", "<=", "=", ">", ">="]
+_GRID = [-2, -1, 0, 1, 2, NIL, Symbol("a"), Pair(0, NIL)]
+
+
+def _guards_over(atom):
+    return st.recursive(
+        atom,
+        lambda inner: st.one_of(
+            inner.map(lambda g: f"(not {g})"),
+            st.tuples(st.sampled_from(["and", "or"]), inner, inner).map(
+                lambda t: f"({t[0]} {t[1]} {t[2]})"
+            ),
+        ),
+        max_leaves=4,
+    )
+
+
+def _atoms_over(variables):
+    operands = st.sampled_from([*variables, "0", "nil"])
+    return st.one_of(
+        st.tuples(st.sampled_from(_RELATIONS), operands, operands).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"
+        ),
+        operands.map(lambda v: f"(consp {v})"),
+        operands.map(lambda v: f"(equal {v} nil)"),
+    )
+
+
+# Relations over the one pair x, y and ground atoms: here the decision is
+# exact, since the grid realizes every ordering of x and y.
+_EXACT_ATOMS = st.one_of(
+    st.tuples(st.sampled_from(_RELATIONS), st.sampled_from("xy"), st.sampled_from("xy")).map(
+        lambda t: f"({t[0]} {t[1]} {t[2]})"
+    ),
+    st.sampled_from(
+        ["(consp nil)", "(consp 0)", "(equal nil nil)", "(equal 0 nil)", "(< 0 1)", "(>= 0 1)"]
+    ),
+)
+
+
+@st.composite
+def _guard_sets(draw):
+    exact = draw(st.booleans())
+    if exact:
+        atom = _EXACT_ATOMS
+    else:
+        atom = _atoms_over(draw(st.sampled_from([("x", "y"), ("x", "y", "z")])))
+    return exact, draw(st.lists(_guards_over(atom), min_size=2, max_size=3))
+
+
+@settings(max_examples=300)
+@given(_guard_sets())
+def test_guard_decision_agrees_with_the_evaluator(case):
+    """"Exclusive" (first two guards) and "exhaustive" (all guards) are never
+    refuted on the grid; on the exact fragment they are exactly the truth."""
+    exact, texts = case
+    env = DefEnv()
+    guards = [parse_term(text) for text in texts]
+    names = sorted(set().union(*(term_vars(g) for g in guards)))
+    truths = [
+        tuple(evaluate(g, dict(zip(names, vals)), env) is not NIL for g in guards)
+        for vals in itertools.product(_GRID, repeat=len(names))
+    ]
+    both_hold = any(row[0] and row[1] for row in truths)
+    none_holds = any(not any(row) for row in truths)
+    exclusive = guards_exclusive(guards[0], guards[1], env)
+    exhaustive = guards_exhaustive(guards, env)
+    assert not (exclusive and both_hold), texts
+    assert not (exhaustive and none_holds), texts
+    if exact:
+        assert exclusive == (not both_hold), texts
+        assert exhaustive == (not none_holds), texts
