@@ -10,8 +10,9 @@ TestedOnly.
   vectors that cannot unify are disjoint.  A unifiable pair is disjoint
   when the guard decision below shows that its two guards, instantiated at
   the unifier, cannot both hold.  A ground overlap is evaluated once:
-  Proved when both sides agree, Failed when they disagree.  Any other
-  overlap is probed with random instances of the unified patterns.
+  Proved when both sides agree, Failed when they disagree, TestedOnly
+  without trials when the evaluation raises.  Any other overlap is probed
+  with random instances of the unified patterns.
 * comprehensive -- the equations cover the declared parameter domains
   (from a ``sig`` directive; domains are nat, list, or any).  Coverage is
   judged by case analysis on the domain constructors: nat splits into
@@ -413,6 +414,17 @@ def _equation_bindings(
     return bindings
 
 
+def _trial_bindings(
+    eq: Equation, args: list[Value], env: DefEnv
+) -> dict[str, Value] | None:
+    """``_equation_bindings`` for a random trial, where a guard that raises
+    counts as not matching."""
+    try:
+        return _equation_bindings(eq, args, env)
+    except EvalError:
+        return None
+
+
 def _describe_input(params, args) -> str:
     return ", ".join(f"{p} = {print_value(v)}" for p, v in zip(params, args))
 
@@ -509,12 +521,16 @@ def check_consistent(
     d: DefEquations, prov: DefEnv, seed: int = 0, trials: int = 1000
 ) -> CheckResult:
     undecided: list[tuple[Overlap, str]] = []
+    # Overlaps with variables; a ground overlap has one instance, and
+    # evaluating it once already says all that trials could.
+    to_probe: list[Overlap] = []
     agreed: list[str] = []
     for o in overlaps(d):
         if guards_exclusive(o.guard1, o.guard2, prov):
             continue
         if any(term_vars(p) for p in o.patterns):
             undecided.append((o, "guards may both hold"))
+            to_probe.append(o)
             continue
         args = [_instantiate(p, {}, set(), None) for p in o.patterns]
         try:
@@ -530,11 +546,14 @@ def check_consistent(
         if agreed:
             detail += f"; {', '.join(agreed)} agree on their ground overlap"
         return CheckResult(PROVED, detail)
-    probed = consistent_trials(d, prov, [o for o, _ in undecided], seed, trials)
-    if probed.verdict == FAILED:
-        return probed
     why = "; ".join(f"{o.labels}: {reason}" for o, reason in undecided)
-    return CheckResult(TESTED, f"not decided statically ({why}); {probed.detail}")
+    detail = f"not decided statically ({why})"
+    if to_probe:
+        probed = consistent_trials(d, prov, to_probe, seed, trials)
+        if probed.verdict == FAILED:
+            return probed
+        detail += f"; {probed.detail}"
+    return CheckResult(TESTED, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +699,7 @@ def coverage_trials(
     stream = Stream(_derive_seed(seed, f"comprehensive:{d.name}"))
     for _ in range(trials):
         args = [_random_domain_value(dom, stream) for dom in domains]
-        if not any(_equation_bindings(eq, args, prov) is not None for eq in d.equations):
+        if not any(_trial_bindings(eq, args, prov) is not None for eq in d.equations):
             return CheckResult(
                 FAILED, "no equation matched a sampled input", _describe_input(d.params, args)
             )
@@ -797,7 +816,7 @@ def measure_trials(
     for _ in range(trials):
         args = [_random_domain_value(dom, stream) for dom in doms]
         for eq, calls in calls_by_eq:
-            bindings = _equation_bindings(eq, args, prov)
+            bindings = _trial_bindings(eq, args, prov)
             if bindings is None:
                 continue
             try:

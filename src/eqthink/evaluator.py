@@ -22,17 +22,30 @@ functions already generated.  A branch nested deeper than
 ``_MAX_NESTING`` moves into a function of its own, which keeps the
 generated source within Python's indentation limit.
 
-Steps are paid once per branch region: the nodes that always run once a
-function is entered or an ``if`` branch is taken (an application's
-arguments, an ``if`` test, but not its branches).  Entering a region adds
-its node count to the total, checks the fuel once, and adds its
-per-operator counts.  The totals and tallies are exactly those of paying
-one step per node, because a region's nodes all run once it is entered:
-primitives cannot fail, and the only runtime error is running out of
-fuel.  The fuel outcome is exact too: the total paid so far never exceeds
-the total the whole evaluation would reach, so a run that fits in its
-fuel never raises, and the last region entered pays the final total and
-checks it, so a run that does not fit always raises.
+Steps are paid once per path segment.  A region is the nodes that always
+run once a function is entered or an ``if`` branch is taken (an
+application's arguments, an ``if`` test, but not its branches).  An ``if``
+whose region applies only primitives pays nothing where it stands: its
+counts go, pending, into both branches.  A path pays what it has pending,
+together with the region it has reached, at the first region that applies
+a defined operator, before any call runs, or else at its leaf; a branch
+split off into a function of its own pays its pending count before the
+call.  A payment adds its node count to the total, checks the fuel once,
+and counts one hit for its payment site.  ``DefEnv.sites`` holds each
+site's per-operator counts, and ``StepCount.per_operator`` multiplies
+them by the hits the first time it is read.
+
+The totals and tallies are exactly those of paying one step per node: a
+region's nodes all run once it is entered, and a pending test has run on
+every path that pays for it, because primitives cannot fail and the only
+runtime error is running out of fuel.  The fuel outcome is exact too.
+Every payment covers nodes that run unless the fuel runs out first, so
+the total paid never exceeds the total the whole evaluation would reach,
+and a run that fits in its fuel never raises.  A run that ends pays its
+final total at its last payment and checks it; a run that never ends
+calls defined operators without end, and pays for each call before it
+runs.  Deferring only past primitives keeps both true: no call runs
+between a test that defers and the payment that covers it.
 
 Evaluation runs as plain calls on the caller's thread: the generated
 functions only call Python functions, which CPython 3.11+ runs without
@@ -45,7 +58,6 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .errors import (
     BadArity,
@@ -66,19 +78,44 @@ _MAX_NESTING = 40
 _PRIMITIVES = [name for name in PRIMITIVE_ARITY]
 
 
-@dataclass(frozen=True)
 class StepCount:
-    total: int
-    per_operator: dict[str, int] = field(default_factory=dict)
+    """The steps one evaluation took: ``total``, and ``per_operator``.
 
+    Generated code pays into this object as it runs: it adds to ``total``,
+    checks it against ``fuel``, and counts one hit per payment site in
+    ``hits``.  ``per_operator`` is expanded from the hits and the sites'
+    operator counts the first time it is read, since most callers want
+    only the value or the total.
+    """
 
-class _Counter:
-    __slots__ = ("total", "fuel", "per")
+    __slots__ = ("total", "fuel", "hits", "_env", "_per")
 
-    def __init__(self, fuel: int, width: int):
+    def __init__(self, fuel: int, env: "DefEnv"):
         self.total = 0
         self.fuel = fuel
-        self.per = [0] * width
+        self.hits = [0] * len(env.sites)
+        self._env = env
+        self._per: dict[str, int] | None = None
+
+    @property
+    def per_operator(self) -> dict[str, int]:
+        if self._per is None:
+            env = self._env
+            per = [0] * len(env.op_names)
+            for site, hits in zip(env.sites, self.hits):
+                if hits:
+                    for index, count in site:
+                        per[index] += hits * count
+            self._per = {env.op_names[i]: n for i, n in enumerate(per) if n}
+        return self._per
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StepCount):
+            return NotImplemented
+        return self.total == other.total and self.per_operator == other.per_operator
+
+    def __repr__(self) -> str:
+        return f"StepCount(total={self.total}, per_operator={self.per_operator})"
 
 
 class _DefRecord:
@@ -112,6 +149,9 @@ class DefEnv:
         self.defs: dict[str, _DefRecord] = {}
         self.op_names: list[str] = list(_PRIMITIVES)
         self.op_index: dict[str, int] = {name: i for i, name in enumerate(self.op_names)}
+        # The payment sites of the generated code: each one's (operator
+        # index, count) pairs, indexed like ``StepCount.hits``.
+        self.sites: list[tuple[tuple[int, int], ...]] = []
         # Generated functions' globals: the records and constants they use
         # and their split-off branches, one dictionary for the environment.
         self._namespace = dict(_GLOBALS)
@@ -153,6 +193,7 @@ class DefEnv:
         child.defs = dict(self.defs)
         child.op_names = list(self.op_names)
         child.op_index = dict(self.op_index)
+        child.sites = list(self.sites)
         return child
 
     def _top_level(self, t: Term, names: tuple[str, ...]):
@@ -256,46 +297,57 @@ class _Translator:
     def function(self, t: Term, name: str) -> None:
         outer = self.lines
         self.lines = [f"def {name}({self.signature}):"]
-        self.region(t, 1, None)
+        self.region(t, 1, None, Counter())
         self.functions.append("\n".join(self.lines))
         self.lines = outer
 
     def emit(self, depth: int, line: str) -> None:
         self.lines.append("    " * depth + line)
 
-    def region(self, t: Term, depth: int, out: str | None) -> None:
-        """Pay for the region rooted at ``t``, then put its value in ``out``
-        (return it when ``out`` is None)."""
-        ops = Counter()
+    def region(self, t: Term, depth: int, out: str | None, pending: Counter) -> None:
+        """Put the value of the region rooted at ``t`` in ``out`` (return it
+        when ``out`` is None).  Pay for the region and for ``pending``, the
+        operators of the primitive-only tests passed on the way here, unless
+        the region is itself such a test: then both go on to its branches."""
+        ops = pending.copy()
         _tally(t, ops)
-        steps = sum(ops.values())
-        if steps:
-            self.emit(depth, f"n = ctr.total + {steps}")
-            self.emit(depth, "ctr.total = n")
-            self.emit(depth, "if n > ctr.fuel: raise StepLimitExceeded('step limit exceeded')")
-            self.emit(depth, "p = ctr.per")
-            for op, count in ops.items():
-                index = self.env.op_index.get(op)
-                if index is not None:  # an unknown operator raises below
-                    self.emit(depth, f"p[{index}] += {count}")
-        self.result(t, depth, out)
+        if isinstance(t, App) and t.op == "if" and all(op in PRIMITIVE_ARITY for op in ops):
+            self.result(t, depth, out, ops)
+            return
+        self.pay(ops, depth)
+        self.result(t, depth, out, Counter())
 
-    def result(self, t: Term, depth: int, out: str | None) -> None:
+    def pay(self, ops: Counter, depth: int) -> None:
+        steps = sum(ops.values())
+        if not steps:
+            return
+        sites = self.env.sites
+        # An unknown operator has no index; translating it raises.
+        sites.append(tuple(
+            (self.env.op_index[op], count) for op, count in ops.items() if op in self.env.op_index
+        ))
+        self.emit(depth, f"n = ctr.total + {steps}")
+        self.emit(depth, "ctr.total = n")
+        self.emit(depth, "if n > ctr.fuel: raise StepLimitExceeded('step limit exceeded')")
+        self.emit(depth, f"ctr.hits[{len(sites) - 1}] += 1")
+
+    def result(self, t: Term, depth: int, out: str | None, pending: Counter) -> None:
         if isinstance(t, App) and t.op == "if":
             self.check_arity(t)
             test = self.condition(t.args[0], depth)
             self.emit(depth, f"if {test}:")
-            self.branch(t.args[1], depth + 1, out)
+            self.branch(t.args[1], depth + 1, out, pending)
             self.emit(depth, "else:")
-            self.branch(t.args[2], depth + 1, out)
+            self.branch(t.args[2], depth + 1, out, pending)
             return
         value = self.expression(t, depth)
         self.emit(depth, f"return {value}" if out is None else f"{out} = {value}")
 
-    def branch(self, t: Term, depth: int, out: str | None) -> None:
+    def branch(self, t: Term, depth: int, out: str | None, pending: Counter) -> None:
         if depth <= _MAX_NESTING:
-            self.region(t, depth, out)
+            self.region(t, depth, out, pending)
             return
+        self.pay(pending, depth)
         self.temps += 1
         name = f"{self.name}_{self.temps}"
         self.function(t, name)
@@ -315,7 +367,7 @@ class _Translator:
             return self.constant(Symbol(t.name))
         out = f"v{self.temps}"
         self.temps += 1
-        self.result(t, depth, out)
+        self.result(t, depth, out, Counter())
         return out
 
     def condition(self, t: Term, depth: int) -> str:
@@ -394,10 +446,8 @@ def eval_counting(
     names = tuple(sorted(bindings)) if bindings else ()
     _raise_recursion_limit()
     fn = env._top_level(t, names)
-    ctr = _Counter(fuel, len(env.op_names))
-    value = fn(ctr, *[bindings[n] for n in names])
-    per = {env.op_names[i]: n for i, n in enumerate(ctr.per) if n}
-    return value, StepCount(ctr.total, per)
+    count = StepCount(fuel, env)
+    return fn(count, *[bindings[n] for n in names]), count
 
 
 def evaluate(

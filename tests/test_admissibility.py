@@ -123,20 +123,58 @@ def test_undecided_overlaps_report_the_trials_that_reached_them():
     assert detail.startswith("not decided statically (s1/s2: guards may both hold)")
     assert "random trials reaching both equations: s1/s2 319 of 1000" in detail
 
-    # The ground overlap (loopy 0) runs out of fuel, so no trial reaches it.
-    [d] = parse_program(
-        """
-        (defeqs loopy (n)
-          (l0 (loopy 0) (loopy 0))
-          (l1 (loopy n) 0))
-        """
-    )
-    report = admit(d, DefEnv(), domains=("nat",), trials=5)
+    # The ground overlap (loopy 0) runs out of fuel; it has one instance,
+    # so no trial probes it again.
+    report = admit(_LOOPY, DefEnv(), domains=("nat",), trials=5)
     assert report.consistent.verdict == "TestedOnly"
     assert report.consistent.detail == (
-        "not decided statically (l0/l1: ground evaluation raised StepLimitExceeded); "
-        "random trials reaching both equations: l0/l1 0 of 5"
+        "not decided statically (l0/l1: ground evaluation raised StepLimitExceeded)"
     )
+
+
+[_LOOPY] = parse_program(
+    """
+    (defeqs loopy (n)
+      (l0 (loopy 0) (loopy 0))
+      (l1 (loopy n) 0))
+    """
+)
+
+
+def _count_evaluate_calls(monkeypatch) -> list[int]:
+    """Count the calls the checks make to ``admissibility.evaluate``."""
+    calls = [0]
+    evaluate_in_checks = admissibility.evaluate
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return evaluate_in_checks(*args, **kwargs)
+
+    monkeypatch.setattr(admissibility, "evaluate", counting)
+    return calls
+
+
+def test_ground_overlap_that_raises_is_evaluated_once(monkeypatch):
+    calls = _count_evaluate_calls(monkeypatch)
+    report = admit(_LOOPY, DefEnv(), domains=("nat",))
+    assert report.consistent.verdict == "TestedOnly"
+    # One evaluation: the overlap's first right side, (loopy 0), runs out
+    # of fuel.  The other checks decide statically.
+    assert calls[0] == 1
+
+
+def test_guard_out_of_fuel_counts_as_not_matching():
+    [d] = parse_program(
+        """
+        (defeqs g (x)
+          (g0 (g x) 0 :when (g (cons x x)))
+          (g1 (g x) 1 :when (consp x)))
+        """
+    )
+    report = admit(d, DefEnv(), domains=("any",), trials=5)
+    assert not report.admitted
+    assert report.comprehensive.verdict == "Failed"
+    assert report.comprehensive.detail == "no equation matched a sampled input"
 
 
 def test_missing_case_rejected_with_witness():
@@ -421,19 +459,11 @@ def test_newly_proved_verdicts_survive_the_trials(corpus, seed):
 
 
 def test_admitting_defs_leaves_few_trials(monkeypatch):
-    calls = 0
-    evaluate_in_checks = admissibility.evaluate
-
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return evaluate_in_checks(*args, **kwargs)
-
-    monkeypatch.setattr(admissibility, "evaluate", counting)
+    calls = _count_evaluate_calls(monkeypatch)
     session = Session(seed=0)
     for path in sorted((corpus_root() / "defs").glob("*.lx")):
         session.load_file(path)
-    assert calls <= 5000
+    assert calls[0] <= 5000
     tested = sum(
         d[check]["verdict"] == "TestedOnly"
         for path in (corpus_root() / "golden").glob("*.json")

@@ -23,7 +23,8 @@ from eqthink.errors import (
     UnboundVariable,
     UnknownOperator,
 )
-from eqthink.evaluator import DEFAULT_FUEL, DefEnv, eval_counting, evaluate
+from eqthink import evaluator
+from eqthink.evaluator import _MAX_NESTING, DEFAULT_FUEL, DefEnv, eval_counting, evaluate
 from eqthink.properties import Pass, run_property
 from eqthink.syntax import (
     NIL_LIT,
@@ -136,10 +137,12 @@ def agree(src, bindings=None, env=None):
 
 
 # Terms over every primitive, `if` in every position, variables bound
-# from a frame, and calls into `_library()`; `forever` and large
+# from a frame, and calls into `_library()`; `forever`, `stuck` and large
 # arguments to the counting functions run out of `_FUEL`.
 _VARS = ("x", "y", "z")
-_LIBRARY_ARITY = {"app": 2, "nth-down": 2, "count-down": 1, "forever": 1}
+_LIBRARY_ARITY = {
+    "app": 2, "nth-down": 2, "count-down": 1, "forever": 1, "insert": 2, "stuck": 1,
+}
 _FUEL = 3000
 
 
@@ -336,6 +339,15 @@ def _library() -> DefEnv:
         (defun count-down (n) :trust
           (if (zp n) 0 (count-down (1- n))))
         (defun forever (n) :trust (forever (1+ n)))
+        (defun insert (x ys) :trust
+          (if (equal ys nil)
+              (cons x nil)
+              (if (and (consp ys) (<= x (first ys)))
+                  (cons x ys)
+                  (if (and (consp ys) (> x (first ys)))
+                      (cons (first ys) (insert x (rest ys)))
+                      nil))))
+        (defun stuck (n) :trust (if (stuck n) 1 2))
         """
     )
     for form in forms:
@@ -393,6 +405,55 @@ def test_step_limit():
         evaluate(parse_term("(forever 0)"), {}, env, fuel=10_000)
     with pytest.raises(StepLimitExceeded):
         eval_counting(parse_term("(count-down 50)"), {}, env, 10)
+
+
+def test_if_test_that_recurses_forever_meets_the_fuel():
+    env = _library()
+    with pytest.raises(StepLimitExceeded):
+        eval_counting(parse_term("(stuck 0)"), {}, env, 1000)
+
+
+def test_primitive_tests_deeper_than_one_function_match_oracle():
+    # The recursive leaf sits under more primitive-only tests than one
+    # generated function nests, so the path crosses two split-off branches.
+    body = "(chain (1- n))"
+    for k in reversed(range(2 * _MAX_NESTING + 5)):
+        body = f"(if (= n {k}) {k} {body})"
+    env = DefEnv()
+    [chain] = parse_program(f"(defun chain (n) :trust {body})")
+    env.define(chain)
+    for n in (0, _MAX_NESTING, 2 * _MAX_NESTING + 10):
+        _, count = agree(f"(chain {n})", env=env)
+        assert eval_counting(parse_term(f"(chain {n})"), {}, env, count.total)[1] == count
+        with pytest.raises(StepLimitExceeded):
+            eval_counting(parse_term(f"(chain {n})"), {}, env, count.total - 1)
+
+
+def test_evaluate_goes_through_eval_counting(monkeypatch):
+    calls = []
+    counting = evaluator.eval_counting
+
+    def wrapper(*args):
+        calls.append(args)
+        return counting(*args)
+
+    monkeypatch.setattr(evaluator, "eval_counting", wrapper)
+    assert evaluate(parse_term("(1+ 1)"), {}, None) == 2
+    assert len(calls) == 1
+
+
+def test_step_counts_read_and_compare_by_total_and_tallies():
+    env = _library()
+    t = parse_term("(insert 3 (cons 1 (cons 2 (cons 5 nil))))")
+    _, count = eval_counting(t, {}, env)
+    oracle = Oracle(env)
+    oracle.run(t, {})
+    assert count.per_operator == count.per_operator == dict(oracle.per)
+    assert eval_counting(t, {}, env)[1] == count
+    # Equal totals, different tallies.
+    one_up = eval_counting(parse_term("(1+ 1)"), {}, env)[1]
+    one_down = eval_counting(parse_term("(1- 1)"), {}, env)[1]
+    assert one_up.total == one_down.total and one_up != one_down
 
 
 def test_unbound_and_unknown_errors():
