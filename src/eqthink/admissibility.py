@@ -12,7 +12,8 @@ TestedOnly.
   the unifier, cannot both hold.  A ground overlap is evaluated once:
   Proved when both sides agree, Failed when they disagree, TestedOnly
   without trials when the evaluation raises.  Any other overlap is probed
-  with random instances of the unified patterns.
+  with random instances of the unified patterns, up to the first instance
+  that runs out of fuel.
 * comprehensive -- the equations cover the declared parameter domains
   (from a ``sig`` directive; domains are nat, list, or any).  Coverage is
   judged by case analysis on the domain constructors: nat splits into
@@ -22,14 +23,14 @@ TestedOnly.
   equation fall back to nil at run time).  A case that only guarded
   equations reach is covered when their guards, instantiated at the case,
   form a tautology; otherwise coverage is probed with random trials.
-* constructive -- every self-call must shrink.  Each argument must be the
-  unchanged parameter pattern or a strict part of it: a strict subterm, or
-  a first/rest chain over one, after unfolding every called operator whose
-  body calls no defined operator.  At least one argument must be strict,
-  so the total size of the arguments (cons cells plus the value of a
-  positive integer) falls at every call.  Only when that fails is a
-  ``measure`` directive consulted: its strict decrease is tested on random
-  inputs (verdict TestedOnly).
+* constructive -- every self-call, in a right-hand side or a guard, must
+  shrink.  Each argument must be the unchanged parameter pattern or a
+  strict part of it: a strict subterm, or a first/rest chain over one,
+  after unfolding every called operator whose body calls no defined
+  operator.  At least one argument must be strict, so the total size of
+  the arguments (cons cells plus the value of a positive integer) falls at
+  every call.  Only when that fails is a ``measure`` directive consulted:
+  its strict decrease is tested on random inputs (verdict TestedOnly).
 
 The guard decision ground-simplifies constructor facts ((consp (cons a b))
 is t, (consp nil) and (equal (cons a b) nil) are nil), evaluates ground
@@ -57,6 +58,7 @@ from .errors import (
     BadArity,
     EvalError,
     MissingSignature,
+    StepLimitExceeded,
     UnknownOperator,
 )
 from .evaluator import DefEnv, evaluate
@@ -75,6 +77,7 @@ from .syntax import (
     Var,
     print_term,
     substitute,
+    subterms,
     term_vars,
 )
 from .values import NIL, Pair, Symbol, Value, from_list, print_value, value_equal
@@ -212,19 +215,13 @@ def _subst(t: Term | None, mapping: dict[str, Term]) -> Term | None:
 
 
 def _nat_vars(patterns) -> set[str]:
-    out: set[str] = set()
-
-    def walk(p: Term, under_succ: bool) -> None:
-        if isinstance(p, Var):
-            if under_succ:
-                out.add(p.name)
-        elif isinstance(p, App):
-            for a in p.args:
-                walk(a, p.op == "1+")
-
-    for p in patterns:
-        walk(p, False)
-    return out
+    return {
+        a.name
+        for p in subterms(*patterns)
+        if isinstance(p, App) and p.op == "1+"
+        for a in p.args
+        if isinstance(a, Var)
+    }
 
 
 def _instantiate(p: Term, assign: dict[str, Value], nats: set[str], stream: Stream | None) -> Value:
@@ -282,14 +279,10 @@ def _shape(t: Term, atoms: frozenset[str] = frozenset()) -> str | None:
 
 def _defined_op(t: Term) -> str | None:
     """The first operator in t that is not a primitive, if any."""
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, App):
-            if node.op not in PRIMITIVE_ARITY:
-                return node.op
-            stack.extend(reversed(node.args))
-    return None
+    return next(
+        (node.op for node in subterms(t) if isinstance(node, App) and node.op not in PRIMITIVE_ARITY),
+        None,
+    )
 
 
 def _simplify(t: Term, prov: DefEnv, atoms: frozenset[str] = frozenset()) -> Term:
@@ -495,17 +488,26 @@ def _disagreement(d: DefEquations, o: Overlap, args: list[Value], v1: Value, v2:
 def consistent_trials(
     d: DefEquations, prov: DefEnv, pairs: list[Overlap], seed: int = 0, trials: int = 1000
 ) -> CheckResult:
-    """Probe each overlap with random instances of its unified patterns."""
+    """Probe each overlap with random instances of its unified patterns.
+
+    The first instance that runs out of fuel ends that overlap's trials: a
+    guard or side that diverges there would cost the full fuel in every
+    trial that reaches it.
+    """
     stream = Stream(_derive_seed(seed, f"consistent:{d.name}"))
     reached = []
     for o in pairs:
         nats = _nat_vars(o.patterns)
-        count = 0
-        for _ in range(trials):
+        count = run = 0
+        out_of_fuel = ""
+        for run in range(1, trials + 1):
             assign: dict[str, Value] = {}
             args = [_instantiate(p, assign, nats, stream) for p in o.patterns]
             try:
                 sides = _both_sides(o, args, prov)
+            except StepLimitExceeded:
+                out_of_fuel = f" (out of fuel at {_describe_input(d.params, args)})"
+                break
             except EvalError:
                 continue
             if sides is None:
@@ -513,7 +515,7 @@ def consistent_trials(
             count += 1
             if not value_equal(*sides):
                 return _disagreement(d, o, args, *sides)
-        reached.append(f"{o.labels} {count} of {trials}")
+        reached.append(f"{o.labels} {count} of {run}{out_of_fuel}")
     return CheckResult(TESTED, f"random trials reaching both equations: {', '.join(reached)}")
 
 
@@ -749,26 +751,11 @@ def check_comprehensive(
 # Constructiveness
 
 
-def _self_calls(d: DefEquations, t: Term, acc: list[App]) -> None:
-    if isinstance(t, App):
-        if t.op == d.name:
-            acc.append(t)
-        for a in t.args:
-            _self_calls(d, a, acc)
-
-
 def _strict_part(arg: Term, pat: Term) -> bool:
     """arg is a strict subterm of the pattern, or a first/rest chain over one."""
     while isinstance(arg, App) and arg.op in ("first", "rest"):
         arg = arg.args[0]
-    stack = list(pat.args) if isinstance(pat, App) else []
-    while stack:
-        node = stack.pop()
-        if node == arg:
-            return True
-        if isinstance(node, App):
-            stack.extend(node.args)
-    return False
+    return isinstance(pat, App) and arg in subterms(*pat.args)
 
 
 def _non_decreasing_call(
@@ -841,10 +828,10 @@ def measure_trials(
 
 
 def _calls_by_equation(d: DefEquations) -> list[tuple[Equation, list[App]]]:
+    """Each equation's self-calls, in its right-hand side and then its guard."""
     out = []
     for eq in d.equations:
-        calls: list[App] = []
-        _self_calls(d, eq.rhs, calls)
+        calls = [t for t in subterms(eq.rhs, eq.guard) if isinstance(t, App) and t.op == d.name]
         if calls:
             out.append((eq, calls))
     return out
@@ -946,30 +933,18 @@ def _translate(d: DefEquations) -> RawDefun:
 # Entry point
 
 
-def _validate_operators(d: DefEquations, env: DefEnv) -> None:
-    def walk(t: Term) -> None:
+def _validate_operators(d: DefEquations, env: DefEnv, measure: Term | None) -> None:
+    """Every operator in the right-hand sides, guards and measure exists and
+    gets its arity."""
+    equation_terms = [t for eq in d.equations for t in (eq.rhs, eq.guard)]
+    for t in subterms(*equation_terms, measure):
         if not isinstance(t, App):
-            return
-        if t.op == d.name:
-            if len(t.args) != len(d.params):
-                raise BadArity(
-                    f"{d.name} takes {len(d.params)} argument(s), got {len(t.args)}", t.loc
-                )
-        else:
-            arity = env.arity(t.op)
-            if arity is None:
-                raise UnknownOperator(
-                    f"{t.op} is not defined (definitions must come before use)", t.loc
-                )
-            if len(t.args) != arity:
-                raise BadArity(f"{t.op} takes {arity} argument(s), got {len(t.args)}", t.loc)
-        for a in t.args:
-            walk(a)
-
-    for eq in d.equations:
-        walk(eq.rhs)
-        if eq.guard is not None:
-            walk(eq.guard)
+            continue
+        arity = len(d.params) if t.op == d.name else env.arity(t.op)
+        if arity is None:
+            raise UnknownOperator(f"{t.op} is not defined (definitions must come before use)", t.loc)
+        if len(t.args) != arity:
+            raise BadArity(f"{t.op} takes {arity} argument(s), got {len(t.args)}", t.loc)
 
 
 def admit(
@@ -985,7 +960,7 @@ def admit(
     The caller decides whether to install the compiled defun in the
     environment (see loader.load_program).
     """
-    _validate_operators(d, env)
+    _validate_operators(d, env, measure)
     if measure is not None:
         loose = term_vars(measure) - set(d.params)
         if loose:

@@ -21,7 +21,7 @@ from .errors import (
     PortMismatch,
     TooManyInputs,
 )
-from .syntax import App, SymLit, Term, Var
+from .syntax import App, SymLit, Term, Var, subterms
 
 GATE_ARITY = {
     "AND": 2,
@@ -85,10 +85,6 @@ class Netlist:
                 raise CircuitError(f"output references missing node {o}")
         if not self.outputs:
             raise CircuitError("netlist needs at least one output")
-
-    @property
-    def node_count(self) -> int:
-        return len(self.inputs) + len(self.gates)
 
     def to_json(self) -> dict:
         return {
@@ -179,20 +175,19 @@ def formula_to_circuit(f: Term) -> Netlist:
 
 
 def _formula_vars(f: Term) -> set[str]:
-    if isinstance(f, Var):
-        return {f.name}
-    if isinstance(f, SymLit):
-        if f.name in ("t", "nil"):
-            return set()
-        raise NonBooleanOperator(f"{f.name} is not a boolean constant", f.loc)
-    if isinstance(f, App):
-        if f.op not in _OP_TO_GATE:
-            raise NonBooleanOperator(f"{f.op} is not a boolean connective", f.loc)
-        out: set[str] = set()
-        for a in f.args:
-            out |= _formula_vars(a)
-        return out
-    raise NonBooleanOperator("integer literals are not boolean formulas", f.loc)
+    out: set[str] = set()
+    for t in subterms(f):
+        if isinstance(t, Var):
+            out.add(t.name)
+        elif isinstance(t, SymLit):
+            if t.name not in ("t", "nil"):
+                raise NonBooleanOperator(f"{t.name} is not a boolean constant", t.loc)
+        elif isinstance(t, App):
+            if t.op not in _OP_TO_GATE:
+                raise NonBooleanOperator(f"{t.op} is not a boolean connective", t.loc)
+        else:
+            raise NonBooleanOperator("integer literals are not boolean formulas", t.loc)
+    return out
 
 
 def _build_formula(f: Term, b: _Builder) -> int:

@@ -496,6 +496,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        print("input nested too deeply for the interpreter's recursion limit", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -163,11 +163,9 @@ class DefEnv:
             raise DuplicateDefinition(f"{d.name} is a primitive", d.loc)
         if d.name in self.defs:
             raise DuplicateDefinition(f"{d.name} is already defined", d.loc)
-        index = self.op_index.get(d.name)
-        if index is None:
-            index = len(self.op_names)
-            self.op_names.append(d.name)
-            self.op_index[d.name] = index
+        index = len(self.op_names)
+        self.op_names.append(d.name)
+        self.op_index[d.name] = index
         record = _DefRecord(d, index)
         self.defs[d.name] = record
         _raise_recursion_limit()

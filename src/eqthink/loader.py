@@ -50,7 +50,6 @@ class Session:
     env: DefEnv = field(default_factory=DefEnv)
     rules: RuleDatabase = None  # type: ignore[assignment]
     seed: int = 0
-    check_trials: int = DEFAULT_CHECK_TRIALS
     sigs: dict[str, tuple[str, ...]] = field(default_factory=dict)
     measures: dict[str, Term] = field(default_factory=dict)
     admissibility: dict[str, AdmissibilityReport] = field(default_factory=dict)
@@ -79,7 +78,7 @@ class Session:
                 domains=self.sigs.get(form.name),
                 measure=self.measures.get(form.name),
                 seed=self.seed,
-                trials=self.check_trials,
+                trials=DEFAULT_CHECK_TRIALS,
             )
             self.admissibility[form.name] = report
             if report.admitted:

@@ -33,7 +33,7 @@ from .rewriting import (
     replace_at,
     subterm_at,
 )
-from .syntax import App, Chain, IntLit, ProofScript, SymLit, Term, Var, print_term, substitute, term_vars
+from .syntax import App, Chain, IntLit, ProofScript, SymLit, Term, Var, print_term, substitute, subterms, term_vars
 from .values import truthy, value_equal, print_value
 
 _ARITH_OPS = frozenset({"+", "-", "*", "1+", "1-", "zp", "<", "<=", ">", ">=", "="})
@@ -72,13 +72,12 @@ def _ground(t: Term) -> bool:
 
 
 def _ground_arith(t: Term) -> bool:
-    if isinstance(t, IntLit):
-        return True
-    if isinstance(t, SymLit):
-        return t.name in ("t", "nil")
-    if isinstance(t, Var):
-        return False
-    return t.op in _ARITH_OPS and all(_ground_arith(a) for a in t.args)
+    return all(
+        isinstance(node, IntLit)
+        or (isinstance(node, SymLit) and node.name in ("t", "nil"))
+        or (isinstance(node, App) and node.op in _ARITH_OPS)
+        for node in subterms(t)
+    )
 
 
 def _diff_position(a: Term, b: Term) -> Path | None:

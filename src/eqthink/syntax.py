@@ -21,6 +21,7 @@ Proof chains are a first term followed by steps of the form
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -342,7 +343,7 @@ class _Reader:
         names = []
         while self.peek().kind != ")":
             tok = self.expect("atom")
-            if _INT_RE.match(tok.text) or tok.text.startswith(":"):
+            if _INT_RE.match(tok.text) or tok.text.startswith(":") or tok.text in ("t", "nil"):
                 raise UnexpectedToken(f"expected an identifier, found {tok.text!r}", tok.loc)
             names.append(tok.text)
         self.next()
@@ -356,28 +357,26 @@ class _Reader:
 
 
 # ---------------------------------------------------------------------------
-# Free variables
+# Subterms and free variables
+
+
+def subterms(*terms: Term | None) -> Iterator[Term]:
+    """Every node of the terms in preorder, left to right; None is skipped."""
+    stack = [t for t in reversed(terms) if t is not None]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, App):
+            stack.extend(reversed(t.args))
 
 
 def term_vars(t: Term) -> set[str]:
-    out: set[str] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.name)
-        elif isinstance(node, App):
-            stack.extend(node.args)
-    return out
+    return {node.name for node in subterms(t) if isinstance(node, Var)}
 
 
 def pattern_vars(p: Term) -> list[str]:
     """Variables of a pattern, in left-to-right order (with repeats)."""
-    if isinstance(p, Var):
-        return [p.name]
-    if isinstance(p, App):
-        return [v for a in p.args for v in pattern_vars(a)]
-    return []
+    return [node.name for node in subterms(p) if isinstance(node, Var)]
 
 
 def substitute(t: Term, mapping: dict[str, Term]) -> Term:

@@ -66,10 +66,6 @@ def truthy(v: Value) -> bool:
     return v is not NIL
 
 
-def boolean(flag: bool) -> Symbol:
-    return T if flag else NIL
-
-
 def value_equal(a: Value, b: Value) -> bool:
     while True:
         if a is b:

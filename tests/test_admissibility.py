@@ -163,18 +163,43 @@ def test_ground_overlap_that_raises_is_evaluated_once(monkeypatch):
     assert calls[0] == 1
 
 
+[_DIVERGING_GUARD] = parse_program(
+    """
+    (defeqs g (x)
+      (g0 (g x) 0 :when (g (cons x x)))
+      (g1 (g x) 1 :when (consp x)))
+    """
+)
+
+
 def test_guard_out_of_fuel_counts_as_not_matching():
-    [d] = parse_program(
-        """
-        (defeqs g (x)
-          (g0 (g x) 0 :when (g (cons x x)))
-          (g1 (g x) 1 :when (consp x)))
-        """
-    )
-    report = admit(d, DefEnv(), domains=("any",), trials=5)
+    report = admit(_DIVERGING_GUARD, DefEnv(), domains=("any",), trials=5)
     assert not report.admitted
     assert report.comprehensive.verdict == "Failed"
     assert report.comprehensive.detail == "no equation matched a sampled input"
+
+
+def test_overlap_trials_stop_where_the_fuel_runs_out(monkeypatch):
+    calls = _count_evaluate_calls(monkeypatch)
+    report = admit(_DIVERGING_GUARD, DefEnv(), domains=("any",))
+    assert calls[0] <= 20
+    detail = report.consistent.detail
+    assert "random trials reaching both equations: g0/g1 0 of 1 (out of fuel at x = " in detail
+
+
+def test_self_call_in_a_guard_must_shrink():
+    report, session = _admit(
+        """
+        (sig h (any))
+        (defeqs h (x)
+          (h0 (h x) 0 :when (h (cons x x)))
+          (h1 (h x) 1))
+        """
+    )
+    assert not report.admitted
+    assert report.constructive.verdict == "Failed"
+    assert "(h (cons x x))" in report.constructive.detail
+    assert "h" not in session.env.names()
 
 
 def test_missing_case_rejected_with_witness():
@@ -288,11 +313,11 @@ def test_measure_fallback_through_recursive_helper_rejects_constant_measure():
 
 
 def test_measure_with_unbound_variable_rejected():
-    with pytest.raises(UnknownOperator):
+    with pytest.raises(UnknownOperator, match="unbound variable"):
         _admit(
             """
             (sig f (nat))
-            (measure f (len q))
+            (measure f (1+ q))
             (defeqs f (n) (f0 (f n) 0))
             """
         )
@@ -312,6 +337,19 @@ def test_redefinition_is_a_duplicate_whatever_its_verdicts(rhs):
 def test_unknown_operator_in_rhs_rejected():
     with pytest.raises(UnknownOperator):
         _admit("(sig f (nat))\n(defeqs f (n) (f0 (f n) (mystery n)))")
+
+
+def test_unknown_operator_in_measure_rejected():
+    with pytest.raises(UnknownOperator, match="mystery is not defined"):
+        _admit(
+            """
+            (sig spin (nat))
+            (measure spin (mystery n))
+            (defeqs spin (n)
+              (sp0 (spin 0) 0)
+              (sp1 (spin (1+ n)) (spin (1+ n))))
+            """
+        )
 
 
 def test_untrusted_defun_rejected():

@@ -84,6 +84,19 @@ def test_parse_error_in_file_exits_two(tmp_path, capsys):
     assert "UnbalancedParens" in err
 
 
+def test_deeply_nested_input_exits_two_without_traceback(tmp_path):
+    src = tmp_path / "big.lx"
+    items = " ".join(str(i) for i in range(5000))
+    src.write_text(f"(sig big (any)) (defeqs big (x) (b0 (big x) '({items})))")
+    out = subprocess.run(
+        [sys.executable, "-m", "eqthink.cli", "check", str(src)],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+
+
 def test_missing_file_exits_two(capsys):
     assert run(capsys, "check", "no-such-file.lx")[0] == 2
 

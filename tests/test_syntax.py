@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +23,7 @@ from eqthink.syntax import (
     print_equation,
     print_term,
     substitute,
+    subterms,
     term_vars,
 )
 
@@ -170,6 +174,36 @@ def test_substitute_replaces_free_vars(t, name, replacement):
         assert out == t
     else:
         assert name not in term_vars(out) or name in term_vars(replacement)
+
+
+def test_subterms_walk_preorder_left_to_right_skipping_none():
+    a, b = parse_term("(f (g x 1) y)"), parse_term("(h 'z)")
+    got = [print_term(t) for t in subterms(a, None, b)]
+    assert got == ["(f (g x 1) y)", "(g x 1)", "x", "1", "y", "(h 'z)", "'z"]
+    assert list(subterms()) == list(subterms(None)) == []
+
+
+def test_variables_of_deep_nest_at_default_recursion_limit():
+    # A fresh interpreter: an evaluation in this one may have raised the limit.
+    script = (
+        "import sys; from eqthink.syntax import App, IntLit, Var, pattern_vars, term_vars\n"
+        "assert sys.getrecursionlimit() <= 10_000\n"
+        "t = Var('x')\n"
+        "for i in range(100_000): t = App('cons', (IntLit(i), t))\n"
+        "print(sorted(term_vars(t)), pattern_vars(t))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "['x'] ['x']\n"
+
+
+@pytest.mark.parametrize(
+    "form",
+    ["(defun k2 (t x) :trust (cons t x))", "(defeqs k3 (x nil) (k (k3 x y) y))"],
+)
+def test_t_and_nil_are_not_parameter_names(form):
+    with pytest.raises(UnexpectedToken, match="expected an identifier"):
+        parse_program(form)
 
 
 def test_patterns_read_as_terms():
