@@ -13,12 +13,23 @@ and the taken branch only.  Variables and literals are free.
 Each defined operator is translated to one generated Python function, and
 so is each top-level term (memoized per ``DefEnv``, keyed by the term and
 its sorted binding names, so a term is translated once however often it
-runs).  Parameters and bindings become Python locals, and terms are
-emitted in A-normal form: every sub-result goes to its own local, so the
-emitted expressions never nest.  The primitives are inlined as Python
-expressions; a call to a defined operator goes through its ``_DefRecord``
-at call time, so self-recursion works and a ``DefEnv.copy()`` shares the
-functions already generated.  A branch nested deeper than
+runs).  Parameters and bindings become Python locals, and the primitives
+are inlined as Python expressions over locals.  Each primitive is computed
+once per path: the translator keeps a table from a primitive application
+(its operator and the names of its arguments) and from each integer
+coercion to the local that already holds the result.  An entry made in a
+region holds in every branch nested inside it and is dropped when that
+branch is left.  Inside an ``if``'s then-branch each conjunct of its test
+is known true, inside the else-branch a single test is known false: a
+test already decided on the path emits as a constant, and ``first``/``rest``
+of a local known to be a pair read ``.head``/``.tail`` directly.  An ``and``
+in test position is a Python ``and`` over its conjuncts' conditions.  An
+application of primitives to constants only (a quoted list, say) folds to
+one constant at translation time.  Sharing is safe because primitives are
+pure and total; calls to defined operators are never shared or skipped.
+A call goes through its ``_DefRecord`` at call time, so self-recursion
+works and a ``DefEnv.copy()`` shares the functions already generated.
+A branch nested deeper than
 ``_MAX_NESTING`` moves into a function of its own, which keeps the
 generated source within Python's indentation limit.
 
@@ -45,7 +56,11 @@ and a run that fits in its fuel never raises.  A run that ends pays its
 final total at its last payment and checks it; a run that never ends
 calls defined operators without end, and pays for each call before it
 runs.  Deferring only past primitives keeps both true: no call runs
-between a test that defers and the payment that covers it.
+between a test that defers and the payment that covers it.  Payments are
+counted from the term's nodes, not from the emitted code, so a shared
+result, a decided test or a folded constant changes what runs but not
+what is paid: the totals, tallies and fuel outcome stay those of one step
+per node.
 
 Evaluation runs as plain calls on the caller's thread: the generated
 functions only call Python functions, which CPython 3.11+ runs without
@@ -228,8 +243,19 @@ def _shape(t: Term) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Primitives as Python source over local names {0} and {1}; {i0} and {i1}
-# are the same operands coerced to integers.
+# Primitives as Python source.  The connectives take conditions {0} and
+# {1}; the other primitives take values {0} and {1}, and {i0} and {i1} are
+# those values coerced to integers.
+
+_CONNECTIVES = {
+    "not": "not {0}",
+    "and": "{0} and {1}",
+    "or": "{0} or {1}",
+    "implies": "not {0} or {1}",
+    "xor": "({0}) != ({1})",
+    "nand": "not ({0} and {1})",
+    "nor": "not ({0} or {1})",
+}
 
 # Primitives that return t or nil, as Python conditions.
 _CONDITIONS = {
@@ -241,17 +267,12 @@ _CONDITIONS = {
     ">": "{i0} > {i1}",
     ">=": "{i0} >= {i1}",
     "zp": "not (isinstance({0}, int) and {0} > 0)",
-    "not": "{0} is NIL",
-    "and": "{0} is not NIL and {1} is not NIL",
-    "or": "{0} is not NIL or {1} is not NIL",
-    "implies": "{0} is NIL or {1} is not NIL",
-    "xor": "({0} is NIL) != ({1} is NIL)",
-    "nand": "{0} is NIL or {1} is NIL",
-    "nor": "{0} is NIL and {1} is NIL",
     "before": "value_compare({0}, {1}) < 0",
+    **_CONNECTIVES,
 }
 
-_EXPRESSIONS = {
+# The other primitives, as Python expressions for their values.
+_VALUES = {
     "cons": "Pair({0}, {1})",
     "first": "{0}.head if isinstance({0}, Pair) else NIL",
     "rest": "{0}.tail if isinstance({0}, Pair) else NIL",
@@ -260,8 +281,55 @@ _EXPRESSIONS = {
     "*": "{i0} * {i1}",
     "1+": "{i0} + 1",
     "1-": "{i0} - 1",
-    **{op: "T if " + cond + " else NIL" for op, cond in _CONDITIONS.items()},
 }
+_ARITHMETIC = {"+", "-", "*", "1+", "1-"}
+
+
+def _host_function(op: str):
+    """Primitive ``op`` as a Python function on values, built from its
+    template, to fold ground applications at translation time."""
+    names = [f"a{k}" for k in range(PRIMITIVE_ARITY[op])]
+    args = [f"({a} is not NIL)" for a in names] if op in _CONNECTIVES else names
+    ints = {f"i{k}": f"({a} if isinstance({a}, int) else 0)" for k, a in enumerate(names)}
+    if op in _CONDITIONS:
+        body = f"T if ({_CONDITIONS[op].format(*args, **ints)}) else NIL"
+    else:
+        body = _VALUES[op].format(*args, **ints)
+    return eval(f"lambda {', '.join(names)}: {body}", dict(_GLOBALS))
+
+
+_HOST = {op: _host_function(op) for op in (*_CONDITIONS, *_VALUES)}
+
+
+def _fold(t: Term) -> dict[int, Value]:
+    """The value of every ground primitive application in ``t``, keyed by
+    node id: applications of the right arity whose arguments are literals
+    or ground applications themselves.  One postorder pass, no recursion."""
+    ground: dict[int, Value] = {}
+    stack: list[tuple[Term, bool]] = [(t, False)]
+    while stack:
+        node, done = stack.pop()
+        if not isinstance(node, App):
+            continue
+        if not done:
+            stack.append((node, True))
+            stack += ((a, False) for a in node.args)
+            continue
+        host = _HOST.get(node.op)
+        if host is None or len(node.args) != PRIMITIVE_ARITY[node.op]:
+            continue
+        args = [_literal(a) if not isinstance(a, App) else ground.get(id(a)) for a in node.args]
+        if None not in args:
+            ground[id(node)] = host(*args)
+    return ground
+
+
+def _literal(t: Term) -> Value | None:
+    if isinstance(t, IntLit):
+        return t.value
+    if isinstance(t, SymLit):
+        return Symbol(t.name)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +343,13 @@ class _Translator:
     constants appear under generated names (``a0``, ``d25``, ``k3``).
     Errors are raised in the order the term is read: left to right, an
     operator before its arguments.
+
+    ``known`` is the table of what the path being emitted has computed: a
+    primitive application's key (its operator and argument names, or
+    ``("int", name)`` for an integer coercion) maps to the name holding
+    its value, a Python bool for a test, or to ``True``/``False`` for a
+    test the path has decided.  A branch extends the table and drops its
+    entries on the way out.
     """
 
     def __init__(self, env: DefEnv, params, name: str):
@@ -285,22 +360,30 @@ class _Translator:
         self.lines: list[str] = []
         self.functions: list[str] = []
         self.temps = 0
+        self.known: dict[tuple, str] = {}
+        self.ground: dict[int, Value] = {}
 
     def translate(self, t: Term):
+        self.ground = _fold(t)
         self.function(t, self.name)
         namespace = self.env._namespace
         exec("\n".join(self.functions), namespace)
         return namespace[self.name]
 
     def function(self, t: Term, name: str) -> None:
-        outer = self.lines
+        outer, known = self.lines, self.known
         self.lines = [f"def {name}({self.signature}):"]
+        self.known = {}
         self.region(t, 1, None, Counter())
         self.functions.append("\n".join(self.lines))
-        self.lines = outer
+        self.lines, self.known = outer, known
 
     def emit(self, depth: int, line: str) -> None:
         self.lines.append("    " * depth + line)
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"v{self.temps}"
 
     def region(self, t: Term, depth: int, out: str | None, pending: Counter) -> None:
         """Put the value of the region rooted at ``t`` in ``out`` (return it
@@ -332,25 +415,31 @@ class _Translator:
     def result(self, t: Term, depth: int, out: str | None, pending: Counter) -> None:
         if isinstance(t, App) and t.op == "if":
             self.check_arity(t)
-            test = self.condition(t.args[0], depth)
+            test, keys = self.condition(t.args[0], depth)
+            conjunction = isinstance(t.args[0], App) and t.args[0].op == "and"
             self.emit(depth, f"if {test}:")
-            self.branch(t.args[1], depth + 1, out, pending)
+            self.branch(t.args[1], depth + 1, out, pending, dict.fromkeys(keys, "True"))
             self.emit(depth, "else:")
-            self.branch(t.args[2], depth + 1, out, pending)
+            # A false conjunction says nothing about any one conjunct.
+            refuted = {} if conjunction else dict.fromkeys(keys, "False")
+            self.branch(t.args[2], depth + 1, out, pending, refuted)
             return
         value = self.expression(t, depth)
         self.emit(depth, f"return {value}" if out is None else f"{out} = {value}")
 
-    def branch(self, t: Term, depth: int, out: str | None, pending: Counter) -> None:
+    def branch(self, t: Term, depth: int, out: str | None, pending: Counter, facts: dict) -> None:
+        known = self.known
+        self.known = {**known, **facts}
         if depth <= _MAX_NESTING:
             self.region(t, depth, out, pending)
-            return
-        self.pay(pending, depth)
-        self.temps += 1
-        name = f"{self.name}_{self.temps}"
-        self.function(t, name)
-        call = f"{name}({self.signature})"
-        self.emit(depth, f"return {call}" if out is None else f"{out} = {call}")
+        else:
+            self.pay(pending, depth)
+            self.temps += 1
+            name = f"{self.name}_{self.temps}"
+            self.function(t, name)
+            call = f"{name}({self.signature})"
+            self.emit(depth, f"return {call}" if out is None else f"{out} = {call}")
+        self.known = known
 
     def value(self, t: Term, depth: int) -> str:
         """Emit ``t`` and return the local or global name holding its value."""
@@ -359,27 +448,107 @@ class _Translator:
             if local is None:
                 raise UnboundVariable(f"variable {t.name} is not bound", t.loc)
             return local
-        if isinstance(t, IntLit):
-            return self.constant(t.value)
-        if isinstance(t, SymLit):
-            return self.constant(Symbol(t.name))
-        out = f"v{self.temps}"
-        self.temps += 1
+        ground = self.folded(t)
+        if ground is not None:
+            return self.constant(ground)
+        if t.op in _CONDITIONS:
+            test = self.test(t, depth)[0]
+            if test in ("True", "False"):
+                return "T" if test == "True" else "NIL"
+            out = self.temp()
+            self.emit(depth, f"{out} = T if {test} else NIL")
+            return out
+        if t.op in _VALUES:
+            return self.share(t, depth)[1]
+        out = self.temp()
         self.result(t, depth, out, Counter())
         return out
 
-    def condition(self, t: Term, depth: int) -> str:
-        """Emit ``t`` and return a Python condition true when it is not nil."""
+    def folded(self, t: Term) -> Value | None:
+        """The value of ``t`` if it is ground, else None."""
+        return self.ground.get(id(t)) if isinstance(t, App) else _literal(t)
+
+    def condition(self, t: Term, depth: int) -> tuple[str, list[tuple]]:
+        """Emit the test ``t`` and return a Python condition true when it is
+        not nil, with the table keys of the tests it is a conjunction of.
+        An ``and`` becomes a Python ``and`` over its conjuncts."""
+        if not (isinstance(t, App) and t.op == "and") or self.folded(t) is not None:
+            return self.test(t, depth)
+        self.check_arity(t)
+        parts, keys = [], []
+        for a in t.args:
+            part, more = self.condition(a, depth)
+            parts.append(part)
+            keys += more
+        if "False" in parts:
+            return "False", keys
+        return " and ".join(p for p in parts if p != "True") or "True", keys
+
+    def test(self, t: Term, depth: int) -> tuple[str, list[tuple]]:
+        """Emit ``t`` and return a Python condition atom true when it is not
+        nil, with its table key if it is a test."""
+        ground = self.folded(t)
+        if ground is not None:
+            return ("False" if ground is NIL else "True"), []
         if isinstance(t, App) and t.op in _CONDITIONS:
-            return self.primitive(_CONDITIONS, t, depth)
-        return f"{self.value(t, depth)} is not NIL"
+            key, name = self.share(t, depth)
+            return name, [key]
+        value = self.value(t, depth)
+        return f"{value} is not NIL", []
+
+    def share(self, t: App, depth: int) -> tuple[tuple, str]:
+        """Emit primitive application ``t`` unless the table holds it, and
+        return its key and the name holding its value."""
+        key, args = self.arguments(t, depth)
+        name = self.known.get(key)
+        if name is None:
+            name = self.temp()
+            self.emit(depth, f"{name} = {self.primitive(t, args, depth)}")
+            self.known[key] = name
+            if t.op in _ARITHMETIC:
+                self.known[("int", name)] = name
+        return key, name
+
+    def arguments(self, t: App, depth: int) -> tuple[tuple, list[str]]:
+        self.check_arity(t)
+        if t.op in _CONNECTIVES:
+            args = [self.test(a, depth)[0] for a in t.args]
+        else:
+            args = [self.value(a, depth) for a in t.args]
+        return (t.op, *args), args
+
+    def primitive(self, t: App, args: list[str], depth: int) -> str:
+        """A Python expression for ``t`` over its emitted arguments."""
+        if t.op in ("first", "rest"):
+            pair = self.known.get(("consp", args[0]), f"isinstance({args[0]}, Pair)")
+            field = f"{args[0]}.{'head' if t.op == 'first' else 'tail'}"
+            return {"True": field, "False": "NIL"}.get(pair, f"{field} if {pair} else NIL")
+        template = _CONDITIONS.get(t.op) or _VALUES[t.op]
+        if t.op == "equal" and any(isinstance(a, SymLit) for a in t.args):
+            # Symbols are interned, so equality with one is identity.
+            template = "{0} is {1}"
+        ints = {}
+        if "{i" in template:
+            ints = {f"i{k}": self.integer(arg, depth) for k, arg in enumerate(args)}
+        return template.format(*args, **ints)
+
+    def integer(self, name: str, depth: int) -> str:
+        """The name holding ``name``'s value coerced to an integer."""
+        key = ("int", name)
+        coerced = self.known.get(key)
+        if coerced is None:
+            coerced = self.temp()
+            self.emit(depth, f"{coerced} = {name} if isinstance({name}, int) else 0")
+            self.known[key] = coerced
+        return coerced
 
     def expression(self, t: Term, depth: int) -> str:
         """Emit the arguments of ``t`` and return an expression for it."""
-        if not isinstance(t, App):
+        if not isinstance(t, App) or t.op in _CONDITIONS or self.folded(t) is not None:
             return self.value(t, depth)
-        if t.op in _EXPRESSIONS:
-            return self.primitive(_EXPRESSIONS, t, depth)
+        if t.op in _VALUES:
+            key, args = self.arguments(t, depth)
+            return self.known.get(key) or self.primitive(t, args, depth)
         record = self.env.defs.get(t.op)
         if record is None:
             raise UnknownOperator(f"unknown operator {t.op}", t.loc)
@@ -391,19 +560,6 @@ class _Translator:
         self.env._namespace[name] = record
         return f"{name}.fn({', '.join(['ctr', *args])})"
 
-    def primitive(self, templates: dict[str, str], t: App, depth: int) -> str:
-        self.check_arity(t)
-        args = [self.value(a, depth) for a in t.args]
-        ints = [
-            arg if isinstance(a, IntLit) else f"({arg} if isinstance({arg}, int) else 0)"
-            for a, arg in zip(t.args, args)
-        ]
-        template = templates[t.op]
-        if t.op == "equal" and any(isinstance(a, SymLit) for a in t.args):
-            # Symbols are interned, so equality with one is identity.
-            template = template.replace("value_equal({0}, {1})", "{0} is {1}")
-        return template.format(*args, **{f"i{k}": v for k, v in enumerate(ints)})
-
     def check_arity(self, t: App) -> None:
         want = PRIMITIVE_ARITY[t.op]
         if len(t.args) != want:
@@ -411,12 +567,14 @@ class _Translator:
 
     def constant(self, v: Value) -> str:
         if v is NIL or v is T:
-            return v.name.upper()
-        name = self.env._constants.get(v)
-        if name is None:
-            name = f"k{len(self.env._constants)}"
-            self.env._constants[v] = name
-            self.env._namespace[name] = v
+            name = v.name.upper()
+        else:
+            name = self.env._constants.get(v)
+            if name is None:
+                name = f"k{len(self.env._constants)}"
+                self.env._constants[v] = name
+                self.env._namespace[name] = v
+        self.known[("int", name)] = name if isinstance(v, int) else "0"
         return name
 
 

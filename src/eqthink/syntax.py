@@ -380,12 +380,28 @@ def pattern_vars(p: Term) -> list[str]:
 
 
 def substitute(t: Term, mapping: dict[str, Term]) -> Term:
-    """Replace free variables by terms (the language has no binders)."""
-    if isinstance(t, Var):
-        return mapping.get(t.name, t)
-    if isinstance(t, App):
-        return App(t.op, tuple(substitute(a, mapping) for a in t.args), loc=t.loc)
-    return t
+    """Replace free variables by terms (the language has no binders).
+
+    Postorder with an explicit stack: an application is rebuilt, keeping
+    its location, once its arguments are on ``done``."""
+    done: list[Term] = []
+    stack: list[Term | tuple[App]] = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            app = node[0]
+            start = len(done) - len(app.args)
+            args = tuple(done[start:])
+            del done[start:]
+            done.append(App(app.op, args, loc=app.loc))
+        elif isinstance(node, App):
+            stack.append((node,))
+            stack.extend(reversed(node.args))
+        elif isinstance(node, Var):
+            done.append(mapping.get(node.name, node))
+        else:
+            done.append(node)
+    return done[0]
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,8 @@ def test_parse_error_in_file_exits_two(tmp_path, capsys):
 
 def test_deeply_nested_input_exits_two_without_traceback(tmp_path):
     src = tmp_path / "big.lx"
-    items = " ".join(str(i) for i in range(5000))
-    src.write_text(f"(sig big (any)) (defeqs big (x) (b0 (big x) '({items})))")
+    nest = "(" * 5000 + ")" * 5000
+    src.write_text(f"(sig big (any)) (defeqs big (x) (b0 (big x) '{nest}))")
     out = subprocess.run(
         [sys.executable, "-m", "eqthink.cli", "check", str(src)],
         capture_output=True, text=True,
@@ -95,6 +95,58 @@ def test_deeply_nested_input_exits_two_without_traceback(tmp_path):
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     assert len(out.stderr.splitlines()) == 1
+
+
+def test_long_quoted_list_in_defeqs_is_admitted_and_evaluates(tmp_path):
+    # Each command runs in a fresh interpreter, at the default recursion
+    # limit until evaluation raises it.
+    src = tmp_path / "big.lx"
+    items = " ".join(str(i) for i in range(5000))
+    src.write_text(f"(sig big (any)) (defeqs big (x) (b0 (big x) '({items})))")
+    check = subprocess.run(
+        [sys.executable, "-m", "eqthink.cli", "check", str(src)],
+        capture_output=True, text=True,
+    )
+    assert check.returncode == 0, check.stderr
+    assert check.stdout.splitlines()[-1] == "1 of 1 definitions admitted"
+    evaluated = subprocess.run(
+        [sys.executable, "-m", "eqthink.cli", "eval", str(src), "-e", "(big 0)"],
+        capture_output=True, text=True,
+    )
+    assert evaluated.returncode == 0, evaluated.stderr
+    assert evaluated.stdout == f"'({items})\n"
+
+
+_MAIN_REPORTING_MAXRSS = (
+    "import resource, sys\n"
+    "from eqthink.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def test_large_literal_folds_to_one_constant(tmp_path):
+    # A 100,000-element quoted list is one ground term: it translates to a
+    # single constant, while its 100,000 cons steps are still counted.
+    src = tmp_path / "big.lx"
+    items = " ".join(str(i) for i in range(100_000))
+    src.write_text(f"(defun big () :trust '({items}))")
+    out = subprocess.run(
+        [sys.executable, "-c", _MAIN_REPORTING_MAXRSS, "eval", "--json", LISTS, str(src),
+         "-e", "(len (big))"],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report["json_value"] == 100_000
+    assert report["steps"] == 800_004
+    assert report["per_operator"] == {
+        "1+": 100_000, "big": 1, "cons": 100_000, "consp": 100_000, "equal": 100_001,
+        "if": 200_001, "len": 100_001, "rest": 100_000,
+    }
+    maxrss_mb = int(out.stderr.split()[-1]) / 1024  # Linux reports kilobytes
+    assert maxrss_mb < 240
 
 
 def test_missing_file_exits_two(capsys):

@@ -12,7 +12,7 @@ import threading
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqthink.admissibility import admit
@@ -175,16 +175,28 @@ values = st.recursive(
 frames = st.fixed_dictionaries({name: values for name in _VARS})
 
 
-@given(terms, frames)
-def test_matches_oracle_on_random_terms(t, frame):
-    env = _library()
+# Mostly literals, so that whole subterms are ground and fold to constants.
+ground_heavy_terms = st.recursive(
+    st.one_of(
+        st.integers(-50, 50).map(IntLit),
+        st.sampled_from(["t", "nil", "a"]).map(SymLit),
+        st.integers(-3, 3).map(IntLit),
+        st.just(Var("x")),
+    ),
+    _applications,
+    max_leaves=25,
+)
+
+
+def _matches_oracle(t, frame, env, fuel=_FUEL):
+    """Value, total, tallies and the fuel outcome agree with the oracle."""
     try:
-        value, count = eval_counting(t, frame, env, _FUEL)
+        value, count = eval_counting(t, frame, env, fuel)
     except StepLimitExceeded:
         with pytest.raises(StepLimitExceeded):
-            Oracle(env, _FUEL).run(t, frame)
+            Oracle(env, fuel).run(t, frame)
         return
-    oracle = Oracle(env, _FUEL)
+    oracle = Oracle(env, fuel)
     assert value_equal(value, oracle.run(t, frame))
     assert count.total == oracle.steps
     assert count.per_operator == dict(oracle.per)
@@ -193,6 +205,98 @@ def test_matches_oracle_on_random_terms(t, frame):
     if count.total:
         with pytest.raises(StepLimitExceeded):
             eval_counting(t, frame, env, count.total - 1)
+
+
+@given(st.one_of(terms, ground_heavy_terms), frames)
+def test_matches_oracle_on_random_terms(t, frame):
+    _matches_oracle(t, frame, _library())
+
+
+# A region drawn from a small pool repeats the applications the translator
+# shares along a path: selectors, tests, and integer coercions of the same
+# operands.  `and` chains and `if`s nested on one test decide tests that
+# the branches below them meet again.
+_POOL = [
+    Var("x"), Var("y"), IntLit(0), IntLit(2), NIL_LIT,
+    App("first", (Var("x"),)), App("rest", (Var("x"),)), App("first", (Var("y"),)),
+    App("consp", (Var("x"),)), App("consp", (Var("y"),)),
+    App("equal", (Var("x"), NIL_LIT)), App("<=", (Var("y"), App("first", (Var("x"),)))),
+    App("zp", (Var("y"),)), App("not", (App("consp", (Var("x"),)),)),
+]
+_SHARED_OPS = ("cons", "first", "rest", "consp", "equal", "<", "<=", ">", "+", "1-", "zp", "not",
+               "and", "or", "xor", "insert", "app")
+
+
+def _and_chain(tests):
+    chain = tests[-1]
+    for test in reversed(tests[:-1]):
+        chain = App("and", (test, chain))
+    return chain
+
+
+def _shared_regions(inner):
+    arity = {**PRIMITIVE_ARITY, **_LIBRARY_ARITY}
+    return st.one_of(
+        st.sampled_from(_SHARED_OPS).flatmap(
+            lambda op: st.tuples(*[inner] * arity[op]).map(lambda args: App(op, args))
+        ),
+        st.tuples(st.lists(inner, min_size=1, max_size=4), inner, inner).map(
+            lambda c: App("if", (_and_chain(c[0]), c[1], c[2]))
+        ),
+        st.tuples(inner, inner, inner, inner, inner).map(
+            lambda c: App("if", (c[0], App("if", (c[0], c[1], c[2])), App("if", (c[0], c[3], c[4]))))
+        ),
+        st.tuples(inner, inner, inner).map(
+            lambda c: App("if", (App("and", (c[0], c[1])), App("if", (c[0], c[2], c[1])), c[0]))
+        ),
+    )
+
+
+shared_terms = st.recursive(st.sampled_from(_POOL), _shared_regions, max_leaves=20)
+
+
+@given(shared_terms, frames)
+def test_shared_subterms_match_oracle(t, frame):
+    _matches_oracle(t, frame, _library())
+
+
+_SORT_INPUTS = st.lists(st.integers(-20, 20), max_size=12).map(from_list)
+_BITS = st.lists(st.integers(0, 1), max_size=10).map(from_list)
+
+
+@pytest.mark.parametrize(
+    "call, inputs",
+    [
+        ("(insert x y)", (st.integers(-20, 20), _SORT_INPUTS)),
+        ("(insertion-sort x)", (_SORT_INPUTS,)),
+        ("(merge (merge-sort x) (merge-sort y))", (_SORT_INPUTS, _SORT_INPUTS)),
+        ("(merge-sort x)", (st.one_of(_SORT_INPUTS, values),)),
+        ("(avl-insert x (build-avl y))", (st.integers(-20, 20), _SORT_INPUTS)),
+        ("(avl-insert x y)", (values, values)),
+        ("(badd x y)", (_BITS, _BITS)),
+        ("(badd x y)", (values, values)),
+    ],
+)
+def test_corpus_operators_match_oracle(corpus_env, call, inputs):
+    t = parse_term(call)
+
+    @settings(max_examples=25)
+    @given(st.tuples(*inputs))
+    def check(args):
+        _matches_oracle(t, dict(zip(("x", "y"), args)), corpus_env, fuel=200_000)
+
+    check()
+
+
+def test_growth_curves_keep_their_step_totals(merge_sort_curve, insertion_worst_curve):
+    assert merge_sort_curve == {
+        16: 3107, 32: 7404, 64: 17838, 128: 40937, 256: 92399, 512: 207407,
+        1024: 457490, 2048: 1004368, 4096: 2180242,
+    }
+    assert insertion_worst_curve == {
+        16: 2099, 32: 8291, 64: 32963, 128: 131459, 256: 525059, 512: 2098691,
+        1024: 8391683, 2048: 33560579, 4096: 134230019,
+    }
 
 
 _SAMPLES = [NIL, T, Symbol("a"), 0, 1, -2, Pair(1, NIL), Pair(NIL, 2)]
@@ -461,6 +565,16 @@ def test_unbound_and_unknown_errors():
         evaluate(parse_term("(+ x 1)"), {}, None)
     with pytest.raises(UnknownOperator):
         evaluate(parse_term("(mystery 1 2)"), {}, DefEnv())
+
+
+def test_branches_decided_by_the_path_are_still_translated():
+    env = _library()
+    with pytest.raises(UnknownOperator):
+        evaluate(parse_term("(if (consp x) (if (consp x) 1 (mystery 2)) 3)"), {"x": 1}, env)
+    with pytest.raises(BadArity):
+        evaluate(parse_term("(if (and (consp x) t) (if (consp x) 1 (app 1)) 3)"), {"x": 1}, env)
+    with pytest.raises(UnboundVariable):
+        evaluate(parse_term("(if (consp '(1)) 1 w)"), {}, env)
 
 
 def test_copies_translate_their_own_terms():

@@ -176,6 +176,15 @@ def test_substitute_replaces_free_vars(t, name, replacement):
         assert name not in term_vars(out) or name in term_vars(replacement)
 
 
+def test_substitute_keeps_locations_and_argument_order():
+    t = parse_term("(f (g x 1) y x)")
+    out = substitute(t, {"x": parse_term("(h 2)")})
+    assert print_term(out) == "(f (g (h 2) 1) y (h 2))"
+    rebuilt = [n.loc for n in subterms(out) if isinstance(n, App) and n.op != "h"]
+    assert rebuilt == [n.loc for n in subterms(t) if isinstance(n, App)]
+    assert len(set(rebuilt)) == 2
+
+
 def test_subterms_walk_preorder_left_to_right_skipping_none():
     a, b = parse_term("(f (g x 1) y)"), parse_term("(h 'z)")
     got = [print_term(t) for t in subterms(a, None, b)]
