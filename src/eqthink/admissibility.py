@@ -24,22 +24,34 @@ TestedOnly.
   equations reach is covered when their guards, instantiated at the case,
   form a tautology; otherwise coverage is probed with random trials.
 * constructive -- every self-call, in a right-hand side or a guard, must
-  shrink.  Each argument must be the unchanged parameter pattern or a
-  strict part of it: a strict subterm, or a first/rest chain over one,
-  after unfolding every called operator whose body calls no defined
-  operator.  At least one argument must be strict, so the total size of
-  the arguments (cons cells plus the value of a positive integer) falls at
-  every call.  Only when that fails is a ``measure`` directive consulted:
-  its strict decrease is tested on random inputs (verdict TestedOnly).
+  shrink.  Size counts cons cells plus the value of a positive integer,
+  and a size bound of a term is a constant plus a multiset of variables:
+  cons and 1+ add one to their arguments' bounds, first, rest and 1- keep
+  their argument's bound, a literal is a constant, and a call of an
+  operator with a size fact takes the bound of its bounding argument.
+  After simplification (below), each argument's bound must be at most
+  its pattern's size, and at least one must have a smaller constant, so
+  the total size of the arguments falls at every call.  Only when that
+  fails is a ``measure`` directive consulted: its strict decrease is
+  tested on random inputs (verdict TestedOnly).  A definition proved
+  constructive statically may earn a size fact: a parameter i with
+  size(f(args)) <= size(args[i]) on every input, proved by induction over
+  the equations (each right-hand side's bound is at most pattern i's
+  size, a self-call counting as its own argument i).
 
-The guard decision ground-simplifies constructor facts ((consp (cons a b))
-is t, (consp nil) and (equal (cons a b) nil) are nil), evaluates ground
-applications once, and enumerates truth assignments of the atoms that
-remain.  The relations < <= = > >= compare integer coercions, so over one
-pair of arguments exactly one of <, = and > holds: such atoms share one
-three-way ordering.  Every other atom is an independent boolean.  The
-enumeration may include assignments no input realizes, never the reverse,
-so "cannot both hold" and "one always holds" are sound.
+Simplification decides constructor facts ((consp (cons a b)) is t,
+(consp nil) and (equal (cons a b) nil) are nil), folds connectives and
+conditionals whose arguments it decides, evaluates ground applications
+once, unfolds every call of an operator whose body calls no defined
+operator, and unfolds a call of a recursive operator one level when
+every test in its body decides: (evens (cons x (cons y ys))) becomes
+(cons x (evens ys)).  The guard decision simplifies the guards and
+enumerates truth assignments of the atoms that remain.  The relations
+< <= = > >= compare integer coercions, so over one pair of arguments
+exactly one of <, = and > holds: such atoms share one three-way
+ordering.  Every other atom is an independent boolean.  The enumeration
+may include assignments no input realizes, never the reverse, so "cannot
+both hold" and "one always holds" are sound.
 
 Each check yields Proved, TestedOnly, or Failed, with a concrete witness
 on failure.  Compilation turns an admitted definition into one defun
@@ -52,6 +64,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -114,6 +127,8 @@ class AdmissibilityReport:
     comprehensive: CheckResult
     constructive: CheckResult
     compiled: RawDefun | None
+    # The size fact's bounding parameter (see _size_fact); never reported.
+    size_bound: int | None = None
 
     @property
     def admitted(self) -> bool:
@@ -277,19 +292,17 @@ def _shape(t: Term, atoms: frozenset[str] = frozenset()) -> str | None:
     return "nil" if t == NIL_LIT else "atom"
 
 
-def _defined_op(t: Term) -> str | None:
-    """The first operator in t that is not a primitive, if any."""
-    return next(
-        (node.op for node in subterms(t) if isinstance(node, App) and node.op not in PRIMITIVE_ARITY),
-        None,
-    )
-
-
-def _simplify(t: Term, prov: DefEnv, atoms: frozenset[str] = frozenset()) -> Term:
-    """t with ground applications evaluated once, constructor facts decided
-    and calls of operators whose body calls no defined operator unfolded.
+def _simplify(
+    t: Term, prov: DefEnv, atoms: frozenset[str] = frozenset(), unfold: bool = True
+) -> Term:
+    """t with ground applications evaluated once, constructor facts and
+    connectives decided, calls of operators whose body calls no defined
+    operator unfolded, and calls of recursive operators unfolded one level
+    when every test in the body decides.
 
     ``atoms`` names variables known to hold an atom other than nil.
+    ``unfold`` is False inside such an unfolding, which keeps it to one
+    level.
     """
     if not isinstance(t, App):
         return t
@@ -302,18 +315,20 @@ def _simplify(t: Term, prov: DefEnv, atoms: frozenset[str] = frozenset()) -> Ter
             return t
         return IntLit(v) if isinstance(v, int) else SymLit(v.name)
     if t.op == "if":
-        test = _simplify(t.args[0], prov, atoms)
+        test = _simplify(t.args[0], prov, atoms, unfold)
         shape = _shape(test, atoms)
         if shape is not None:
-            return _simplify(t.args[2] if shape == "nil" else t.args[1], prov, atoms)
-        return App("if", (test, *(_simplify(a, prov, atoms) for a in t.args[1:])))
+            return _simplify(t.args[2] if shape == "nil" else t.args[1], prov, atoms, unfold)
+        return App("if", (test, *(_simplify(a, prov, atoms, unfold) for a in t.args[1:])))
     op = t.op
-    args = tuple(_simplify(a, prov, atoms) for a in t.args)
+    args = tuple(_simplify(a, prov, atoms, unfold) for a in t.args)
     if op in ("first", "rest") and isinstance(args[0], App) and args[0].op == "cons":
         return args[0].args[0 if op == "first" else 1]
     shapes = [_shape(a, atoms) for a in args]
     if op == "consp" and shapes[0] is not None:
         return T_LIT if shapes[0] == "cons" else NIL_LIT
+    if op in _CONNECTIVES and None not in shapes:
+        return T_LIT if _CONNECTIVES[op](*(s != "nil" for s in shapes)) else NIL_LIT
     if op == "equal":
         if args[0] == args[1]:
             return T_LIT
@@ -322,9 +337,16 @@ def _simplify(t: Term, prov: DefEnv, atoms: frozenset[str] = frozenset()) -> Ter
     if op in _HOLDS and args[0] == args[1]:
         return T_LIT if 0 in _HOLDS[op] else NIL_LIT
     record = prov.defs.get(op)
-    if record is not None and _defined_op(record.defun.body) is None:
-        body = substitute(record.defun.body, dict(zip(record.defun.params, args)))
-        return _simplify(body, prov, atoms)
+    if record is not None:
+        body = record.defun.body
+        binding = dict(zip(record.defun.params, args))
+        called = {n.op for n in subterms(body) if isinstance(n, App) and n.op not in PRIMITIVE_ARITY}
+        if not called:
+            return _simplify(substitute(body, binding), prov, atoms, unfold)
+        if unfold and op in called:
+            once = _simplify(substitute(body, binding), prov, atoms, unfold=False)
+            if not any(isinstance(n, App) and n.op == "if" for n in subterms(once)):
+                return once
     return App(op, args, loc=t.loc)
 
 
@@ -751,39 +773,97 @@ def check_comprehensive(
 # Constructiveness
 
 
-def _strict_part(arg: Term, pat: Term) -> bool:
-    """arg is a strict subterm of the pattern, or a first/rest chain over one."""
-    while isinstance(arg, App) and arg.op in ("first", "rest"):
-        arg = arg.args[0]
-    return isinstance(pat, App) and arg in subterms(*pat.args)
+# A size bound: size(term) <= constant + the sum of the sizes of the
+# variables in the multiset.
+_Bound = tuple[int, Counter]
+# Primitives that add one to their arguments' bounds, and those that keep
+# their argument's bound.
+_GROWS = ("cons", "1+")
+_KEEPS = ("first", "rest", "1-")
+
+
+def _size_bound(t: Term, facts: dict[str, int]) -> _Bound | None:
+    """t's size bound, or None when t has none; ``facts`` maps an operator
+    to the argument that bounds its result."""
+    const, names = 0, Counter()
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            names[t.name] += 1
+        elif isinstance(t, IntLit):
+            const += max(t.value, 0)
+        elif not isinstance(t, App):
+            continue
+        elif t.op in _GROWS:
+            const += 1
+            stack.extend(t.args)
+        elif t.op in _KEEPS:
+            stack.append(t.args[0])
+        elif t.op in facts:
+            stack.append(t.args[facts[t.op]])
+        else:
+            return None
+    return const, names
+
+
+def _at_most(b: _Bound | None, pattern: Term) -> bool | None:
+    """None unless bound b is at most the pattern's size; then whether its
+    constant is strictly smaller."""
+    const, names = _size_bound(pattern, {})
+    if b is None or b[0] > const or not b[1] <= names:
+        return None
+    return b[0] < const
 
 
 def _non_decreasing_call(
-    calls_by_eq: list[tuple[Equation, list[App]]], prov: DefEnv
+    calls_by_eq: list[tuple[Equation, list[App]]], prov: DefEnv, helpers: set[str]
 ) -> tuple[str, str] | None:
-    """(detail, witness) for the first self-call not shown to shrink."""
+    """(detail, witness) for the first self-call not shown to shrink.
+
+    Adds to ``helpers`` the operators whose size facts the proof used.
+    """
+    facts = prov.size_bounds
     for eq, calls in calls_by_eq:
         for call in calls:
-            strict = 0
+            strict = False
             for pos, (arg, pat) in enumerate(zip(call.args, eq.patterns)):
-                if arg == pat:
-                    continue
                 simplified = _simplify(arg, prov)
-                if _strict_part(simplified, pat):
-                    strict += 1
-                    continue
-                blocked = _defined_op(simplified)
-                why = f" ({blocked} calls a defined operator, so it is not unfolded)" if blocked else ""
-                return (
-                    f"{eq.label}: argument {pos + 1} of {print_term(call)} is neither "
-                    f"the unchanged pattern {print_term(pat)} nor a strict part of it{why}",
-                    print_term(call),
-                )
-            if strict == 0:
+                smaller = _at_most(_size_bound(simplified, facts), pat)
+                ops = [n.op for n in subterms(simplified) if isinstance(n, App)]
+                if smaller is None:
+                    unsized = (op for op in ops if op not in _GROWS + _KEEPS and op not in facts)
+                    blocked = next(unsized, None)
+                    why = f" ({blocked} has no size bound)" if blocked else ""
+                    return (
+                        f"{eq.label}: argument {pos + 1} of {print_term(call)} is not "
+                        f"shown to be at most the size of its pattern {print_term(pat)}{why}",
+                        print_term(call),
+                    )
+                strict = strict or smaller
+                helpers.update(op for op in ops if op in facts)
+            if not strict:
                 return (
                     f"{eq.label}: no argument of {print_term(call)} strictly decreases",
                     print_term(call),
                 )
+    return None
+
+
+def _size_fact(d: DefEquations, facts: dict[str, int]) -> int | None:
+    """The first parameter i with size(f(args)) <= size(args[i]) on every
+    input, or None.
+
+    Induction over the equations: each right-hand side's bound is at most
+    pattern i's size, where a self-call counts as its own argument i.  This
+    is sound only once every self-call is proved to shrink.
+    """
+    for i in range(len(d.params)):
+        assumed = {**facts, d.name: i}
+        if all(
+            _at_most(_size_bound(eq.rhs, assumed), eq.patterns[i]) is not None for eq in d.equations
+        ):
+            return i
     return None
 
 
@@ -848,7 +928,8 @@ def check_constructive(
     calls_by_eq = _calls_by_equation(d)
     if not calls_by_eq:
         return CheckResult(PROVED, "no recursion")
-    problem = _non_decreasing_call(calls_by_eq, prov)
+    helpers: set[str] = set()
+    problem = _non_decreasing_call(calls_by_eq, prov, helpers)
     if problem is None:
         plain = all(
             isinstance(arg, Var) or arg == pat
@@ -856,11 +937,12 @@ def check_constructive(
             for call in calls
             for arg, pat in zip(call.args, eq.patterns)
         )
-        detail = (
-            "every self-call shrinks a cons or successor binding"
-            if plain
-            else "every self-call shrinks to a strict part of its pattern"
-        )
+        if plain:
+            detail = "every self-call shrinks a cons or successor binding"
+        elif helpers:
+            detail = f"every self-call shrinks by the size bounds of {', '.join(sorted(helpers))}"
+        else:
+            detail = "every self-call shrinks to a strict part of its pattern"
         if measure is not None:
             detail += f"; measure {print_term(measure)} not needed"
         return CheckResult(PROVED, detail)
@@ -978,4 +1060,5 @@ def admit(
     constructive = check_constructive(d, prov, measure, domains, seed, trials)
     if FAILED in (consistent.verdict, comprehensive.verdict, constructive.verdict):
         compiled = None
-    return AdmissibilityReport(d.name, consistent, comprehensive, constructive, compiled)
+    fact = _size_fact(d, env.size_bounds) if compiled and constructive.verdict == PROVED else None
+    return AdmissibilityReport(d.name, consistent, comprehensive, constructive, compiled, fact)

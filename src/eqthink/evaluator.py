@@ -172,6 +172,9 @@ class DefEnv:
         self._namespace = dict(_GLOBALS)
         self._constants: dict[Value, str] = {}
         self._memo: dict[tuple, object] = {}
+        # Size facts of admitted operators: the parameter that bounds the
+        # result's size (see admissibility._size_fact).
+        self.size_bounds: dict[str, int] = {}
 
     def define(self, d: RawDefun) -> None:
         if d.name in PRIMITIVE_ARITY:
@@ -207,6 +210,7 @@ class DefEnv:
         child.op_names = list(self.op_names)
         child.op_index = dict(self.op_index)
         child.sites = list(self.sites)
+        child.size_bounds = dict(self.size_bounds)
         return child
 
     def _top_level(self, t: Term, names: tuple[str, ...]):

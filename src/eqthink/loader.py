@@ -83,6 +83,8 @@ class Session:
             self.admissibility[form.name] = report
             if report.admitted:
                 self.env.define(report.compiled)
+                if report.size_bound is not None:
+                    self.env.size_bounds[form.name] = report.size_bound
                 self.rules.add_definitional(form)
             return FormResult("defeqs", form.name, report)
         if isinstance(form, RawDefun):

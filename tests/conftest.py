@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
 from eqthink import cost
 from eqthink.cli import corpus_root
@@ -11,6 +11,9 @@ settings.register_profile(
     max_examples=60,
     suppress_health_check=[HealthCheck.too_slow],
     deadline=None,
+    # The explain phase re-runs a failing example under a tracer, which on
+    # the evaluator's deep recursion takes minutes before the failure shows.
+    phases=[phase for phase in Phase if phase is not Phase.explain],
 )
 settings.load_profile("repo")
 

@@ -145,7 +145,7 @@ def test_admissibility_positives_and_negatives(corpus):
     required = ("append", "prefix", "merge", "merge-sort", "insertion-sort", "avl-insert")
     for name in required:
         assert session.admissibility[name].admitted, name
-    assert session.admissibility["merge-sort"].constructive.verdict == "TestedOnly"
+    assert session.admissibility["merge-sort"].constructive.verdict == "Proved"
     assert "merge-sort" in session.measures
 
     rejected = []
