@@ -8,7 +8,6 @@ are an ordered list of node ids.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import (
@@ -53,7 +52,6 @@ _OP_TO_GATE = {
     "xor": "XOR",
     "implies": "IMPL",
 }
-_GATE_TO_OP = {v: k for k, v in _OP_TO_GATE.items()}
 
 
 @dataclass(frozen=True)
@@ -197,24 +195,6 @@ def _build_formula(f: Term, b: _Builder) -> int:
         return b.gate("CONST1" if f.name == "t" else "CONST0")
     args = [_build_formula(a, b) for a in f.args]
     return b.gate(_OP_TO_GATE[f.op], *args)
-
-
-def circuit_to_formula(n: Netlist, output: int = 0) -> Term:
-    if output < 0 or output >= len(n.outputs):
-        raise CircuitError(f"no output numbered {output}")
-    k = len(n.inputs)
-
-    def expand(node: int) -> Term:
-        if node < k:
-            return Var(n.inputs[node])
-        g = n.gates[node - k]
-        if g.kind == "CONST0":
-            return SymLit("nil")
-        if g.kind == "CONST1":
-            return SymLit("t")
-        return App(_GATE_TO_OP[g.kind], tuple(expand(a) for a in g.args))
-
-    return expand(n.outputs[output])
 
 
 # ---------------------------------------------------------------------------
@@ -411,32 +391,38 @@ def from_bits(a: Bits) -> int:
     return value
 
 
-def _canonical(bits: list) -> Bits:
-    while len(bits) > 1 and bits[-1] == 0:
-        bits.pop()
-    return bits
+def _add_into(acc: Bits, a: Bits, shift: int) -> None:
+    """Add a * 2**shift into acc in place.  Canonical operands keep acc
+    canonical (a = [0] only at shift 0); the caller checks them."""
+    end = shift + len(a)
+    if len(acc) < end:
+        acc.extend([0] * (end - len(acc)))
+    carry = 0
+    for i, bit in enumerate(a, shift):
+        total = acc[i] + bit + carry
+        acc[i] = total & 1
+        carry = total >> 1
+    i = end
+    while carry and i < len(acc):
+        # bit + 1 leaves 1 - bit and carries the old bit
+        carry = acc[i]
+        acc[i] = 1 - carry
+        i += 1
+    if carry:
+        acc.append(1)
 
 
 def big_add(a: Bits, b: Bits) -> Bits:
     check_bits(a)
     check_bits(b)
-    out = []
-    carry = 0
-    for i in range(max(len(a), len(b))):
-        total = carry
-        if i < len(a):
-            total += a[i]
-        if i < len(b):
-            total += b[i]
-        out.append(total & 1)
-        carry = total >> 1
-    if carry:
-        out.append(1)
-    return _canonical(out)
+    out = list(a)
+    _add_into(out, b, 0)
+    return out
 
 
 def big_mul(a: Bits, b: Bits) -> Bits:
-    """Shift-and-add: for each set bit of b, add a shifted copy of a."""
+    """Shift-and-add: for each set bit of b, add a, shifted to that bit's
+    position, into the accumulator."""
     check_bits(a)
     check_bits(b)
     if a == [0] or b == [0]:
@@ -444,9 +430,5 @@ def big_mul(a: Bits, b: Bits) -> Bits:
     acc = [0]
     for i, bit in enumerate(b):
         if bit:
-            acc = big_add(acc, ([0] * i) + a)
+            _add_into(acc, a, i)
     return acc
-
-
-def export_json(n: Netlist) -> str:
-    return json.dumps(n.to_json(), sort_keys=True)

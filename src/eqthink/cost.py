@@ -2,15 +2,14 @@
 
 Growth verdicts are statistical, not symbolic: we measure steps at a
 range of sizes, divide by a candidate growth function, and demand that
-the ratio stays inside a window on the larger sizes.  Recurrences are
-verified by memoized unfolding against a proposed closed-form bound.
+the ratio stays inside a window on the larger sizes.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .evaluator import DefEnv, eval_counting
@@ -126,96 +125,3 @@ def emit_csv(report: BoundReport) -> str:
         buf.write(f"{n},{report.steps[n]},{report.candidate},{c}\n")
     return buf.getvalue()
 
-
-# ---------------------------------------------------------------------------
-# Recurrences
-
-
-@dataclass(frozen=True)
-class Recurrence:
-    """base maps small n to values; step computes T(n) given a lookup
-    function restricted to strictly smaller indices."""
-
-    base: dict[int, int]
-    step: Callable[[int, Callable[[int], int]], int]
-
-
-class _Need(Exception):
-    def __init__(self, index: int):
-        self.index = index
-
-
-def unfold(r: Recurrence, n: int, memo: dict[int, int] | None = None) -> int:
-    """Memoized, stack-safe evaluation of T(n)."""
-    if memo is None:
-        memo = dict(r.base)
-    else:
-        for k, v in r.base.items():
-            memo.setdefault(k, v)
-    stack = [n]
-    while stack:
-        m = stack[-1]
-        if m in memo:
-            stack.pop()
-            continue
-
-        def lookup(k: int, at: int = m) -> int:
-            if k >= at:
-                raise ValueError(f"step rule at n={at} references T({k})")
-            if k in memo:
-                return memo[k]
-            raise _Need(k)
-
-        try:
-            memo[m] = r.step(m, lookup)
-            stack.pop()
-        except _Need as need:
-            if need.index < 0:
-                raise ValueError(f"no base case covers T({need.index})")
-            stack.append(need.index)
-    return memo[n]
-
-
-@dataclass(frozen=True)
-class RecurrenceReport:
-    holds: bool
-    constant: float | None
-    checked: list[int] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "holds": self.holds,
-            "constant": self.constant,
-            "checked": list(self.checked),
-        }
-
-
-def check_recurrence(
-    r: Recurrence,
-    g: Callable[[int], float],
-    c_range: tuple[float, float],
-    n_range: list[int],
-) -> RecurrenceReport:
-    """Holds iff some c in [c_lo, c_hi] has T(n) <= c*g(n) on n_range.
-
-    T(n)/g(n) is maximized once; monotonicity in c then settles every
-    constant in the range at no extra cost.
-    """
-    c_lo, c_hi = c_range
-    memo: dict[int, int] = dict(r.base)
-    needed = None
-    for n in n_range:
-        t = unfold(r, n, memo)
-        gn = g(n)
-        if gn <= 0:
-            if t > 0:
-                return RecurrenceReport(False, None, list(n_range))
-            continue
-        ratio = t / gn
-        if needed is None or ratio > needed:
-            needed = ratio
-    if needed is None:
-        needed = c_lo
-    fitted = max(needed, c_lo)
-    holds = fitted <= c_hi
-    return RecurrenceReport(holds, fitted if holds else None, list(n_range))

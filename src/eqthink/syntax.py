@@ -429,14 +429,6 @@ def _print_term(t: Term, parts: list[str]) -> None:
         parts.append(")")
 
 
-def print_equation(name: str, eq: Equation) -> str:
-    pats = " ".join(print_term(p) for p in eq.patterns)
-    body = f"({eq.label} ({name} {pats}) {print_term(eq.rhs)}"
-    if eq.guard is not None:
-        body += f" :when {print_term(eq.guard)}"
-    return body + ")"
-
-
 def print_defun(d: RawDefun) -> str:
     params = " ".join(d.params)
     trust = " :trust" if d.trusted else ""

@@ -8,7 +8,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from eqthink.circuits import (
@@ -18,9 +18,7 @@ from eqthink.circuits import (
     big_add,
     big_mul,
     check_bits,
-    circuit_to_formula,
     exhaustive_equiv,
-    export_json,
     formula_to_circuit,
     from_bits,
     ripple_carry,
@@ -39,7 +37,6 @@ from eqthink.errors import (
     TooManyInputs,
 )
 from eqthink.evaluator import evaluate
-from eqthink.prover import derive_truth_table
 from eqthink.syntax import App, parse_term
 from eqthink.values import NIL, T
 
@@ -105,19 +102,6 @@ def test_circuit_agrees_with_formula_evaluation(f):
         bindings = {k: (T if v else NIL) for k, v in assignment.items()}
         want = evaluate(f, bindings, None) is not NIL
         assert simulate(net, assignment) == [1 if want else 0]
-
-
-@given(formulas)
-def test_circuit_to_formula_round_trip(f):
-    back = circuit_to_formula(formula_to_circuit(f))
-    lhs = derive_truth_table(f)
-    rhs = derive_truth_table(back)
-    names = sorted({n for a, _ in lhs for n in a} | {n for a, _ in rhs for n in a})
-    for assignment in _all_assignments(names):
-        bindings = {k: (T if v else NIL) for k, v in assignment.items()}
-        assert (evaluate(f, bindings, None) is not NIL) == (
-            evaluate(back, bindings, None) is not NIL
-        )
 
 
 def test_formula_rejects_non_boolean():
@@ -215,7 +199,7 @@ def test_ripple_carry_rejects_bad_width():
 
 def test_json_round_trip():
     net = ripple_carry(3)
-    again = Netlist.from_json(json.loads(export_json(net)))
+    again = Netlist.from_json(json.loads(json.dumps(net.to_json(), sort_keys=True)))
     assert again.to_json() == net.to_json()
     assert exhaustive_equiv(net, again).equivalent
 
@@ -244,18 +228,46 @@ def test_bits_round_trip(n):
     check_bits(to_bits(n))
 
 
+def _check_big_op(op, a, b, want):
+    bits_a, bits_b = to_bits(a), to_bits(b)
+    out = op(bits_a, bits_b)
+    assert from_bits(out) == want
+    # the carry loop works in place; neither operand may change
+    assert bits_a == to_bits(a) and bits_b == to_bits(b)
+
+
+# Long carry chains (2^k - 1 plus 1), zero on either side, and operands of
+# very different lengths.
+@example(2**600 - 1, 1)
+@example(1, 2**600 - 1)
+@example(2**64 - 1, 2**64 - 1)
+@example(0, 0)
+@example(0, 2**600 - 1)
+@example(2**600 - 1, 0)
+@example(1, 2**600)
+@example(2**600 + 2**599, 3)
 @given(st.integers(0, 10**30), st.integers(0, 10**30))
 def test_big_add_matches_integers(a, b):
-    assert from_bits(big_add(to_bits(a), to_bits(b))) == a + b
+    _check_big_op(big_add, a, b, a + b)
 
 
+@example(2**600 - 1, 2**600 - 1)
+@example(2**64 - 1, 2**64 - 1)
+@example(0, 0)
+@example(0, 2**600 - 1)
+@example(2**600 - 1, 0)
+@example(1, 2**600 - 1)
+@example(2**600 - 1, 3)
+@example(2**600, 2**599 + 1)
 @given(st.integers(0, 10**20), st.integers(0, 10**20))
 def test_big_mul_matches_integers(a, b):
-    assert from_bits(big_mul(to_bits(a), to_bits(b))) == a * b
+    _check_big_op(big_mul, a, b, a * b)
 
 
 def test_big_ops_reject_non_canonical():
     with pytest.raises(NonCanonicalInput):
         big_add([1, 0], [1])
+    with pytest.raises(NonCanonicalInput):
+        big_mul([1, 0], [1])
     with pytest.raises(NonCanonicalInput):
         big_mul([1], [])

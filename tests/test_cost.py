@@ -4,14 +4,11 @@ import pytest
 
 from eqthink.cost import (
     CANDIDATES,
-    Recurrence,
     check_bound,
-    check_recurrence,
     emit_csv,
     measure_steps,
     random_list,
     reverse_sorted_list,
-    unfold,
 )
 from eqthink.values import to_list
 
@@ -89,64 +86,15 @@ def test_ratios_helper():
     assert report.ratios() == {4: 3.0, 8: 3.0, 16: 3.0, 32: 3.0}
 
 
-HALVING = Recurrence({1: 1}, lambda n, T: 2 * T(n // 2) + n)
-LINEAR = Recurrence({0: 0}, lambda n, T: T(n - 1) + n)
-
-
-def test_unfold_closed_forms():
-    # T(2^k) = 2^k (k + 1) for the halving recurrence
-    assert unfold(HALVING, 2) == 4
-    assert unfold(HALVING, 8) == 32
-    assert unfold(HALVING, 2**16) == 2**16 * 17 == 1114112
-    # triangular numbers for the linear one
-    assert unfold(LINEAR, 10) == 55
-    assert unfold(LINEAR, 1000) == 500500
-
-
-def test_unfold_is_stack_safe():
-    assert unfold(LINEAR, 100_000) == 100_000 * 100_001 // 2
-
-
-def test_unfold_errors():
-    with pytest.raises(ValueError):
-        unfold(Recurrence({0: 0}, lambda n, T: T(n)), 3)  # not decreasing
-    with pytest.raises(ValueError):
-        unfold(Recurrence({}, lambda n, T: T(n - 1) + 1), 3)  # no base
-
-
-def test_halving_recurrence_bounded_by_nlogn():
-    sizes = [2**k for k in range(1, 17)]
-    report = check_recurrence(
-        HALVING, lambda n: n * math.log2(n), (0.0, 2.0), sizes
-    )
-    assert report.holds
-    assert report.constant == pytest.approx(2.0)
-
-
-def test_halving_recurrence_not_linear():
-    sizes = [2**k for k in range(1, 17)]
-    report = check_recurrence(HALVING, lambda n: float(n), (0.0, 2.0), sizes)
-    assert not report.holds
-
-
-def test_linear_sum_recurrence_quadratic():
-    sizes = list(range(1, 200))
-    report = check_recurrence(LINEAR, lambda n: float(n * n), (0.0, 2.0), sizes)
-    assert report.holds and report.constant <= 1.0
-
-
-def test_recurrence_fails_on_zero_growth_function():
-    report = check_recurrence(LINEAR, lambda n: 0.0, (0.0, 2.0), [1, 2, 3])
-    assert not report.holds
-
-
 def test_measured_curves_obey_their_recurrences(merge_sort_curve, insertion_worst_curve):
-    """Measured step counts stay within a constant of the unfolding of
-    their textbook recurrences over the same sizes."""
+    """Measured step counts stay within a constant of the closed forms of
+    their textbook recurrences over the same sizes: T(n) = 2T(n/2) + n is
+    n(log2 n + 1) at powers of two, and T(n) = T(n-1) + n is n(n+1)/2."""
     sizes = sorted(merge_sort_curve)
-    for curve, rec in (
-        (merge_sort_curve, HALVING),
-        (insertion_worst_curve, LINEAR),
+    assert all(n & (n - 1) == 0 for n in sizes)
+    for curve, closed_form in (
+        (merge_sort_curve, lambda n: n * (math.log2(n) + 1)),
+        (insertion_worst_curve, lambda n: n * (n + 1) // 2),
     ):
-        ratios = [curve[n] / unfold(rec, n) for n in sizes[len(sizes) // 2 :]]
+        ratios = [curve[n] / closed_form(n) for n in sizes[len(sizes) // 2 :]]
         assert max(ratios) / min(ratios) < 1.5

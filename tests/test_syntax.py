@@ -20,7 +20,6 @@ from eqthink.syntax import (
     parse_program,
     parse_term,
     print_defun,
-    print_equation,
     print_term,
     substitute,
     subterms,
@@ -156,15 +155,6 @@ def test_defun_requires_body_and_round_trips():
     assert isinstance(d, RawDefun) and d.trusted
     [again] = parse_program(print_defun(d))
     assert again.body == d.body and again.params == d.params
-
-
-def test_print_equation_round_trip():
-    [d] = parse_program(
-        "(defeqs f (x xs) (f1 (f x (cons y xs)) (f x xs) :when (< x 3)))"
-    )
-    text = print_equation("f", d.equations[0])
-    [again] = parse_program(f"(defeqs f (x xs) {text})")
-    assert again.equations == d.equations
 
 
 @given(terms, st.sampled_from(["x", "y"]), terms)
