@@ -65,7 +65,7 @@ import hashlib
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     BadArity,
@@ -129,6 +129,9 @@ class AdmissibilityReport:
     compiled: RawDefun | None
     # The size fact's bounding parameter (see _size_fact); never reported.
     size_bound: int | None = None
+    # The compiled defun as translated for the checks, which the loader
+    # installs (DefEnv.adopt); never reported.
+    record: object = field(default=None, compare=False, repr=False)
 
     @property
     def admitted(self) -> bool:
@@ -1059,6 +1062,8 @@ def admit(
     comprehensive = check_comprehensive(d, prov, domains, seed, trials)
     constructive = check_constructive(d, prov, measure, domains, seed, trials)
     if FAILED in (consistent.verdict, comprehensive.verdict, constructive.verdict):
-        compiled = None
-    fact = _size_fact(d, env.size_bounds) if compiled and constructive.verdict == PROVED else None
-    return AdmissibilityReport(d.name, consistent, comprehensive, constructive, compiled, fact)
+        return AdmissibilityReport(d.name, consistent, comprehensive, constructive, None)
+    fact = _size_fact(d, env.size_bounds) if constructive.verdict == PROVED else None
+    return AdmissibilityReport(
+        d.name, consistent, comprehensive, constructive, compiled, fact, prov.defs[d.name]
+    )

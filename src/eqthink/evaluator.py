@@ -62,11 +62,30 @@ result, a decided test or a folded constant changes what runs but not
 what is paid: the totals, tallies and fuel outcome stay those of one step
 per node.
 
+A defined operator whose every self-call sits in tail position (its body,
+or a branch of an ``if`` in tail position) or as the last argument of a
+chain of ``cons`` in tail position is emitted as one ``while`` loop: tail
+recursion modulo cons (Friedman and Wise, 1975; Leijen and Lorenzen, POPL
+2023).  A self-call rebinds the parameters and goes round again.  The
+``cons`` cells above it are built destination-passing: each is made with
+an empty tail, which the next round fills, and the round that ends fills
+the last.  The loop writes only cells it made and has not yet returned, an
+unfilled cell never enters the per-path table, and running out of fuel
+drops the partial list with the exception.  An operator with a self-call
+anywhere else (an argument, a ``cons`` head, a test, or a branch split off
+at ``_MAX_NESTING``) stays recursive.  Each round pays what the call it
+replaces paid, at the same sites, and checks the fuel at every payment, so
+totals, tallies and the fuel outcome are unchanged.  Only where the counts
+are kept moves: ``total`` and the hits of the payments that can go round
+again are Python locals, written to the ``StepCount`` before a call to
+another generated function (which pays into it), before raising
+``StepLimitExceeded``, and at the end.
+
 Evaluation runs as plain calls on the caller's thread: the generated
 functions only call Python functions, which CPython 3.11+ runs without
 growing the C stack.  Deep structural recursion over long lists therefore
 needs only a high recursion limit, which ``eval_counting`` raises before
-it translates or runs anything.
+it translates or runs anything; a loop needs no frame per round at all.
 """
 
 from __future__ import annotations
@@ -134,12 +153,17 @@ class StepCount:
 
 
 class _DefRecord:
-    __slots__ = ("defun", "index", "fn")
+    """A defined operator: its defun, operator index and generated function,
+    with the payment sites its translation appended, from ``first_site``."""
 
-    def __init__(self, defun: RawDefun, index: int):
+    __slots__ = ("defun", "index", "fn", "first_site", "sites")
+
+    def __init__(self, defun: RawDefun, index: int, first_site: int):
         self.defun = defun
         self.index = index
         self.fn = None
+        self.first_site = first_site
+        self.sites: tuple[tuple[tuple[int, int], ...], ...] = ()
 
 
 # The names generated code refers to besides its records and constants.
@@ -177,6 +201,30 @@ class DefEnv:
         self.size_bounds: dict[str, int] = {}
 
     def define(self, d: RawDefun) -> None:
+        record = _DefRecord(d, self._claim(d), len(self.sites))
+        self.defs[d.name] = record
+        _raise_recursion_limit()
+        record.fn = _Translator(self, d.params, f"f{record.index}", d.name).translate(d.body)
+        record.sites = tuple(self.sites[record.first_site:])
+
+    def adopt(self, record: _DefRecord) -> None:
+        """Install a definition that a copy of this environment translated
+        (``admissibility.admit`` does), without translating it again.
+
+        The copy's sites start as this environment's, so the record's
+        payment sites line up with ours unless something was defined or
+        translated here since the copy was made; then the defun is
+        translated anew.
+        """
+        if (record.index, record.first_site) != (len(self.op_names), len(self.sites)):
+            self.define(record.defun)
+            return
+        self._claim(record.defun)
+        self.defs[record.defun.name] = record
+        self.sites += record.sites
+
+    def _claim(self, d: RawDefun) -> int:
+        """Give ``d``'s name the next operator index."""
         if d.name in PRIMITIVE_ARITY:
             raise DuplicateDefinition(f"{d.name} is a primitive", d.loc)
         if d.name in self.defs:
@@ -184,10 +232,7 @@ class DefEnv:
         index = len(self.op_names)
         self.op_names.append(d.name)
         self.op_index[d.name] = index
-        record = _DefRecord(d, index)
-        self.defs[d.name] = record
-        _raise_recursion_limit()
-        record.fn = _Translator(self, d.params, f"f{index}").translate(d.body)
+        return index
 
     def arity(self, name: str) -> int | None:
         if name in PRIMITIVE_ARITY:
@@ -354,33 +399,88 @@ class _Translator:
     its value, a Python bool for a test, or to ``True``/``False`` for a
     test the path has decided.  A branch extends the table and drops its
     entries on the way out.
+
+    A defined operator ``op`` whose self-calls all sit on the loop spine
+    (see ``_loop_spine``) is emitted as one ``while`` loop instead: while
+    ``spine`` is set, the function being emitted is that loop.
     """
 
-    def __init__(self, env: DefEnv, params, name: str):
+    def __init__(self, env: DefEnv, params, name: str, op: str | None = None):
         self.env = env
         self.name = name
-        self.locals = {p: f"a{i}" for i, p in enumerate(params)}
-        self.signature = ", ".join(["ctr", *(f"a{i}" for i in range(len(params)))])
-        self.lines: list[str] = []
+        self.op = op
+        self.params = [f"a{i}" for i in range(len(params))]
+        self.locals = dict(zip(params, self.params))
+        self.signature = ", ".join(["ctr", *self.params])
+        self.lines: list = []
         self.functions: list[str] = []
         self.temps = 0
         self.known: dict[tuple, str] = {}
         self.ground: dict[int, Value] = {}
+        self.spine: set[int] | None = None
+        self.loop_sites: list[int] = []
+        self.cells = False
 
     def translate(self, t: Term):
         self.ground = _fold(t)
-        self.function(t, self.name)
+        spine = _loop_spine(t, self.op, len(self.params)) if self.op else None
+        if spine:
+            self.loop_function(t, spine)
+        else:
+            self.function(t, self.name)
         namespace = self.env._namespace
         exec("\n".join(self.functions), namespace)
         return namespace[self.name]
 
     def function(self, t: Term, name: str) -> None:
-        outer, known = self.lines, self.known
+        outer, known, spine = self.lines, self.known, self.spine
         self.lines = [f"def {name}({self.signature}):"]
         self.known = {}
+        self.spine = None
         self.region(t, 1, None, Counter())
         self.functions.append("\n".join(self.lines))
-        self.lines, self.known = outer, known
+        self.lines, self.known, self.spine = outer, known, spine
+
+    def loop_function(self, t: Term, spine: set[int]) -> None:
+        """Emit the operator as one loop: a self-call rebinds the parameters
+        and goes round again, and a ``cons`` chain above it is built into a
+        fresh cell whose tail the next round fills (``cell``; ``root`` is
+        the first).  ``total`` and the hits of payments that can go round
+        again live in locals, flushed to ``ctr`` before a call, before
+        raising and at the end; a round that ends puts its value in ``r``."""
+        self.spine = spine
+        self.region(t, 2, None, Counter())
+        body, self.lines = self.lines, []
+        flush = ["ctr.total = total", *(f"ctr.hits[{s}] += h{s}" for s in self.loop_sites)]
+        zero = [" = ".join(f"h{s}" for s in self.loop_sites) + " = 0"] if self.loop_sites else []
+        self.emit(0, f"def {self.name}({self.signature}):")
+        for line in ["total = ctr.total", "fuel = ctr.fuel", *zero]:
+            self.emit(1, line)
+        if self.cells:
+            self.emit(1, "root = cell = None")
+        self.emit(1, "while True:")
+        for line in body:
+            if isinstance(line, tuple):
+                depth, before_call = line
+                for part in flush + zero if before_call else flush:
+                    self.emit(depth, part)
+            else:
+                self.lines.append(line)
+        for part in flush:
+            self.emit(1, part)
+        if self.cells:
+            self.emit(1, "if cell is None:")
+            self.emit(2, "return r")
+            self.emit(1, "cell.tail = r")
+            self.emit(1, "return root")
+        else:
+            self.emit(1, "return r")
+        self.functions.append("\n".join(self.lines))
+
+    def flush(self, depth: int, before_call: bool = False) -> None:
+        """Mark where the loop writes its locals to ``ctr``; the loop's
+        payment sites are known only once it is emitted."""
+        self.lines.append((depth, before_call))
 
     def emit(self, depth: int, line: str) -> None:
         self.lines.append("    " * depth + line)
@@ -399,10 +499,12 @@ class _Translator:
         if isinstance(t, App) and t.op == "if" and all(op in PRIMITIVE_ARITY for op in ops):
             self.result(t, depth, out, ops)
             return
-        self.pay(ops, depth)
+        self.pay(ops, depth, self.spine is not None and id(t) in self.spine)
         self.result(t, depth, out, Counter())
 
-    def pay(self, ops: Counter, depth: int) -> None:
+    def pay(self, ops: Counter, depth: int, looping: bool = False) -> None:
+        """Pay for ``ops``; in a loop, ``looping`` says the path may go
+        round again, so the site's hits are counted in a local."""
         steps = sum(ops.values())
         if not steps:
             return
@@ -411,10 +513,22 @@ class _Translator:
         sites.append(tuple(
             (self.env.op_index[op], count) for op, count in ops.items() if op in self.env.op_index
         ))
-        self.emit(depth, f"n = ctr.total + {steps}")
-        self.emit(depth, "ctr.total = n")
-        self.emit(depth, "if n > ctr.fuel: raise StepLimitExceeded('step limit exceeded')")
-        self.emit(depth, f"ctr.hits[{len(sites) - 1}] += 1")
+        site = len(sites) - 1
+        if self.spine is None:
+            self.emit(depth, f"n = ctr.total + {steps}")
+            self.emit(depth, "ctr.total = n")
+            self.emit(depth, "if n > ctr.fuel: raise StepLimitExceeded('step limit exceeded')")
+            self.emit(depth, f"ctr.hits[{site}] += 1")
+            return
+        self.emit(depth, f"total += {steps}")
+        self.emit(depth, "if total > fuel:")
+        self.flush(depth + 1)
+        self.emit(depth + 1, "raise StepLimitExceeded('step limit exceeded')")
+        if looping:
+            self.loop_sites.append(site)
+            self.emit(depth, f"h{site} += 1")
+        else:
+            self.emit(depth, f"ctr.hits[{site}] += 1")
 
     def result(self, t: Term, depth: int, out: str | None, pending: Counter) -> None:
         if isinstance(t, App) and t.op == "if":
@@ -428,8 +542,60 @@ class _Translator:
             refuted = {} if conjunction else dict.fromkeys(keys, "False")
             self.branch(t.args[2], depth + 1, out, pending, refuted)
             return
-        value = self.expression(t, depth)
-        self.emit(depth, f"return {value}" if out is None else f"{out} = {value}")
+        if out is None and self.spine is not None and id(t) in self.spine:
+            self.recur(t, depth)
+            return
+        self.finish(depth, out, self.expression(t, depth))
+
+    def finish(self, depth: int, out: str | None, value: str) -> None:
+        """Put ``value`` in ``out``, or end the call with it."""
+        if out is not None:
+            self.emit(depth, f"{out} = {value}")
+        elif self.spine is None:
+            self.emit(depth, f"return {value}")
+        else:
+            self.emit(depth, f"r = {value}")
+            self.emit(depth, "break")
+
+    def recur(self, t: App, depth: int) -> None:
+        """Emit a self-call under a chain of ``cons`` heads (none, for a
+        plain tail call) as the next round of the loop.  The chain's cells
+        are new, filled in order, and linked in after ``cell``; its last
+        cell's tail is left for the next round, and no unfilled cell enters
+        ``known``."""
+        heads = []
+        while t.op == "cons":
+            heads.append(self.value(t.args[0], depth))
+            t = t.args[1]
+        args = [self.value(a, depth) for a in t.args]
+        if heads:
+            self.cells = True
+            cells = [self.temp() for _ in heads]
+            tail = "None"
+            for cell, head in reversed(list(zip(cells, heads))):
+                self.emit(depth, f"{cell} = Pair({head}, {tail})")
+                tail = cell
+            self.emit(depth, "if cell is None:")
+            self.emit(depth + 1, f"root = {cells[0]}")
+            self.emit(depth, "else:")
+            self.emit(depth + 1, f"cell.tail = {cells[0]}")
+            self.emit(depth, f"cell = {cells[-1]}")
+        moved = [(p, a) for p, a in zip(self.params, args) if p != a]
+        if moved:
+            self.emit(depth, f"{', '.join(p for p, _ in moved)} = {', '.join(a for _, a in moved)}")
+        self.emit(depth, "continue")
+
+    def call(self, expression: str, depth: int) -> str:
+        """A call to another generated function.  A loop first writes its
+        locals to ``ctr``, which the callee pays into, and reads the total
+        back afterwards."""
+        if self.spine is None:
+            return expression
+        self.flush(depth, before_call=True)
+        out = self.temp()
+        self.emit(depth, f"{out} = {expression}")
+        self.emit(depth, "total = ctr.total")
+        return out
 
     def branch(self, t: Term, depth: int, out: str | None, pending: Counter, facts: dict) -> None:
         known = self.known
@@ -441,8 +607,7 @@ class _Translator:
             self.temps += 1
             name = f"{self.name}_{self.temps}"
             self.function(t, name)
-            call = f"{name}({self.signature})"
-            self.emit(depth, f"return {call}" if out is None else f"{out} = {call}")
+            self.finish(depth, out, self.call(f"{name}({self.signature})", depth))
         self.known = known
 
     def value(self, t: Term, depth: int) -> str:
@@ -562,7 +727,7 @@ class _Translator:
         args = [self.value(a, depth) for a in t.args]
         name = f"d{record.index}"
         self.env._namespace[name] = record
-        return f"{name}.fn({', '.join(['ctr', *args])})"
+        return self.call(f"{name}.fn({', '.join(['ctr', *args])})", depth)
 
     def check_arity(self, t: App) -> None:
         want = PRIMITIVE_ARITY[t.op]
@@ -580,6 +745,42 @@ class _Translator:
                 self.env._namespace[name] = v
         self.known[("int", name)] = name if isinstance(v, int) else "0"
         return name
+
+
+def _loop_spine(body: Term, op: str, arity: int) -> set[int] | None:
+    """The ids of the nodes in tail position of ``body`` that lead, through
+    tail positions, to a self-call of ``op``, when every self-call is one
+    of them; else None, and the operator is emitted as plain recursion.
+
+    Tail positions are the body, the branches of an ``if`` in tail
+    position, and the last argument of a ``cons`` in tail position.  A
+    self-call also must not sit in a branch split off into a function of
+    its own; the loop's body starts at nesting depth 2."""
+    order: list[tuple[App, bool]] = []
+    spine: set[int] = set()
+    stack: list[tuple[Term, bool, int]] = [(body, True, 2)]
+    while stack:
+        t, tail, depth = stack.pop()
+        if not isinstance(t, App):
+            continue
+        if t.op == op:
+            if not tail or depth > _MAX_NESTING or len(t.args) != arity:
+                return None
+            spine.add(id(t))
+        order.append((t, tail))
+        if t.op == "if" and len(t.args) == 3:
+            stack += [(t.args[0], False, depth), (t.args[1], tail, depth + 1), (t.args[2], tail, depth + 1)]
+        elif t.op == "cons" and len(t.args) == 2:
+            stack += [(t.args[0], False, depth), (t.args[1], tail, depth)]
+        else:
+            stack += [(a, False, depth) for a in t.args]
+    if not spine:
+        return None
+    # Preorder reversed visits every node after the nodes below it.
+    for t, tail in reversed(order):
+        if tail and t.op in ("if", "cons") and any(id(a) in spine for a in t.args[1:]):
+            spine.add(id(t))
+    return spine
 
 
 def _tally(t: Term, ops: Counter) -> None:

@@ -82,7 +82,7 @@ class Session:
             )
             self.admissibility[form.name] = report
             if report.admitted:
-                self.env.define(report.compiled)
+                self.env.adopt(report.record)
                 if report.size_bound is not None:
                     self.env.size_bounds[form.name] = report.size_bound
                 self.rules.add_definitional(form)

@@ -7,12 +7,13 @@ checked by replaying equations directly against the compiled defun.
 
 import itertools
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqthink import admissibility
+from eqthink import admissibility, evaluator
 from eqthink.admissibility import (
     admit,
     consistent_trials,
@@ -95,6 +96,34 @@ def test_every_corpus_definition_admitted(corpus):
     assert session.admissibility
     for name, report in session.admissibility.items():
         assert report.admitted, name
+
+
+def test_each_admitted_operator_is_translated_once(monkeypatch):
+    translated = Counter()
+    translate = evaluator._Translator.translate
+
+    def spy(self, t):
+        if self.op is not None:
+            translated[self.op] += 1
+        return translate(self, t)
+
+    monkeypatch.setattr(evaluator._Translator, "translate", spy)
+    session = Session()
+    for path in sorted((corpus_root() / "defs").glob("*.lx")):
+        session.load_file(path)
+    assert session.env.names() and translated == Counter(session.env.names())
+
+
+def test_adopting_after_the_environment_moved_on_translates_again():
+    env = DefEnv()
+    [d] = parse_program("(defeqs n (xs) (n0 (n nil) 0) (n1 (n (cons x xs)) (1+ (n xs))))")
+    report = admit(d, env, domains=("list",))
+    # A top-level term translated since the copy takes the next site index.
+    assert evaluate(parse_term("(if (consp nil) 1 2)"), {}, env) == 2
+    env.adopt(report.record)
+    assert env.defs["n"] is not report.record
+    value, count = evaluator.eval_counting(parse_term("(n '(1 2))"), {}, env)
+    assert value == 2 and count.per_operator["n"] == 3 and sum(count.per_operator.values()) == count.total
 
 
 def test_contradictory_equations_rejected_with_witness():

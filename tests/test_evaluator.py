@@ -8,6 +8,7 @@ shares no code with the compiled evaluator beyond the value types.
 """
 
 import itertools
+import sys
 import threading
 from collections import Counter
 
@@ -142,6 +143,7 @@ def agree(src, bindings=None, env=None):
 _VARS = ("x", "y", "z")
 _LIBRARY_ARITY = {
     "app": 2, "nth-down": 2, "count-down": 1, "forever": 1, "insert": 2, "stuck": 1,
+    "sum-acc": 2, "twins": 1, "size": 1, "sizes": 1, "nest-heads": 1, "twice": 1, "all-pos": 1,
 }
 _FUEL = 3000
 
@@ -452,11 +454,84 @@ def _library() -> DefEnv:
                       (cons (first ys) (insert x (rest ys)))
                       nil))))
         (defun stuck (n) :trust (if (stuck n) 1 2))
+        (defun sum-acc (xs acc) :trust
+          (if (consp xs) (sum-acc (rest xs) (+ acc (first xs))) acc))
+        (defun twins (xs) :trust
+          (if (consp xs) (cons (first xs) (cons (first xs) (twins (rest xs)))) nil))
+        (defun size (xs) :trust (if (consp xs) (1+ (size (rest xs))) 0))
+        (defun sizes (xss) :trust
+          (if (consp xss) (cons (size (first xss)) (sizes (rest xss))) nil))
+        (defun nest-heads (xs) :trust
+          (if (consp xs) (cons (nest-heads (rest xs)) nil) nil))
+        (defun twice (n) :trust (if (zp n) 0 (twice (twice (1- n)))))
+        (defun all-pos (xs) :trust
+          (if (consp xs) (if (all-pos (rest xs)) (< 0 (first xs)) nil) t))
         """
     )
     for form in forms:
         env.define(form)
     return env
+
+
+@pytest.fixture
+def few_frames(monkeypatch):
+    """Evaluation under a recursion limit of 2000, which it may not raise."""
+    monkeypatch.setattr(evaluator, "_raise_recursion_limit", lambda: None)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(2000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+# Every self-call of these sits in tail position or as the last argument of
+# a `cons` chain in tail position, so each is emitted as one loop: an
+# accumulator, the library's own `app`, `insert` and `nth-down`, a chain
+# two cells deep, and a loop that calls `size` every round.
+_LOOPS = ["(sum-acc x 0)", "(app x x)", "(insert 0 x)", "(nth-down 3 x)", "(twins x)",
+          "(sizes x)"]
+# These stay recursive: a self-call in a `cons` head, as another self-call's
+# argument, and in an `if` test.
+_RECURSIONS = ["(nest-heads x)", "(twice (size x))", "(all-pos x)"]
+_NESTED_LISTS = st.lists(
+    st.one_of(st.integers(-9, 9), st.lists(st.integers(-9, 9), max_size=4).map(from_list)),
+    max_size=10,
+).map(from_list)
+
+
+@pytest.mark.parametrize("call", _LOOPS + _RECURSIONS)
+@given(x=_NESTED_LISTS)
+def test_loop_shapes_match_oracle(call, x):
+    env = _library()
+    t = parse_term(call)
+    total = eval_counting(t, {"x": x}, env)[1].total
+    # The exact total and one step less, then a fuel that runs out halfway.
+    _matches_oracle(t, {"x": x}, env, total)
+    _matches_oracle(t, {"x": x}, env, total // 2)
+
+
+def test_loop_shapes_need_no_frame_per_round(few_frames):
+    env = _library()
+    long = {"x": from_list(range(5000))}
+    for call in _LOOPS:
+        evaluate(parse_term(call), long, env)
+    for call in _RECURSIONS:
+        with pytest.raises(RecursionError):
+            evaluate(parse_term(call), long, env)
+
+
+def test_corpus_loops_use_no_python_frames(corpus_env, few_frames):
+    n = 50_000
+    cases = [
+        ("(insert x y)", n, range(n), list(range(n + 1))),
+        ("(merge x y)", range(0, 2 * n, 2), range(1, 2 * n, 2), list(range(2 * n))),
+        ("(append x y)", range(n), range(n), [*range(n), *range(n)]),
+    ]
+    for call, x, y, expected in cases:
+        x = x if isinstance(x, int) else from_list(x)
+        value = evaluate(parse_term(call), {"x": x, "y": from_list(y)}, corpus_env)
+        assert to_list(value) == expected, call
 
 
 @given(st.lists(st.integers(-99, 99), max_size=15), st.lists(st.integers(-99, 99), max_size=15))
@@ -531,6 +606,24 @@ def test_primitive_tests_deeper_than_one_function_match_oracle():
         assert eval_counting(parse_term(f"(chain {n})"), {}, env, count.total)[1] == count
         with pytest.raises(StepLimitExceeded):
             eval_counting(parse_term(f"(chain {n})"), {}, env, count.total - 1)
+
+
+def test_loop_with_an_exit_split_off_matches_oracle(few_frames):
+    # The self-call sits one branch deep, so `down` is a loop, but its exit
+    # nests deeper than one function does: the loop calls the split-off
+    # branch as it would another operator.
+    exit = "(count-down m)"
+    for k in reversed(range(_MAX_NESTING + 5)):
+        exit = f"(if (= m {k}) {k} {exit})"
+    env = _library()
+    [down] = parse_program(f"(defun down (n m) :trust (if (< 0 n) (down (1- n) m) {exit}))")
+    env.define(down)
+    assert evaluate(parse_term("(down 5000 2)"), {}, env) == 2
+    for n, m in itertools.product((0, 3), (0, 7, _MAX_NESTING + 10)):
+        t = parse_term(f"(down {n} {m})")
+        total = eval_counting(t, {}, env)[1].total
+        _matches_oracle(t, {}, env, total)
+        _matches_oracle(t, {}, env, total // 2)
 
 
 def test_evaluate_goes_through_eval_counting(monkeypatch):
