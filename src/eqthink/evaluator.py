@@ -72,8 +72,8 @@ an empty tail, which the next round fills, and the round that ends fills
 the last.  The loop writes only cells it made and has not yet returned, an
 unfilled cell never enters the per-path table, and running out of fuel
 drops the partial list with the exception.  An operator with a self-call
-anywhere else (an argument, a ``cons`` head, a test, or a branch split off
-at ``_MAX_NESTING``) stays recursive.  Each round pays what the call it
+anywhere else (an argument, a ``cons`` head, a test, an ``if`` under a
+``cons``, or a branch split off at ``_MAX_NESTING``) stays recursive.  Each round pays what the call it
 replaces paid, at the same sites, and checks the fuel at every payment, so
 totals, tallies and the fuel outcome are unchanged.  Only where the counts
 are kept moves: ``total`` and the hits of the payments that can go round
@@ -212,13 +212,11 @@ class DefEnv:
         (``admissibility.admit`` does), without translating it again.
 
         The copy's sites start as this environment's, so the record's
-        payment sites line up with ours unless something was defined or
-        translated here since the copy was made; then the defun is
-        translated anew.
+        payment sites line up with ours as long as nothing was defined or
+        translated here since the copy was made.
         """
         if (record.index, record.first_site) != (len(self.op_names), len(self.sites)):
-            self.define(record.defun)
-            return
+            raise ValueError(f"{record.defun.name} was translated for another environment")
         self._claim(record.defun)
         self.defs[record.defun.name] = record
         self.sites += record.sites
@@ -753,9 +751,11 @@ def _loop_spine(body: Term, op: str, arity: int) -> set[int] | None:
     of them; else None, and the operator is emitted as plain recursion.
 
     Tail positions are the body, the branches of an ``if`` in tail
-    position, and the last argument of a ``cons`` in tail position.  A
-    self-call also must not sit in a branch split off into a function of
-    its own; the loop's body starts at nesting depth 2."""
+    position, and the last argument of a ``cons`` in tail position when
+    that argument is itself a ``cons`` or a self-call: a chain of cells
+    ends in the next round, never in an ``if``.  A self-call also must not
+    sit in a branch split off into a function of its own; the loop's body
+    starts at nesting depth 2."""
     order: list[tuple[App, bool]] = []
     spine: set[int] = set()
     stack: list[tuple[Term, bool, int]] = [(body, True, 2)]
@@ -771,7 +771,9 @@ def _loop_spine(body: Term, op: str, arity: int) -> set[int] | None:
         if t.op == "if" and len(t.args) == 3:
             stack += [(t.args[0], False, depth), (t.args[1], tail, depth + 1), (t.args[2], tail, depth + 1)]
         elif t.op == "cons" and len(t.args) == 2:
-            stack += [(t.args[0], False, depth), (t.args[1], tail, depth)]
+            last = t.args[1]
+            chained = tail and isinstance(last, App) and last.op in ("cons", op)
+            stack += [(t.args[0], False, depth), (last, chained, depth)]
         else:
             stack += [(a, False, depth) for a in t.args]
     if not spine:

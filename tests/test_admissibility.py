@@ -114,16 +114,15 @@ def test_each_admitted_operator_is_translated_once(monkeypatch):
     assert session.env.names() and translated == Counter(session.env.names())
 
 
-def test_adopting_after_the_environment_moved_on_translates_again():
+def test_adopting_after_the_environment_moved_on_fails():
     env = DefEnv()
     [d] = parse_program("(defeqs n (xs) (n0 (n nil) 0) (n1 (n (cons x xs)) (1+ (n xs))))")
     report = admit(d, env, domains=("list",))
     # A top-level term translated since the copy takes the next site index.
     assert evaluate(parse_term("(if (consp nil) 1 2)"), {}, env) == 2
-    env.adopt(report.record)
-    assert env.defs["n"] is not report.record
-    value, count = evaluator.eval_counting(parse_term("(n '(1 2))"), {}, env)
-    assert value == 2 and count.per_operator["n"] == 3 and sum(count.per_operator.values()) == count.total
+    with pytest.raises(ValueError, match="another environment"):
+        env.adopt(report.record)
+    assert "n" not in env.defs and "n" not in env.op_index
 
 
 def test_contradictory_equations_rejected_with_witness():

@@ -144,6 +144,7 @@ _VARS = ("x", "y", "z")
 _LIBRARY_ARITY = {
     "app": 2, "nth-down": 2, "count-down": 1, "forever": 1, "insert": 2, "stuck": 1,
     "sum-acc": 2, "twins": 1, "size": 1, "sizes": 1, "nest-heads": 1, "twice": 1, "all-pos": 1,
+    "tw": 1,
 }
 _FUEL = 3000
 
@@ -466,6 +467,8 @@ def _library() -> DefEnv:
         (defun twice (n) :trust (if (zp n) 0 (twice (twice (1- n)))))
         (defun all-pos (xs) :trust
           (if (consp xs) (if (all-pos (rest xs)) (< 0 (first xs)) nil) t))
+        (defun tw (xs) :trust
+          (if (consp xs) (cons (first xs) (if (< 0 (first xs)) (tw (rest xs)) nil)) nil))
         """
     )
     for form in forms:
@@ -491,16 +494,17 @@ def few_frames(monkeypatch):
 # two cells deep, and a loop that calls `size` every round.
 _LOOPS = ["(sum-acc x 0)", "(app x x)", "(insert 0 x)", "(nth-down 3 x)", "(twins x)",
           "(sizes x)"]
-# These stay recursive: a self-call in a `cons` head, as another self-call's
-# argument, and in an `if` test.
-_RECURSIONS = ["(nest-heads x)", "(twice (size x))", "(all-pos x)"]
+# These stay recursive: a self-call in a `cons` head, in an `if` test, and
+# in an `if` under a `cons`.  `twice` has one as another self-call's
+# argument.
+_RECURSIONS = ["(nest-heads x)", "(all-pos x)", "(tw x)"]
 _NESTED_LISTS = st.lists(
     st.one_of(st.integers(-9, 9), st.lists(st.integers(-9, 9), max_size=4).map(from_list)),
     max_size=10,
 ).map(from_list)
 
 
-@pytest.mark.parametrize("call", _LOOPS + _RECURSIONS)
+@pytest.mark.parametrize("call", [*_LOOPS, *_RECURSIONS, "(twice (size x))"])
 @given(x=_NESTED_LISTS)
 def test_loop_shapes_match_oracle(call, x):
     env = _library()
@@ -513,10 +517,10 @@ def test_loop_shapes_match_oracle(call, x):
 
 def test_loop_shapes_need_no_frame_per_round(few_frames):
     env = _library()
-    long = {"x": from_list(range(5000))}
+    long = {"x": from_list(range(1, 5001))}
     for call in _LOOPS:
         evaluate(parse_term(call), long, env)
-    for call in _RECURSIONS:
+    for call in [*_RECURSIONS, "(twice 5000)"]:
         with pytest.raises(RecursionError):
             evaluate(parse_term(call), long, env)
 
