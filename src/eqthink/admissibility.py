@@ -127,11 +127,9 @@ class AdmissibilityReport:
     comprehensive: CheckResult
     constructive: CheckResult
     compiled: RawDefun | None
-    # The size fact's bounding parameter (see _size_fact); never reported.
-    size_bound: int | None = None
-    # The compiled defun as translated for the checks, which the loader
-    # installs (DefEnv.adopt); never reported.
-    record: object = field(default=None, compare=False, repr=False)
+    # For an admitted definition, the environment the checks ran in: the
+    # given one plus the compiled defun and its size fact.  Never reported.
+    env: DefEnv | None = field(default=None, compare=False, repr=False)
 
     @property
     def admitted(self) -> bool:
@@ -1040,10 +1038,11 @@ def admit(
     seed: int = 0,
     trials: int = 1000,
 ) -> AdmissibilityReport:
-    """Run all three checks; the report carries the compiled defun on success.
+    """Run all three checks; on success the report carries the compiled
+    defun and the environment that holds it.
 
-    The caller decides whether to install the compiled defun in the
-    environment (see loader.load_program).
+    ``env`` itself is never changed.  A caller that installs the definition
+    continues in ``report.env`` (see loader.Session.load_form).
     """
     _validate_operators(d, env, measure)
     if measure is not None:
@@ -1064,6 +1063,6 @@ def admit(
     if FAILED in (consistent.verdict, comprehensive.verdict, constructive.verdict):
         return AdmissibilityReport(d.name, consistent, comprehensive, constructive, None)
     fact = _size_fact(d, env.size_bounds) if constructive.verdict == PROVED else None
-    return AdmissibilityReport(
-        d.name, consistent, comprehensive, constructive, compiled, fact, prov.defs[d.name]
-    )
+    if fact is not None:
+        prov.size_bounds[d.name] = fact
+    return AdmissibilityReport(d.name, consistent, comprehensive, constructive, compiled, prov)

@@ -92,9 +92,22 @@ class Netlist:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "Netlist":
-        gates = [Gate(g["kind"], tuple(g["args"])) for g in data["gates"]]
-        return cls(list(data["inputs"]), gates, list(data["outputs"]))
+    def from_json(cls, data) -> "Netlist":
+        """The netlist ``to_json`` wrote; ``ValueError`` if ``data`` lacks its shape."""
+        if not isinstance(data, dict) or not {"inputs", "gates", "outputs"} <= data.keys():
+            raise ValueError('netlist JSON must be an object with "inputs", "gates" and "outputs"')
+        inputs, gates = data["inputs"], data["gates"]
+        if not isinstance(inputs, list) or not all(isinstance(p, str) for p in inputs):
+            raise ValueError("netlist inputs must be a list of port names")
+        if not isinstance(gates, list) or not all(
+            isinstance(g, dict) and isinstance(g.get("kind"), str) for g in gates
+        ):
+            raise ValueError('netlist gates must be a list of objects with a "kind" name')
+        return cls(
+            inputs,
+            [Gate(g["kind"], _node_ids(g.get("args"), "gate args")) for g in gates],
+            list(_node_ids(data["outputs"], "outputs")),
+        )
 
     def to_dot(self) -> str:
         lines = ["digraph netlist {", "  rankdir=LR;"]
@@ -110,6 +123,12 @@ class Netlist:
             lines.append(f"  n{o} -> out{j};")
         lines.append("}")
         return "\n".join(lines)
+
+
+def _node_ids(ids, what: str) -> tuple[int, ...]:
+    if not isinstance(ids, list) or not all(type(i) is int for i in ids):
+        raise ValueError(f"netlist {what} must be a list of node ids")
+    return tuple(ids)
 
 
 class _Builder:

@@ -404,6 +404,12 @@ def cmd_ci(args) -> int:
 # argument wiring
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -427,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", parents=[common], help="run properties")
     p.add_argument("files", nargs="+")
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=_positive_int, default=None)
     p.set_defaults(fn=cmd_test)
 
     p = sub.add_parser("prove", parents=[common], help="check proof scripts")
@@ -440,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--worst-case", action="store_true")
     p.add_argument("--candidate", choices=sorted(cost.CANDIDATES), default="nlogn")
     p.add_argument("--window", type=float, default=cost.DEFAULT_WINDOW)
-    p.add_argument("--samples", type=int, default=cost.MEASURE_SAMPLES)
+    p.add_argument("--samples", type=_positive_int, default=cost.MEASURE_SAMPLES)
     p.add_argument("--defs", nargs="*", help="definition files (default: bundled corpus)")
     p.set_defaults(fn=cmd_steps)
 

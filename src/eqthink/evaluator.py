@@ -153,17 +153,14 @@ class StepCount:
 
 
 class _DefRecord:
-    """A defined operator: its defun, operator index and generated function,
-    with the payment sites its translation appended, from ``first_site``."""
+    """A defined operator: its defun, operator index and generated function."""
 
-    __slots__ = ("defun", "index", "fn", "first_site", "sites")
+    __slots__ = ("defun", "index", "fn")
 
-    def __init__(self, defun: RawDefun, index: int, first_site: int):
+    def __init__(self, defun: RawDefun, index: int):
         self.defun = defun
         self.index = index
         self.fn = None
-        self.first_site = first_site
-        self.sites: tuple[tuple[tuple[int, int], ...], ...] = ()
 
 
 # The names generated code refers to besides its records and constants.
@@ -201,28 +198,6 @@ class DefEnv:
         self.size_bounds: dict[str, int] = {}
 
     def define(self, d: RawDefun) -> None:
-        record = _DefRecord(d, self._claim(d), len(self.sites))
-        self.defs[d.name] = record
-        _raise_recursion_limit()
-        record.fn = _Translator(self, d.params, f"f{record.index}", d.name).translate(d.body)
-        record.sites = tuple(self.sites[record.first_site:])
-
-    def adopt(self, record: _DefRecord) -> None:
-        """Install a definition that a copy of this environment translated
-        (``admissibility.admit`` does), without translating it again.
-
-        The copy's sites start as this environment's, so the record's
-        payment sites line up with ours as long as nothing was defined or
-        translated here since the copy was made.
-        """
-        if (record.index, record.first_site) != (len(self.op_names), len(self.sites)):
-            raise ValueError(f"{record.defun.name} was translated for another environment")
-        self._claim(record.defun)
-        self.defs[record.defun.name] = record
-        self.sites += record.sites
-
-    def _claim(self, d: RawDefun) -> int:
-        """Give ``d``'s name the next operator index."""
         if d.name in PRIMITIVE_ARITY:
             raise DuplicateDefinition(f"{d.name} is a primitive", d.loc)
         if d.name in self.defs:
@@ -230,7 +205,10 @@ class DefEnv:
         index = len(self.op_names)
         self.op_names.append(d.name)
         self.op_index[d.name] = index
-        return index
+        record = _DefRecord(d, index)
+        self.defs[d.name] = record
+        _raise_recursion_limit()
+        record.fn = _Translator(self, d.params, f"f{index}", d.name).translate(d.body)
 
     def arity(self, name: str) -> int | None:
         if name in PRIMITIVE_ARITY:

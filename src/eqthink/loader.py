@@ -5,6 +5,10 @@ next definition's domains and termination argument, equation groups run
 the admissibility checks before their compiled form joins the
 environment, trusted defuns bypass the checks explicitly, and proofs
 run against the rule database as it stands at that point in the file.
+
+``Session.env`` is replaced at each admission by the environment the
+checks ran in, which already holds the compiled defun and its size fact.
+A rejected definition leaves ``Session.env`` as it was.
 """
 
 from __future__ import annotations
@@ -34,8 +38,6 @@ from .syntax import (
     parse_file,
 )
 from .values import print_value
-
-DEFAULT_CHECK_TRIALS = 1000
 
 
 @dataclass(frozen=True)
@@ -78,13 +80,10 @@ class Session:
                 domains=self.sigs.get(form.name),
                 measure=self.measures.get(form.name),
                 seed=self.seed,
-                trials=DEFAULT_CHECK_TRIALS,
             )
             self.admissibility[form.name] = report
             if report.admitted:
-                self.env.adopt(report.record)
-                if report.size_bound is not None:
-                    self.env.size_bounds[form.name] = report.size_bound
+                self.env = report.env
                 self.rules.add_definitional(form)
             return FormResult("defeqs", form.name, report)
         if isinstance(form, RawDefun):

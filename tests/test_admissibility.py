@@ -114,15 +114,36 @@ def test_each_admitted_operator_is_translated_once(monkeypatch):
     assert session.env.names() and translated == Counter(session.env.names())
 
 
-def test_adopting_after_the_environment_moved_on_fails():
+def test_admission_hands_back_the_environment_it_checked_in():
     env = DefEnv()
     [d] = parse_program("(defeqs n (xs) (n0 (n nil) 0) (n1 (n (cons x xs)) (1+ (n xs))))")
     report = admit(d, env, domains=("list",))
-    # A top-level term translated since the copy takes the next site index.
-    assert evaluate(parse_term("(if (consp nil) 1 2)"), {}, env) == 2
-    with pytest.raises(ValueError, match="another environment"):
-        env.adopt(report.record)
-    assert "n" not in env.defs and "n" not in env.op_index
+    assert report.admitted and report.env is not env
+    assert "n" in report.env.defs and "n" not in env.defs and "n" not in env.op_index
+    assert report.env.size_bounds == {"n": 0} and env.size_bounds == {}
+    assert evaluate(parse_term("(n '(a b c))"), {}, report.env) == 3
+
+
+def test_rejected_definition_leaves_the_session_environment_alone():
+    session = Session()
+    [*sigs, bad, good] = parse_program(
+        """
+        (sig clash (nat))
+        (sig n (list))
+        (defeqs clash (n) (c1 (clash 0) 1) (c2 (clash n) 2))
+        (defeqs n (xs) (n0 (n nil) 0) (n1 (n (cons x xs)) (1+ (n xs))))
+        """
+    )
+    session.load_forms(sigs)
+    env = session.env
+    ops, sites = list(env.op_names), list(env.sites)
+    report = session.load_form(bad).detail
+    assert not report.admitted and report.env is None
+    assert session.env is env and env.op_names == ops and env.sites == sites
+    assert "clash" not in env.defs and "clash" not in env.op_index
+    assert session.load_form(good).detail.admitted
+    assert session.env is not env and "clash" not in session.env.defs
+    assert evaluate(parse_term("(n '(a b c))"), {}, session.env) == 3
 
 
 def test_contradictory_equations_rejected_with_witness():
@@ -765,7 +786,7 @@ def test_only_a_static_proof_earns_a_size_fact(inner, verdict):
         """
     report, session = _admit(src)
     assert report.constructive.verdict == verdict
-    assert report.size_bound == (0 if verdict == "Proved" else None)
+    assert report.env.size_bounds.get("peel") == (0 if verdict == "Proved" else None)
     assert "head" in session.env.names() and "head" not in session.env.size_bounds
 
 
@@ -789,7 +810,7 @@ def test_size_facts_hold_on_random_inputs(corpus_env, values):
 def test_size_facts_stay_out_of_reports(corpus):
     session, _ = corpus
     report = session.admissibility["evens"]
-    assert report.size_bound == 0
+    assert report.env.size_bounds["evens"] == 0
     assert set(report.to_json()) == {
         "name", "admitted", "consistent", "comprehensive", "constructive", "compiled"
     }
@@ -825,7 +846,7 @@ def test_growing_helper_earns_no_size_fact():
     report, session = _admit(_DBL)
     assert report.admitted
     assert report.constructive.verdict == "Proved"
-    assert report.size_bound is None
+    assert "dbl" not in report.env.size_bounds
     assert "dbl" not in session.env.size_bounds
 
 
@@ -856,4 +877,6 @@ def test_merge_sort_split_through_growing_helper_is_not_proved(split, verdict):
     assert report.constructive.verdict == verdict
     if verdict == "TestedOnly":
         assert "(dbl has no size bound)" in report.constructive.detail
-    assert report.size_bound is None
+        assert "dsort" not in report.env.size_bounds
+    else:
+        assert report.env is None

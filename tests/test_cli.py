@@ -160,6 +160,22 @@ def test_test_subcommand_counterexample_exit(capsys):
     assert "5 of 6 properties passed" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("test", LISTS, "--trials", "0"),
+        ("test", LISTS, "--trials", "-5"),
+        ("steps", "merge-sort", "--sizes", "16,32", "--samples", "0"),
+        ("steps", "merge-sort", "--sizes", "16,32", "--samples", "-1"),
+    ],
+)
+def test_trials_and_samples_must_be_positive(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
 def test_test_seed_changes_draws_deterministically(capsys):
     _, first = run_json(capsys, "test", LISTS, "--seed", "9")
     _, second = run_json(capsys, "test", LISTS, "--seed", "9")
@@ -231,6 +247,41 @@ def test_circuit_equiv_difference(tmp_path, capsys):
     b.write_text(run(capsys, "circuit", "build", "(or x y)")[1])
     code, out, _ = run(capsys, "circuit", "equiv", str(a), str(b))
     assert code == 1 and "Differ at" in out
+
+
+_NOT_AN_OBJECT = 'netlist JSON must be an object with "inputs", "gates" and "outputs"'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"inputs": ["a"]}', _NOT_AN_OBJECT),
+        ("[1, 2]", _NOT_AN_OBJECT),
+        (
+            '{"inputs": ["a"], "gates": [{"kind": "NOT", "args": ["a"]}], "outputs": [1]}',
+            "netlist gate args must be a list of node ids",
+        ),
+        (
+            '{"inputs": ["a"], "gates": [{"kind": "NOT"}], "outputs": [1]}',
+            "netlist gate args must be a list of node ids",
+        ),
+        (
+            '{"inputs": [["a"]], "gates": [], "outputs": [0]}',
+            "netlist inputs must be a list of port names",
+        ),
+    ],
+    ids=["no-gates", "array", "string-arg", "no-args", "list-port"],
+)
+def test_malformed_netlist_exits_two(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    for argv in (
+        ("sim", str(bad), "--assign", "a=1"),
+        ("equiv", str(bad), str(bad)),
+        ("basis", str(bad), "--to", "nand"),
+    ):
+        code, _, err = run(capsys, "circuit", *argv)
+        assert code == 2 and err == message + "\n", argv
 
 
 def test_circuit_adder_and_dot(capsys):
