@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -31,7 +32,11 @@ EXIT_USAGE = 2
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("EQTHINK_SEED", "0"))
+    text = os.environ.get("EQTHINK_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"EQTHINK_SEED must be an integer, got {text!r}") from None
 
 
 def corpus_root() -> Path:
@@ -410,6 +415,14 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _window(text: str) -> float:
+    """A growth window bounds a max/min ratio, so it is finite and at least 1."""
+    window = float(text)
+    if not (math.isfinite(window) and window >= 1):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 1, got {text!r}")
+    return window
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -445,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated input sizes")
     p.add_argument("--worst-case", action="store_true")
     p.add_argument("--candidate", choices=sorted(cost.CANDIDATES), default="nlogn")
-    p.add_argument("--window", type=float, default=cost.DEFAULT_WINDOW)
+    p.add_argument("--window", type=_window, default=cost.DEFAULT_WINDOW)
     p.add_argument("--samples", type=_positive_int, default=cost.MEASURE_SAMPLES)
     p.add_argument("--defs", nargs="*", help="definition files (default: bundled corpus)")
     p.set_defaults(fn=cmd_steps)
@@ -489,9 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = _default_seed()
     try:
+        if args.seed is None:
+            args.seed = _default_seed()
         return args.fn(args)
     except ParseError as exc:
         print(str(exc), file=sys.stderr)

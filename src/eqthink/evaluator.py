@@ -11,10 +11,11 @@ Cost model: every application node visited costs one step (primitives,
 and the taken branch only.  Variables and literals are free.
 
 Each defined operator is translated to one generated Python function, and
-so is each top-level term (memoized per ``DefEnv``, keyed by the term and
-its sorted binding names, so a term is translated once however often it
-runs).  Parameters and bindings become Python locals, and the primitives
-are inlined as Python expressions over locals.  Each primitive is computed
+so is each top-level term (memoized per ``DefEnv``, keyed by the term's
+flat shape, computed once per term object and kept on it, and its sorted
+binding names, so a term is translated once however often it runs).
+Parameters and bindings become Python locals, and the primitives are
+inlined as Python expressions over locals.  Each primitive is computed
 once per path: the translator keeps a table from a primitive application
 (its operator and the names of its arguments) and from each integer
 coercion to the local that already holds the result.  An entry made in a
@@ -249,22 +250,27 @@ def _raise_recursion_limit() -> None:
         sys.setrecursionlimit(_RECURSION_LIMIT)
 
 
-def _shape(t: Term) -> tuple:
+def _shape(term: Term) -> tuple:
     """A term as a flat preorder tuple, to key the memo of top-level terms.
 
     Terms hash and compare through C recursion, which overflows the C
     stack on nests some ten thousand deep; a flat tuple does not recurse.
+    It is computed once per term object: an ``App`` keeps it in ``shape``.
     """
-    out = []
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, App):
-            out += (App, t.op, len(t.args))
-            stack += reversed(t.args)
-        else:
-            out += (type(t), t.value if isinstance(t, IntLit) else t.name)
-    return tuple(out)
+    shape = getattr(term, "shape", None)
+    if shape is None:
+        out, stack = [], [term]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, App):
+                out += (App, t.op, len(t.args))
+                stack += reversed(t.args)
+            else:
+                out += (type(t), t.value if isinstance(t, IntLit) else t.name)
+        shape = tuple(out)
+        if isinstance(term, App):
+            object.__setattr__(term, "shape", shape)
+    return shape
 
 
 # ---------------------------------------------------------------------------

@@ -33,18 +33,14 @@ class Job:
     reducer: str
 
 
+_VALUE_ORDER = cmp_to_key(value_compare)
+
+
 def group_pairs(pairs: list[tuple[Value, V]]) -> list[tuple[Value, list[V]]]:
     """Group by key: keys strictly increasing under the total value
-    order, each group's values in emission order."""
-
-    def by_key_then_position(i: int, j: int) -> int:
-        c = value_compare(pairs[i][0], pairs[j][0])
-        return c if c else i - j
-
-    order = sorted(range(len(pairs)), key=cmp_to_key(by_key_then_position))
+    order, each group's values in emission order (the sort is stable)."""
     groups: list[tuple[Value, list[V]]] = []
-    for i in order:
-        key, value = pairs[i]
+    for key, value in sorted(pairs, key=lambda pair: _VALUE_ORDER(pair[0])):
         if groups and value_compare(groups[-1][0], key) == 0:
             groups[-1][1].append(value)
         else:
@@ -146,7 +142,7 @@ def pagerank(
         adjacency.append((node, targets))
         seen.add(node)
         seen.update(targets)
-    nodes = sorted(seen, key=cmp_to_key(value_compare))
+    nodes = sorted(seen, key=_VALUE_ORDER)
     if not nodes:
         return []
     n = len(nodes)

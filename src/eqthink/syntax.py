@@ -102,6 +102,8 @@ class App(Term):
     op: str
     args: tuple[Term, ...]
     loc: SourceLocation = field(default=NOWHERE, compare=False, repr=False)
+    # The term as a flat tuple, kept by evaluator._shape on first use.
+    shape: tuple = field(init=False, compare=False, repr=False)
 
 
 NIL_LIT = SymLit("nil")

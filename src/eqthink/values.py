@@ -89,25 +89,22 @@ def value_compare(a: Value, b: Value) -> int:
     component-wise (head first, then tail along the spine).
     """
     while True:
-        ra, rb = _rank(a), _rank(b)
-        if ra != rb:
-            return -1 if ra < rb else 1
-        if ra == 0:
+        if isinstance(a, int):
+            if not isinstance(b, int):
+                return -1
             return -1 if a < b else (0 if a == b else 1)
-        if ra == 1:
+        if isinstance(b, int):
+            return 1
+        if isinstance(a, Symbol):
+            if not isinstance(b, Symbol):
+                return -1
             return -1 if a.name < b.name else (0 if a.name == b.name else 1)
+        if isinstance(b, Symbol):
+            return 1
         c = value_compare(a.head, b.head)
         if c != 0:
             return c
         a, b = a.tail, b.tail
-
-
-def _rank(v: Value) -> int:
-    if isinstance(v, int):
-        return 0
-    if isinstance(v, Symbol):
-        return 1
-    return 2
 
 
 def from_list(items) -> Value:

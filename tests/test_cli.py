@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, JSON report shape, determinism."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -176,6 +177,14 @@ def test_trials_and_samples_must_be_positive(capsys, argv):
     assert "must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window", ["-1", "0.5", "nan", "inf"])
+def test_steps_window_must_be_finite_and_at_least_one(capsys, window):
+    with pytest.raises(SystemExit) as exc:
+        main(["steps", "merge-sort", "--sizes", "4,8,16,32", "--window", window])
+    assert exc.value.code == 2
+    assert "must be a finite number >= 1" in capsys.readouterr().err
+
+
 def test_test_seed_changes_draws_deterministically(capsys):
     _, first = run_json(capsys, "test", LISTS, "--seed", "9")
     _, second = run_json(capsys, "test", LISTS, "--seed", "9")
@@ -188,6 +197,15 @@ def test_seed_env_default(capsys, monkeypatch):
     monkeypatch.setenv("EQTHINK_SEED", "123")
     _, report = run_json(capsys, "check", LISTS)
     assert report["seed"] == 123
+
+
+def test_bad_seed_env_is_a_usage_error():
+    out = subprocess.run(
+        [sys.executable, "-m", "eqthink.cli", "check", LISTS],
+        capture_output=True, text=True, env={**os.environ, "EQTHINK_SEED": "x"},
+    )
+    assert out.returncode == 2
+    assert out.stderr == "EQTHINK_SEED must be an integer, got 'x'\n"
 
 
 def test_prove_subcommand(capsys):

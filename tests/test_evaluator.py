@@ -643,6 +643,33 @@ def test_evaluate_goes_through_eval_counting(monkeypatch):
     assert len(calls) == 1
 
 
+def test_evaluated_term_keeps_equality_hash_and_repr():
+    env = _library()
+    ran = parse_term("(app (cons 1 nil) (cons x nil))")
+    assert evaluate(ran, {"x": 2}, env) == from_list([1, 2])
+    fresh = parse_term("(app (cons 1 nil) (cons x nil))")
+    assert ran.shape == evaluator._shape(fresh)
+    assert ran == fresh and hash(ran) == hash(fresh) and repr(ran) == repr(fresh)
+
+
+def test_equal_terms_share_one_translation(monkeypatch):
+    env = _library()
+    translations = []
+    translate = evaluator._Translator.translate
+
+    def spy(self, t):
+        translations.append(t)
+        return translate(self, t)
+
+    monkeypatch.setattr(evaluator._Translator, "translate", spy)
+    first = parse_term("(count-down n)")
+    second = parse_term("(count-down n)")
+    assert first is not second
+    for t, n in ((first, 3), (second, 4), (first, 5)):
+        assert eval_counting(t, {"n": n}, env)[1].total == 4 * n + 3
+    assert translations == [first]
+
+
 def test_step_counts_read_and_compare_by_total_and_tallies():
     env = _library()
     t = parse_term("(insert 3 (cons 1 (cons 2 (cons 5 nil))))")

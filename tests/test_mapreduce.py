@@ -6,11 +6,14 @@ the job's own mapper or reducer.
 
 from collections import Counter
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eqthink import evaluator
+from eqthink import mapreduce as mapreduce_module
 from eqthink.errors import BadDamping, JobError, MapperArity, UnknownOperator
 from eqthink.mapreduce import (
     Job,
@@ -22,7 +25,7 @@ from eqthink.mapreduce import (
     pagerank,
 )
 from eqthink.syntax import parse_program
-from eqthink.values import Symbol, from_list, to_list, value_compare
+from eqthink.values import Pair, Symbol, from_list, to_list, value_compare
 
 keys = st.one_of(st.integers(-20, 20), st.sampled_from([Symbol(c) for c in "abcde"]))
 
@@ -38,6 +41,56 @@ def test_group_pairs_matches_dict_oracle(pairs):
     # keys strictly increasing in the value order
     got_keys = [k for k, _ in grouped]
     assert all(value_compare(a, b) < 0 for a, b in zip(got_keys, got_keys[1:]))
+
+
+def _grouped_by_index(pairs):
+    """``group_pairs`` as written before it sorted the pairs by key alone:
+    indices sorted by key, ties broken by position.  The differential
+    oracle for the current one."""
+
+    def by_key_then_position(i, j):
+        c = value_compare(pairs[i][0], pairs[j][0])
+        return c if c else i - j
+
+    groups = []
+    for i in sorted(range(len(pairs)), key=cmp_to_key(by_key_then_position)):
+        key, value = pairs[i]
+        if groups and value_compare(groups[-1][0], key) == 0:
+            groups[-1][1].append(value)
+        else:
+            groups.append((key, [value]))
+    return groups
+
+
+# Keys as plain data, built into fresh values for every pair, so equal keys
+# are distinct objects: ints, symbols (strings), lists and improper pairs.
+key_specs = st.recursive(
+    st.one_of(st.integers(0, 3), st.sampled_from(["a", "b"])),
+    lambda k: st.one_of(
+        st.tuples(st.just("cons"), k, k), st.lists(k, max_size=2).map(tuple)
+    ),
+    max_leaves=4,
+)
+
+
+def _build_key(spec):
+    if isinstance(spec, int):
+        return spec
+    if isinstance(spec, str):
+        return Symbol(spec)
+    if spec[:1] == ("cons",):
+        return Pair(_build_key(spec[1]), _build_key(spec[2]))
+    return from_list(_build_key(item) for item in spec)
+
+
+@given(st.lists(st.tuples(key_specs, st.integers(0, 99)), max_size=30))
+def test_group_pairs_matches_index_tie_break_oracle(specs):
+    pairs = [(_build_key(spec), value) for spec, value in specs]
+    grouped = group_pairs(pairs)
+    oracle = _grouped_by_index(pairs)
+    assert grouped == oracle
+    # Each group is keyed by the same object: its first emission.
+    assert all(got is want for (got, _), (want, _) in zip(grouped, oracle))
 
 
 def test_group_pairs_keeps_emission_order_within_key():
@@ -88,6 +141,31 @@ def test_invert_links_matches_brute_force(corpus_env, adjacency):
     for _, v in got:
         sources = to_list(v)
         assert sources == sorted(sources)
+
+
+def test_mapreduce_calls_evaluate_and_eval_counting_through_module_globals(
+    corpus_env, monkeypatch
+):
+    # The benchmark's tracer times these calls by replacing the module
+    # globals; a call that bypassed them would go uncounted.
+    calls = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(mapreduce_module, "evaluate")
+    counted(evaluator, "eval_counting")
+    docs = [["the", "cat"], ["the", "dog", "the"]]
+    got = job_wordcount(_words(docs), corpus_env)
+    assert {k.name: v for k, v in got} == {"the": 3, "cat": 1, "dog": 1}
+    # one map call per document, one reduce call per distinct word
+    assert calls == {"evaluate": 5, "eval_counting": 5}
 
 
 def _defs(src):

@@ -84,6 +84,37 @@ def test_compare_transitive(a, b, c):
         assert value_compare(a, c) <= 0
 
 
+def _ranked_compare(a, b):
+    """``value_compare`` as written before its rank tests were inlined: the
+    differential oracle for the current one."""
+
+    def rank(v):
+        if isinstance(v, int):
+            return 0
+        if isinstance(v, Symbol):
+            return 1
+        return 2
+
+    while True:
+        ra, rb = rank(a), rank(b)
+        if ra != rb:
+            return -1 if ra < rb else 1
+        if ra == 0:
+            return -1 if a < b else (0 if a == b else 1)
+        if ra == 1:
+            return -1 if a.name < b.name else (0 if a.name == b.name else 1)
+        c = _ranked_compare(a.head, b.head)
+        if c != 0:
+            return c
+        a, b = a.tail, b.tail
+
+
+@given(nested, nested)
+def test_value_compare_matches_ranked_oracle(a, b):
+    assert value_compare(a, b) == _ranked_compare(a, b)
+    assert value_compare(b, a) == -value_compare(a, b)
+
+
 @given(values)
 def test_json_round_trip(v):
     assert value_equal(from_json(to_json(v)), v)
