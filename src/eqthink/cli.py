@@ -194,14 +194,13 @@ def cmd_eval(args) -> int:
 def cmd_steps(args) -> int:
     paths = args.defs if args.defs else sorted((corpus_root() / "defs").glob("*.lx"))
     session, _ = _load_session([str(p) for p in paths], args.seed)
-    sizes = [int(s) for s in args.sizes.split(",") if s]
     if args.worst_case:
         measured = cost.measure_steps(
-            args.op, cost.reverse_sorted_list, sizes, args.seed, session.env, samples=1
+            args.op, cost.reverse_sorted_list, args.sizes, args.seed, session.env, samples=1
         )
     else:
         measured = cost.measure_steps(
-            args.op, cost.random_list, sizes, args.seed, session.env, samples=args.samples
+            args.op, cost.random_list, args.sizes, args.seed, session.env, samples=args.samples
         )
     report = cost.check_bound(measured, args.candidate, args.window)
     code = EXIT_OK if report.consistent else EXIT_VERDICT
@@ -415,6 +414,14 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _sizes(text: str) -> list[int]:
+    """Input sizes: a comma-separated list of distinct positive integers."""
+    sizes = [_positive_int(part) for part in text.split(",")]
+    if len(set(sizes)) < len(sizes):
+        raise argparse.ArgumentTypeError(f"must be distinct, got {text!r}")
+    return sizes
+
+
 def _window(text: str) -> float:
     """A growth window bounds a max/min ratio, so it is finite and at least 1."""
     window = float(text)
@@ -455,7 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("steps", parents=[common], help="measure step growth")
     p.add_argument("op")
-    p.add_argument("--sizes", required=True, help="comma-separated input sizes")
+    p.add_argument(
+        "--sizes", type=_sizes, required=True, help="comma-separated distinct input sizes"
+    )
     p.add_argument("--worst-case", action="store_true")
     p.add_argument("--candidate", choices=sorted(cost.CANDIDATES), default="nlogn")
     p.add_argument("--window", type=_window, default=cost.DEFAULT_WINDOW)

@@ -82,6 +82,14 @@ again are Python locals, written to the ``StepCount`` before a call to
 another generated function (which pays into it), before raising
 ``StepLimitExceeded``, and at the end.
 
+A ``cons`` is emitted as three statements, ``v = BlankPair()``,
+``v.head = h`` and ``v.tail = t``, and so is each cell a loop builds, whose
+tail is ``None`` until it is filled.  ``Pair(h, t)`` would enter a Python
+frame for ``Pair.__init__`` on every cell (CPython 3.11 does not specialise
+class instantiation), which about doubles the cost of a cell; ``BlankPair``
+is a ``Pair`` whose ``__init__`` is C code.  A folded constant is still
+made by ``Pair``.
+
 Evaluation runs as plain calls on the caller's thread: the generated
 functions only call Python functions, which CPython 3.11+ runs without
 growing the C stack.  Deep structural recursion over long lists therefore
@@ -102,7 +110,7 @@ from .errors import (
     UnknownOperator,
 )
 from .syntax import App, IntLit, PRIMITIVE_ARITY, RawDefun, SymLit, Term, Var
-from .values import NIL, Pair, Symbol, T, Value, value_compare, value_equal
+from .values import NIL, BlankPair, Pair, Symbol, T, Value, value_compare, value_equal
 
 DEFAULT_FUEL = 10**8
 _RECURSION_LIMIT = 20_000_000
@@ -167,6 +175,7 @@ class _DefRecord:
 # The names generated code refers to besides its records and constants.
 _GLOBALS = {
     "Pair": Pair,
+    "BlankPair": BlankPair,
     "NIL": NIL,
     "T": T,
     "value_equal": value_equal,
@@ -302,7 +311,9 @@ _CONDITIONS = {
     **_CONNECTIVES,
 }
 
-# The other primitives, as Python expressions for their values.
+# The other primitives, as Python expressions for their values.  Generated
+# code builds a ``cons`` as statements instead (``_Translator.cons``); the
+# template folds ground ones.
 _VALUES = {
     "cons": "Pair({0}, {1})",
     "first": "{0}.head if isinstance({0}, Pair) else NIL",
@@ -552,16 +563,14 @@ class _Translator:
         args = [self.value(a, depth) for a in t.args]
         if heads:
             self.cells = True
-            cells = [self.temp() for _ in heads]
-            tail = "None"
-            for cell, head in reversed(list(zip(cells, heads))):
-                self.emit(depth, f"{cell} = Pair({head}, {tail})")
-                tail = cell
+            last = first = self.cons(depth, heads[-1], "None")
+            for head in reversed(heads[:-1]):
+                first = self.cons(depth, head, first)
             self.emit(depth, "if cell is None:")
-            self.emit(depth + 1, f"root = {cells[0]}")
+            self.emit(depth + 1, f"root = {first}")
             self.emit(depth, "else:")
-            self.emit(depth + 1, f"cell.tail = {cells[0]}")
-            self.emit(depth, f"cell = {cells[-1]}")
+            self.emit(depth + 1, f"cell.tail = {first}")
+            self.emit(depth, f"cell = {last}")
         moved = [(p, a) for p, a in zip(self.params, args) if p != a]
         if moved:
             self.emit(depth, f"{', '.join(p for p, _ in moved)} = {', '.join(a for _, a in moved)}")
@@ -653,8 +662,11 @@ class _Translator:
         key, args = self.arguments(t, depth)
         name = self.known.get(key)
         if name is None:
-            name = self.temp()
-            self.emit(depth, f"{name} = {self.primitive(t, args, depth)}")
+            if t.op == "cons":
+                name = self.cons(depth, *args)
+            else:
+                name = self.temp()
+                self.emit(depth, f"{name} = {self.primitive(t, args, depth)}")
             self.known[key] = name
             if t.op in _ARITHMETIC:
                 self.known[("int", name)] = name
@@ -670,6 +682,8 @@ class _Translator:
 
     def primitive(self, t: App, args: list[str], depth: int) -> str:
         """A Python expression for ``t`` over its emitted arguments."""
+        if t.op == "cons":
+            return self.cons(depth, *args)
         if t.op in ("first", "rest"):
             pair = self.known.get(("consp", args[0]), f"isinstance({args[0]}, Pair)")
             field = f"{args[0]}.{'head' if t.op == 'first' else 'tail'}"
@@ -682,6 +696,16 @@ class _Translator:
         if "{i" in template:
             ints = {f"i{k}": self.integer(arg, depth) for k, arg in enumerate(args)}
         return template.format(*args, **ints)
+
+    def cons(self, depth: int, head: str, tail: str) -> str:
+        """Emit a new pair in a fresh local and return its name:
+        ``BlankPair()`` and two slot stores, which enter no Python frame,
+        where ``Pair(head, tail)`` enters its ``__init__``."""
+        cell = self.temp()
+        self.emit(depth, f"{cell} = BlankPair()")
+        self.emit(depth, f"{cell}.head = {head}")
+        self.emit(depth, f"{cell}.tail = {tail}")
+        return cell
 
     def integer(self, name: str, depth: int) -> str:
         """The name holding ``name``'s value coerced to an integer."""

@@ -58,6 +58,22 @@ class Pair:
         return f"Pair({self.head!r}, {self.tail!r})"
 
 
+class BlankPair(Pair):
+    """A ``Pair`` made empty and filled by its maker: ``BlankPair()``, then
+    a store to ``head`` and one to ``tail`` before anything reads it.
+
+    Its ``__init__`` is ``object.__init__``, which is C code, so making one
+    enters no Python frame; ``Pair(head, tail)`` enters one for
+    ``Pair.__init__``, which about doubles the cost of a cell.  In every
+    other way it is a ``Pair``: it compares, hashes, orders, prints and
+    converts to JSON like one.  Generated code and ``from_list`` build
+    their cells with it.
+    """
+
+    __slots__ = ()
+    __init__ = object.__init__
+
+
 Value = int | Symbol | Pair
 
 
@@ -110,7 +126,10 @@ def value_compare(a: Value, b: Value) -> int:
 def from_list(items) -> Value:
     out: Value = NIL
     for item in reversed(list(items)):
-        out = Pair(item, out)
+        cell = BlankPair()
+        cell.head = item
+        cell.tail = out
+        out = cell
     return out
 
 

@@ -185,6 +185,25 @@ def test_steps_window_must_be_finite_and_at_least_one(capsys, window):
     assert "must be a finite number >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        # Negative sizes were measured as empty lists and printed as rows.
+        ("-1,-2,-3,4,8,16,32", "must be a positive integer, got '-1'"),
+        # A repeated size was dropped, leaving too few to judge growth.
+        ("4,8,16,16", "must be distinct, got '4,8,16,16'"),
+        # A non-integer reached int() unchecked.
+        ("4,x", "must be a positive integer, got 'x'"),
+    ],
+)
+def test_steps_sizes_must_be_distinct_positive_integers(capsys, sizes, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["steps", "merge-sort", f"--sizes={sizes}"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.splitlines()[-1] == f"eqthink steps: error: argument --sizes: {message}"
+
+
 def test_test_seed_changes_draws_deterministically(capsys):
     _, first = run_json(capsys, "test", LISTS, "--seed", "9")
     _, second = run_json(capsys, "test", LISTS, "--seed", "9")

@@ -38,7 +38,19 @@ from eqthink.syntax import (
     parse_program,
     parse_term,
 )
-from eqthink.values import NIL, Pair, Symbol, T, from_list, to_list, value_compare, value_equal
+from eqthink.values import (
+    NIL,
+    BlankPair,
+    Pair,
+    Symbol,
+    T,
+    from_list,
+    print_value,
+    to_json,
+    to_list,
+    value_compare,
+    value_equal,
+)
 
 
 def _as_int(v):
@@ -545,6 +557,84 @@ def test_user_function_against_host_append(xs, ys):
         App("app", (Var("a"), Var("b"))), {"a": from_list(xs), "b": from_list(ys)}, env
     )
     assert to_list(value) == xs + ys
+
+
+def test_generated_code_makes_pairs_without_pair_init(corpus_env, monkeypatch):
+    x, y = from_list(range(200, 0, -1)), from_list(range(200))
+    cases = [
+        ("(insertion-sort x)", list(range(1, 201))),
+        ("(merge-sort x)", list(range(1, 201))),
+        ("(append x y)", [*range(200, 0, -1), *range(200)]),
+        ("(cons (first y) x)", [0, *range(200, 0, -1)]),
+    ]
+    calls = []
+    init = Pair.__init__
+
+    def counting(self, head, tail):
+        calls.append(head)
+        init(self, head, tail)
+
+    monkeypatch.setattr(Pair, "__init__", counting)
+    for call, expected in cases:
+        assert to_list(evaluate(parse_term(call), {"x": x, "y": y}, corpus_env)) == expected
+    assert calls == []
+
+
+def _built(data):
+    """Plain data as a value built with ``Pair(h, t)``: ints, symbol names,
+    lists, and (head, tail) tuples for improper pairs."""
+    if isinstance(data, int):
+        return data
+    if isinstance(data, str):
+        return Symbol(data)
+    if isinstance(data, tuple):
+        return Pair(_built(data[0]), _built(data[1]))
+    out = NIL
+    for item in reversed(data):
+        out = Pair(_built(item), out)
+    return out
+
+
+_DATA = st.recursive(
+    st.integers(-9, 9) | st.sampled_from(["a", "b", "nil", "t"]),
+    lambda inner: st.lists(inner, max_size=5) | st.tuples(inner, inner),
+    max_leaves=20,
+)
+# Copies made by generated code: a cons returned from a recursion, cons
+# chains one and two cells deep built by loops, and a cons shared as an
+# argument.
+_COPIES = [
+    "(copy x)",
+    "(copy-spine x)",
+    "(copy-two x)",
+    "(if (consp x) (first (cons (cons (first x) (rest x)) nil)) x)",
+]
+
+
+@given(data=_DATA, other=_DATA)
+def test_evaluated_pairs_are_indistinguishable_from_built_ones(data, other):
+    env = DefEnv()
+    for form in parse_program(
+        """
+        (defun copy (x) :trust (if (consp x) (cons (copy (first x)) (copy (rest x))) x))
+        (defun copy-spine (x) :trust (if (consp x) (cons (first x) (copy-spine (rest x))) x))
+        (defun copy-two (x) :trust
+          (if (and (consp x) (consp (rest x)))
+              (cons (first x) (cons (first (rest x)) (copy-two (rest (rest x)))))
+              (copy-spine x)))
+        """
+    ):
+        env.define(form)
+    built, other = _built(data), _built(other)
+    for call in _COPIES:
+        value = evaluate(parse_term(call), {"x": built}, env)
+        assert type(value) is (BlankPair if isinstance(built, Pair) else type(built))
+        assert value == built and built == value and hash(value) == hash(built)
+        assert repr(value) == repr(built) and print_value(value) == print_value(built)
+        assert to_json(value) == to_json(built) and value_compare(value, built) == 0
+        assert value_compare(value, other) == value_compare(built, other)
+        assert value_compare(other, value) == value_compare(other, built)
+        assert (value == other) == (built == other)
 
 
 def test_call_cost_is_one_plus_body():

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -36,6 +38,25 @@ def test_from_list_to_list_round_trip():
     items = [1, Symbol("a"), Pair(2, 3)]
     assert to_list(from_list(items)) == items
     assert from_list([]) is NIL
+
+
+@given(st.lists(values, max_size=8))
+def test_from_list_matches_pair_built_lists_without_pair_init(items):
+    built = NIL
+    for item in reversed(items):
+        built = Pair(item, built)
+    calls = []
+    init = Pair.__init__
+
+    def counting(self, head, tail):
+        calls.append(head)
+        init(self, head, tail)
+
+    with mock.patch.object(Pair, "__init__", counting):
+        made = from_list(items)
+    assert calls == []
+    assert made == built and hash(made) == hash(built)
+    assert repr(made) == repr(built) and print_value(made) == print_value(built)
 
 
 def test_is_true_list():
