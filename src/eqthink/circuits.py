@@ -4,6 +4,12 @@ A netlist is a DAG: input ports occupy node ids 0..k-1 in declaration
 order, gates follow, and every gate argument references a strictly
 smaller node id, so construction order is topological order.  Outputs
 are an ordered list of node ids.
+
+Gates are built from formulas only.  A basis rewrite is a table giving
+each gate kind outside the basis as a formula over its arguments ``a``
+and ``b`` (nand builds constants from ``p``, the first input port), and a
+ripple-carry cell is its sum and carry formulas.  The builder shares
+structurally equal gates, so a repeated subformula costs one gate.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .errors import (
     PortMismatch,
     TooManyInputs,
 )
-from .syntax import App, SymLit, Term, Var, subterms
+from .syntax import App, SymLit, Term, Var, parse_term, subterms
 
 GATE_ARITY = {
     "AND": 2,
@@ -52,6 +58,11 @@ _OP_TO_GATE = {
     "xor": "XOR",
     "implies": "IMPL",
 }
+
+# Each gate kind as a formula over its arguments a and b.
+_GATE_FORMULA: dict[str, Term] = {
+    gate: App(op, (Var("a"), Var("b"))[: GATE_ARITY[gate]]) for op, gate in _OP_TO_GATE.items()
+} | {"CONST1": SymLit("t"), "CONST0": SymLit("nil")}
 
 
 @dataclass(frozen=True)
@@ -139,9 +150,6 @@ class _Builder:
         self.gates: list[Gate] = []
         self._cache: dict[tuple, int] = {}
 
-    def port(self, name: str) -> int:
-        return self.inputs.index(name)
-
     def gate(self, kind: str, *args: int) -> int:
         key = (kind,) + args
         node = self._cache.get(key)
@@ -187,7 +195,7 @@ def simulate(n: Netlist, assignment: dict[str, int]) -> list[int]:
 def formula_to_circuit(f: Term) -> Netlist:
     names = sorted(_formula_vars(f))
     b = _Builder(names)
-    out = _build_formula(f, b)
+    out = _build_formula(f, b, {name: i for i, name in enumerate(names)}, {})
     return b.finish([out])
 
 
@@ -207,13 +215,20 @@ def _formula_vars(f: Term) -> set[str]:
     return out
 
 
-def _build_formula(f: Term, b: _Builder) -> int:
+def _build_formula(f: Term, b: _Builder, nodes: dict[str, int], lowering: dict[str, Term]) -> int:
+    """Add f's gates to b and return its node; variables name the nodes in
+    ``nodes``.  A gate kind in ``lowering`` is built as its formula there,
+    applied to the already built arguments."""
     if isinstance(f, Var):
-        return b.port(f.name)
+        return nodes[f.name]
     if isinstance(f, SymLit):
-        return b.gate("CONST1" if f.name == "t" else "CONST0")
-    args = [_build_formula(a, b) for a in f.args]
-    return b.gate(_OP_TO_GATE[f.op], *args)
+        kind, args = ("CONST1" if f.name == "t" else "CONST0"), []
+    else:
+        kind, args = _OP_TO_GATE[f.op], [_build_formula(a, b, nodes, lowering) for a in f.args]
+    formula = lowering.get(kind)
+    if formula is None:
+        return b.gate(kind, *args)
+    return _build_formula(formula, b, dict(zip("ab", args), p=0), lowering)
 
 
 # ---------------------------------------------------------------------------
@@ -254,123 +269,76 @@ def exhaustive_equiv(a: Netlist, b: Netlist) -> EquivResult:
 
 # ---------------------------------------------------------------------------
 # Universality bases
+#
+# A formula may use the other kinds of its own table.  nand's XOR builds
+# its inner (nand a b) once; impl's XOR is the xor-def lemma.
 
-BASES = ("nand", "impl")
+_LOWERINGS: dict[str, dict[str, Term]] = {
+    basis: {kind: parse_term(src) for kind, src in table.items()}
+    for basis, table in {
+        "nand": {
+            "NOT": "(nand a a)",
+            "AND": "(not (nand a b))",
+            "OR": "(nand (not a) (not b))",
+            "NOR": "(not (or a b))",
+            "XOR": "(nand (nand a (nand a b)) (nand b (nand a b)))",
+            "IMPL": "(nand a (not b))",
+            "CONST1": "(nand p (not p))",
+            "CONST0": "(not t)",
+        },
+        "impl": {
+            "NOT": "(implies a nil)",
+            "OR": "(implies (not a) b)",
+            "AND": "(not (implies a (not b)))",
+            "NAND": "(implies a (not b))",
+            "NOR": "(not (or a b))",
+            "XOR": "(or (and a (not b)) (and (not a) b))",
+            "CONST1": "(not nil)",
+        },
+    }.items()
+}
+
+BASES = tuple(_LOWERINGS)
 
 
 def to_basis(n: Netlist, basis: str) -> Netlist:
     if basis not in BASES:
         raise CircuitError(f"unknown basis {basis!r} (expected nand or impl)")
+    # A closed netlist starts with a constant, which nand builds from port p.
+    if basis == "nand" and not n.inputs:
+        raise CircuitError("nand basis needs at least one input to build constants")
     b = _Builder(list(n.inputs))
-    build = _NandOps(b) if basis == "nand" else _ImplOps(b)
-    k = len(n.inputs)
-    mapped: list[int] = list(range(k))
+    mapped: list[int] = list(range(len(n.inputs)))
     for g in n.gates:
-        args = [mapped[x] for x in g.args]
-        mapped.append(build.translate(g.kind, args))
+        args = dict(zip("ab", (mapped[x] for x in g.args)))
+        mapped.append(_build_formula(_GATE_FORMULA[g.kind], b, args, _LOWERINGS[basis]))
     return b.finish([mapped[o] for o in n.outputs])
-
-
-class _NandOps:
-    def __init__(self, b: _Builder):
-        self.b = b
-
-    def nand(self, x: int, y: int) -> int:
-        return self.b.gate("NAND", x, y)
-
-    def inv(self, x: int) -> int:
-        return self.nand(x, x)
-
-    def one(self) -> int:
-        if not self.b.inputs:
-            raise CircuitError("nand basis needs at least one input to build constants")
-        p = 0
-        return self.nand(p, self.inv(p))
-
-    def translate(self, kind: str, a: list[int]) -> int:
-        if kind == "NAND":
-            return self.nand(a[0], a[1])
-        if kind == "NOT":
-            return self.inv(a[0])
-        if kind == "AND":
-            return self.inv(self.nand(a[0], a[1]))
-        if kind == "OR":
-            return self.nand(self.inv(a[0]), self.inv(a[1]))
-        if kind == "NOR":
-            return self.inv(self.nand(self.inv(a[0]), self.inv(a[1])))
-        if kind == "XOR":
-            m = self.nand(a[0], a[1])
-            return self.nand(self.nand(a[0], m), self.nand(a[1], m))
-        if kind == "IMPL":
-            return self.nand(a[0], self.inv(a[1]))
-        if kind == "CONST1":
-            return self.one()
-        return self.inv(self.one())
-
-
-class _ImplOps:
-    def __init__(self, b: _Builder):
-        self.b = b
-
-    def impl(self, x: int, y: int) -> int:
-        return self.b.gate("IMPL", x, y)
-
-    def zero(self) -> int:
-        return self.b.gate("CONST0")
-
-    def inv(self, x: int) -> int:
-        return self.impl(x, self.zero())
-
-    def or_(self, x: int, y: int) -> int:
-        return self.impl(self.inv(x), y)
-
-    def and_(self, x: int, y: int) -> int:
-        return self.inv(self.impl(x, self.inv(y)))
-
-    def translate(self, kind: str, a: list[int]) -> int:
-        if kind == "IMPL":
-            return self.impl(a[0], a[1])
-        if kind == "NOT":
-            return self.inv(a[0])
-        if kind == "AND":
-            return self.and_(a[0], a[1])
-        if kind == "OR":
-            return self.or_(a[0], a[1])
-        if kind == "NAND":
-            return self.impl(a[0], self.inv(a[1]))
-        if kind == "NOR":
-            return self.inv(self.or_(a[0], a[1]))
-        if kind == "XOR":
-            return self.or_(
-                self.and_(a[0], self.inv(a[1])), self.and_(self.inv(a[0]), a[1])
-            )
-        if kind == "CONST0":
-            return self.zero()
-        return self.inv(self.zero())
 
 
 # ---------------------------------------------------------------------------
 # Ripple-carry adder
 
 
+_SUM = parse_term("(xor (xor x y) c)")
+_CARRY = parse_term("(or (and x y) (and c (xor x y)))")
+
+
 def ripple_carry(width: int) -> Netlist:
     """n-bit adder: inputs x0.., y0.., cin; outputs s0.., cout.
 
-    Cells share the x^y gate between the sum and carry expressions:
-    s = (x^y)^c and c' = (x&y) | (c&(x^y)).
+    Cell i is the sum and carry formulas over x = xi, y = yi and the
+    carry c into it; the two share their (xor x y) gate.
     """
     if width < 1:
         raise BadWidth(f"adder width must be at least 1, got {width}")
     names = [f"x{i}" for i in range(width)] + [f"y{i}" for i in range(width)] + ["cin"]
     b = _Builder(names)
-    carry = b.port("cin")
+    carry = len(names) - 1
     sums: list[int] = []
     for i in range(width):
-        x = b.port(f"x{i}")
-        y = b.port(f"y{i}")
-        half = b.gate("XOR", x, y)
-        sums.append(b.gate("XOR", half, carry))
-        carry = b.gate("OR", b.gate("AND", x, y), b.gate("AND", carry, half))
+        cell = {"x": i, "y": width + i, "c": carry}
+        sums.append(_build_formula(_SUM, b, cell, {}))
+        carry = _build_formula(_CARRY, b, cell, {})
     return b.finish(sums + [carry])
 
 

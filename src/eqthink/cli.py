@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import circuits, cost, mapreduce
-from .errors import EqError, ParseError
+from .errors import BadDamping, BadWidth, EqError, ParseError
 from .evaluator import eval_counting
 from .loader import Session, property_report_json
 from .properties import Counterexample, Pass
@@ -415,10 +415,15 @@ def _positive_int(text: str) -> int:
 
 
 def _sizes(text: str) -> list[int]:
-    """Input sizes: a comma-separated list of distinct positive integers."""
+    """Input sizes: a comma-separated list of distinct positive integers,
+    enough of them to judge growth."""
     sizes = [_positive_int(part) for part in text.split(",")]
     if len(set(sizes)) < len(sizes):
         raise argparse.ArgumentTypeError(f"must be distinct, got {text!r}")
+    if len(sizes) < cost.MIN_SIZES:
+        raise argparse.ArgumentTypeError(
+            f"need at least {cost.MIN_SIZES} sizes to judge growth, got {text!r}"
+        )
     return sizes
 
 
@@ -515,7 +520,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is None:
             args.seed = _default_seed()
         return args.fn(args)
-    except ParseError as exc:
+    except (ParseError, BadWidth, BadDamping) as exc:
+        # BadWidth and BadDamping only ever judge a command's arguments.
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     except EqError as exc:

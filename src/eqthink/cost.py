@@ -24,6 +24,7 @@ CANDIDATES: dict[str, Callable[[int], float]] = {
 }
 
 DEFAULT_WINDOW = 1.5
+MIN_SIZES = 4  # fewest sizes a growth verdict is drawn from
 MEASURE_SAMPLES = 5
 MEASURE_FUEL = 10**10  # quadratic desk-scale runs overflow the eval default
 
@@ -77,10 +78,6 @@ class BoundReport:
     def consistent(self) -> bool:
         return self.verdict == "Consistent"
 
-    def ratios(self) -> dict[int, float]:
-        f = CANDIDATES[self.candidate]
-        return {n: self.steps[n] / f(n) for n in self.sizes if f(n) > 0}
-
     def to_json(self) -> dict:
         return {
             "sizes": list(self.sizes),
@@ -101,8 +98,8 @@ def check_bound(
     if candidate not in CANDIDATES:
         raise ValueError(f"unknown candidate {candidate!r}")
     sizes = sorted(steps)
-    if len(sizes) < 4:
-        raise ValueError("need at least 4 sizes to judge growth")
+    if len(sizes) < MIN_SIZES:
+        raise ValueError(f"need at least {MIN_SIZES} sizes to judge growth")
     f = CANDIDATES[candidate]
     upper = sizes[len(sizes) // 2 :]
     ratios = []

@@ -226,9 +226,6 @@ class DefEnv:
         record = self.defs.get(name)
         return len(record.defun.params) if record else None
 
-    def names(self) -> list[str]:
-        return list(self.defs)
-
     def copy(self) -> "DefEnv":
         """A child environment sharing existing records.
 

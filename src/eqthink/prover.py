@@ -7,6 +7,10 @@ justifications exist besides database labels: ``cons`` (the terms must
 already be structurally equal; it bridges informal list-template
 notation) and ``arith`` (the single differing subterm pair must be
 ground arithmetic with equal values).
+
+A step that fails raises a ``ProofError`` (a subclass for a missing
+label, no match, an unmet condition or an ambiguity), and the chain
+checker turns it into the rejected ``ProofOutcome`` with its message.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from .errors import (
     ConditionUnmet,
     EvalError,
     NoMatchingPosition,
+    ProofError,
     TooManyVariables,
-    UnknownLabel,
 )
 from .evaluator import DefEnv, evaluate
 from .rewriting import (
@@ -33,21 +37,12 @@ from .rewriting import (
     replace_at,
     subterm_at,
 )
-from .syntax import App, Chain, IntLit, ProofScript, SymLit, Term, Var, print_term, substitute, subterms, term_vars
+from .syntax import NIL_LIT, App, Chain, IntLit, ProofScript, SymLit, Term, Var, print_term, substitute, subterms, term_vars
 from .values import truthy, value_equal, print_value
 
 _ARITH_OPS = frozenset({"+", "-", "*", "1+", "1-", "zp", "<", "<=", ">", ">=", "="})
 _CLOSURE_CAP = 64
 _STEP_FUEL = 100_000
-T_LIT = SymLit("t")
-NIL_LIT = SymLit("nil")
-
-
-@dataclass(frozen=True)
-class StepReport:
-    ok: bool
-    reason: str = ""
-    position: Path | None = None
 
 
 @dataclass(frozen=True)
@@ -112,95 +107,78 @@ def rewrite_step(
     position: Path | None = None,
     hypotheses: frozenset[Term] = frozenset(),
     env: DefEnv | None = None,
-) -> StepReport:
-    """Validate one proof step: current rewrites to target by the rule."""
+) -> Path:
+    """The position where the rule rewrites current to target; a
+    ``ProofError`` says why the step fails."""
     env = env if env is not None else DefEnv()
     lhs, rhs = rule.oriented(reverse)
-
-    if position is not None:
+    if position is None:
+        where, at = positions(current), ""
+    else:
         sub = subterm_at(current, position)
         if sub is None:
-            return StepReport(False, f"position {list(position)} does not exist")
-        sigma = match(lhs, sub, rule.rigid)
-        if sigma is None:
-            raise NoMatchingPosition(
-                f"{rule.label} does not match at position {list(position)}"
-            )
-        if rule.condition is not None and not _condition_holds(
-            substitute(rule.condition, sigma), hypotheses, env
-        ):
-            raise ConditionUnmet(
-                f"{rule.label} needs {print_term(substitute(rule.condition, sigma))}"
-            )
-        rewritten = replace_at(current, position, substitute(rhs, sigma))
-        if rewritten != target:
-            return StepReport(
-                False,
-                f"{rule.label} at {list(position)} gives {print_term(rewritten)}, "
-                f"not {print_term(target)}",
-            )
-        return StepReport(True, position=position)
+            raise ProofError(f"position {list(position)} does not exist")
+        where, at = [(position, sub)], f" at {list(position)}"
 
     candidates: list[tuple[Path, Term]] = []
-    condition_failures = 0
-    for path, sub in positions(current):
+    unmet: list[Term] = []
+    for path, sub in where:
         sigma = match(lhs, sub, rule.rigid)
         if sigma is None:
             continue
-        if rule.condition is not None and not _condition_holds(
-            substitute(rule.condition, sigma), hypotheses, env
-        ):
-            condition_failures += 1
-            continue
+        if rule.condition is not None:
+            condition = substitute(rule.condition, sigma)
+            if not _condition_holds(condition, hypotheses, env):
+                unmet.append(condition)
+                continue
         candidates.append((path, replace_at(current, path, substitute(rhs, sigma))))
-    if not candidates:
-        if condition_failures:
+    if not candidates and position is None:
+        if unmet:
             raise ConditionUnmet(
                 f"{rule.label} matches only where its condition is not established"
             )
         raise NoMatchingPosition(f"{rule.label} matches nowhere in {print_term(current)}")
-    results = {rewritten for _, rewritten in candidates}
-    if len(results) > 1:
+    if not candidates:
+        if unmet:
+            raise ConditionUnmet(f"{rule.label} needs {print_term(unmet[0])}")
+        raise NoMatchingPosition(f"{rule.label} does not match at position {list(position)}")
+    if len({rewritten for _, rewritten in candidates}) > 1:
         raise AmbiguousWithoutPosition(
             f"{rule.label} applies at {len(candidates)} positions with different results; "
             "add a position hint"
         )
     path, rewritten = candidates[0]
     if rewritten != target:
-        return StepReport(
-            False,
-            f"{rule.label} gives {print_term(rewritten)}, not {print_term(target)}",
+        raise ProofError(
+            f"{rule.label}{at} gives {print_term(rewritten)}, not {print_term(target)}"
         )
-    return StepReport(True, position=path)
+    return path
 
 
-def _builtin_step(label: str, current: Term, target: Term, env: DefEnv) -> StepReport:
+def _builtin_step(label: str, current: Term, target: Term, env: DefEnv) -> None:
     if label == "cons":
-        if current == target:
-            return StepReport(True)
-        return StepReport(False, "cons re-expression requires structurally equal terms")
+        if current != target:
+            raise ProofError("cons re-expression requires structurally equal terms")
+        return
     # arith: the one differing subterm pair must be ground arithmetic
     # with the same value.
     diff = _diff_position(current, target)
     if diff is None:
-        return StepReport(True)
+        return
     a = subterm_at(current, diff)
     b = subterm_at(target, diff)
     if a is None or b is None or not (_ground_arith(a) and _ground_arith(b)):
-        return StepReport(
-            False, "arith applies only to one ground numeric subterm rewritten in place"
-        )
+        raise ProofError("arith applies only to one ground numeric subterm rewritten in place")
     try:
         va = evaluate(a, {}, env, fuel=_STEP_FUEL)
         vb = evaluate(b, {}, env, fuel=_STEP_FUEL)
     except EvalError as e:
-        return StepReport(False, f"arith evaluation failed: {e.message}")
+        raise ProofError(f"arith evaluation failed: {e.message}") from None
     if not value_equal(va, vb):
-        return StepReport(False, f"arith values differ: {print_value(va)} vs {print_value(vb)}")
-    return StepReport(True, position=diff)
+        raise ProofError(f"arith values differ: {print_value(va)} vs {print_value(vb)}")
 
 
-def hypothesis_closure(seed: Term | None, db: RuleDatabase, cap: int = _CLOSURE_CAP) -> frozenset[Term]:
+def hypothesis_closure(seed: Term | None, db: RuleDatabase) -> frozenset[Term]:
     """Terms derivable from the hypothesis by and-splitting and by
     root-rewriting with unconditional rules; bounded breadth-first."""
     if seed is None:
@@ -208,7 +186,7 @@ def hypothesis_closure(seed: Term | None, db: RuleDatabase, cap: int = _CLOSURE_
     rules = db.unconditional()
     seen: set[Term] = set()
     queue = [seed]
-    while queue and len(seen) < cap:
+    while queue and len(seen) < _CLOSURE_CAP:
         t = queue.pop(0)
         if t in seen:
             continue
@@ -251,24 +229,19 @@ def _check_chain(
     for i, step in enumerate(chain.steps, start=1):
         try:
             if step.label in ("cons", "arith"):
-                report = _builtin_step(step.label, current, step.term, env)
-            elif case.extra_rule is not None and step.label == case.extra_rule.label:
-                report = rewrite_step(
-                    current, step.term, case.extra_rule, step.reverse, step.position,
-                    case.hypotheses, env,
-                )
+                _builtin_step(step.label, current, step.term, env)
             else:
-                rule = db.resolve(step.label)
-                report = rewrite_step(
+                rule = (
+                    case.extra_rule
+                    if case.extra_rule is not None and step.label == case.extra_rule.label
+                    else db.resolve(step.label)
+                )
+                rewrite_step(
                     current, step.term, rule, step.reverse, step.position,
                     case.hypotheses, env,
                 )
-        except UnknownLabel as e:
+        except ProofError as e:
             return ProofOutcome(name, False, case.name, i, e.message)
-        except (NoMatchingPosition, AmbiguousWithoutPosition, ConditionUnmet) as e:
-            return ProofOutcome(name, False, case.name, i, e.message)
-        if not report.ok:
-            return ProofOutcome(name, False, case.name, i, report.reason)
         current = step.term
     if current != case.end:
         return ProofOutcome(

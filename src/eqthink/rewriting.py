@@ -149,8 +149,8 @@ class RuleDatabase:
     Immutable during a proof check; lemmas are appended between checks.
     """
 
-    def __init__(self, rules: dict[str, RewriteRule] | None = None):
-        self.rules: dict[str, RewriteRule] = dict(rules) if rules else {}
+    def __init__(self):
+        self.rules: dict[str, RewriteRule] = {}
 
     @classmethod
     def axioms(cls) -> "RuleDatabase":
@@ -188,11 +188,5 @@ class RuleDatabase:
             raise UnknownLabel(f"no rule labeled {label}")
         return rule
 
-    def labels(self) -> list[str]:
-        return list(self.rules)
-
     def unconditional(self) -> list[RewriteRule]:
         return [r for r in self.rules.values() if r.condition is None]
-
-    def copy(self) -> "RuleDatabase":
-        return RuleDatabase(self.rules)

@@ -111,7 +111,7 @@ def test_each_admitted_operator_is_translated_once(monkeypatch):
     session = Session()
     for path in sorted((corpus_root() / "defs").glob("*.lx")):
         session.load_file(path)
-    assert session.env.names() and translated == Counter(session.env.names())
+    assert session.env.defs and translated == Counter(session.env.defs.keys())
 
 
 def test_admission_hands_back_the_environment_it_checked_in():
@@ -249,7 +249,7 @@ def test_self_call_in_a_guard_must_shrink():
     assert not report.admitted
     assert report.constructive.verdict == "Failed"
     assert "(h (cons x x))" in report.constructive.detail
-    assert "h" not in session.env.names()
+    assert "h" not in session.env.defs
 
 
 def test_missing_case_rejected_with_witness():
@@ -288,7 +288,7 @@ def test_rejected_definition_not_installed():
           (sp1 (spin (1+ n)) (spin (1+ n))))
         """
     )
-    assert "spin" not in session.env.names()
+    assert "spin" not in session.env.defs
 
 
 def test_bad_measure_fails_trials():
@@ -370,7 +370,7 @@ def test_measure_fallback_through_recursive_helper_rejects_constant_measure():
     assert "measure does not decrease at (flip (rev xs))" in report.constructive.detail
     assert report.constructive.witness.startswith("xs = ")
     assert not report.admitted
-    assert "flip" not in session.env.names()
+    assert "flip" not in session.env.defs
 
 
 def test_measure_with_unbound_variable_rejected():
@@ -787,7 +787,7 @@ def test_only_a_static_proof_earns_a_size_fact(inner, verdict):
     report, session = _admit(src)
     assert report.constructive.verdict == verdict
     assert report.env.size_bounds.get("peel") == (0 if verdict == "Proved" else None)
-    assert "head" in session.env.names() and "head" not in session.env.size_bounds
+    assert "head" in session.env.defs and "head" not in session.env.size_bounds
 
 
 _VALUES = st.recursive(

@@ -158,6 +158,17 @@ def test_basis_rewrite_preserves_behavior(f, basis):
     assert exhaustive_equiv(net, lowered).equivalent
 
 
+def test_closed_netlist_lowers_only_to_impl():
+    # No input port to build nand's constants from; impl has CONST0.
+    closed = Netlist((), (Gate("CONST1", ()), Gate("NOT", (0,))), (0, 1))
+    with pytest.raises(CircuitError) as exc:
+        to_basis(closed, "nand")
+    assert exc.value.message == "nand basis needs at least one input to build constants"
+    lowered = to_basis(closed, "impl")
+    assert {g.kind for g in lowered.gates} == {"IMPL", "CONST0"}
+    assert exhaustive_equiv(closed, lowered).equivalent
+
+
 def test_basis_gate_budget_for_absorption():
     net = formula_to_circuit(parse_term("(and (or x y) y)"))
     assert len(to_basis(net, "nand").gates) == 5

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from eqthink import cli
+from eqthink import cli, cost
 from eqthink.cli import corpus_root, main
 
 CORPUS = corpus_root()
@@ -166,8 +166,8 @@ def test_test_subcommand_counterexample_exit(capsys):
     [
         ("test", LISTS, "--trials", "0"),
         ("test", LISTS, "--trials", "-5"),
-        ("steps", "merge-sort", "--sizes", "16,32", "--samples", "0"),
-        ("steps", "merge-sort", "--sizes", "16,32", "--samples", "-1"),
+        ("steps", "merge-sort", "--sizes", "16,32,64,128", "--samples", "0"),
+        ("steps", "merge-sort", "--sizes", "16,32,64,128", "--samples", "-1"),
     ],
 )
 def test_trials_and_samples_must_be_positive(capsys, argv):
@@ -202,6 +202,43 @@ def test_steps_sizes_must_be_distinct_positive_integers(capsys, sizes, message):
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
     assert err.splitlines()[-1] == f"eqthink steps: error: argument --sizes: {message}"
+
+
+def test_steps_refuses_too_few_sizes_before_measuring(capsys, monkeypatch):
+    # Three sizes used to be measured in full before the verdict refused them.
+    measured = []
+    monkeypatch.setattr(cost, "measure_steps", lambda *args, **kw: measured.append(args))
+    with pytest.raises(SystemExit) as exc:
+        main(["steps", "insertion-sort", "--worst-case", "--sizes", "512,1024,2048"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and measured == []
+    assert err.splitlines()[-1] == (
+        "eqthink steps: error: argument --sizes: "
+        "need at least 4 sizes to judge growth, got '512,1024,2048'"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("circuit", "adder", "0"), "BadWidth: adder width must be at least 1, got 0"),
+        (("circuit", "adder", "-3"), "BadWidth: adder width must be at least 1, got -3"),
+        (
+            ("mr", "pagerank", "{graph}", "--iterations", "-1"),
+            "BadDamping: iterations must be nonnegative, got -1",
+        ),
+        (
+            ("mr", "pagerank", "{graph}", "--damping", "2"),
+            "BadDamping: damping must lie strictly between 0 and 1, got 2",
+        ),
+    ],
+)
+def test_out_of_range_command_arguments_are_usage_errors(tmp_path, capsys, argv, message):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps([["a", ["b"]], ["b", ["a"]]]))
+    code, out, err = run(capsys, *(arg.format(graph=graph) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [message]
 
 
 def test_test_seed_changes_draws_deterministically(capsys):

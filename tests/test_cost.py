@@ -81,11 +81,6 @@ def test_emit_csv_frozen():
     )
 
 
-def test_ratios_helper():
-    report = check_bound({n: 3 * n for n in (4, 8, 16, 32)}, "n")
-    assert report.ratios() == {4: 3.0, 8: 3.0, 16: 3.0, 32: 3.0}
-
-
 def test_measured_curves_obey_their_recurrences(merge_sort_curve, insertion_worst_curve):
     """Measured step counts stay within a constant of the closed forms of
     their textbook recurrences over the same sizes: T(n) = 2T(n/2) + n is

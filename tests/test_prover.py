@@ -4,6 +4,7 @@ from eqthink.errors import (
     AmbiguousWithoutPosition,
     ConditionUnmet,
     NoMatchingPosition,
+    ProofError,
 )
 from eqthink.loader import Session
 from eqthink.prover import derive_truth_table, rewrite_step
@@ -33,15 +34,16 @@ def test_rewrite_step_applies_at_position():
     rule = db.resolve("or-commutative")
     current = parse_term("(and (or x y) (or y x))")
     target = parse_term("(and (or y x) (or y x))")
-    report = rewrite_step(current, target, rule, position=(0,))
-    assert report.ok and report.position == (0,)
+    assert rewrite_step(current, target, rule, position=(0,)) == (0,)
 
 
 def test_rewrite_step_rejects_wrong_target():
     db = RuleDatabase.axioms()
     rule = db.resolve("or-identity")
-    report = rewrite_step(parse_term("(or p nil)"), parse_term("(or p p)"), rule)
-    assert not report.ok and "gives" in report.reason
+    with pytest.raises(ProofError) as exc:
+        rewrite_step(parse_term("(or p nil)"), parse_term("(or p p)"), rule)
+    assert exc.type is ProofError
+    assert exc.value.message == "or-identity gives p, not (or p p)"
 
 
 def test_ambiguity_requires_position_hint():
@@ -51,10 +53,9 @@ def test_ambiguity_requires_position_hint():
     with pytest.raises(AmbiguousWithoutPosition):
         rewrite_step(current, parse_term("(and (or y x) (or u v))"), rule)
     # a hint settles it
-    report = rewrite_step(
+    assert rewrite_step(
         current, parse_term("(and (or y x) (or u v))"), rule, position=(0,)
-    )
-    assert report.ok
+    ) == (0,)
 
 
 def test_no_matching_position():
@@ -69,10 +70,10 @@ def test_no_matching_position():
 def test_missing_position_is_reported():
     db = RuleDatabase.axioms()
     rule = db.resolve("or-identity")
-    report = rewrite_step(
-        parse_term("(or x nil)"), parse_term("x"), rule, position=(5, 5)
-    )
-    assert not report.ok and "does not exist" in report.reason
+    with pytest.raises(ProofError) as exc:
+        rewrite_step(parse_term("(or x nil)"), parse_term("x"), rule, position=(5, 5))
+    assert exc.type is ProofError
+    assert exc.value.message == "position [5, 5] does not exist"
 
 
 def test_conditional_rule_ground_guard():
@@ -86,13 +87,13 @@ def test_conditional_rule_ground_guard():
         """
     )
     rule = session.rules.resolve("ins<=")
-    ok = rewrite_step(
+    position = rewrite_step(
         parse_term("(insert 1 (cons 5 nil))"),
         parse_term("(cons 1 (cons 5 nil))"),
         rule,
         env=session.env,
     )
-    assert ok.ok
+    assert position == ()
     with pytest.raises(ConditionUnmet):
         rewrite_step(
             parse_term("(insert 9 (cons 5 nil))"),
@@ -111,7 +112,7 @@ def test_conditional_rule_hypothesis_guard():
     )
     current = parse_term("(first (cons a b))")
     hyp = frozenset({parse_term("(consp b)")})
-    assert rewrite_step(current, parse_term("a"), rule, hypotheses=hyp).ok
+    assert rewrite_step(current, parse_term("a"), rule, hypotheses=hyp) == ()
     with pytest.raises(ConditionUnmet):
         rewrite_step(current, parse_term("a"), rule)
 
@@ -161,7 +162,7 @@ def test_equational_proof_accepted_and_becomes_lemma():
     outcomes = _proofs(results)
     assert outcomes["or-absorbs"].accepted
     assert outcomes["uses-lemma"].accepted
-    assert "or-absorbs" in session.rules.labels()
+    assert "or-absorbs" in session.rules.rules
 
 
 def test_rejected_proof_does_not_become_lemma():
@@ -174,7 +175,7 @@ def test_rejected_proof_does_not_become_lemma():
         """
     )
     assert not _proofs(results)["wrong"].accepted
-    assert "wrong" not in session.rules.labels()
+    assert "wrong" not in session.rules.rules
 
 
 def test_chain_start_mismatch_rejected_at_zero():
