@@ -205,7 +205,7 @@ def test_steps_sizes_must_be_distinct_positive_integers(capsys, sizes, message):
 
 
 def test_steps_refuses_too_few_sizes_before_measuring(capsys, monkeypatch):
-    # Three sizes used to be measured in full before the verdict refused them.
+    # Refused before the corpus loads or any size is measured.
     measured = []
     monkeypatch.setattr(cost, "measure_steps", lambda *args, **kw: measured.append(args))
     with pytest.raises(SystemExit) as exc:
