@@ -100,6 +100,8 @@ TESTED = "TestedOnly"
 FAILED = "Failed"
 
 _CHECK_FUEL = 200_000
+# Random trials a check runs when the static step leaves it open.
+_CHECK_TRIALS = 1000
 # The guard decision gives up (and leaves the question to trials) beyond
 # this many truth assignments.
 _MAX_ASSIGNMENTS = 4096
@@ -509,7 +511,7 @@ def _disagreement(d: DefEquations, o: Overlap, args: list[Value], v1: Value, v2:
 
 
 def consistent_trials(
-    d: DefEquations, prov: DefEnv, pairs: list[Overlap], seed: int = 0, trials: int = 1000
+    d: DefEquations, prov: DefEnv, pairs: list[Overlap], seed: int = 0
 ) -> CheckResult:
     """Probe each overlap with random instances of its unified patterns.
 
@@ -523,7 +525,7 @@ def consistent_trials(
         nats = _nat_vars(o.patterns)
         count = run = 0
         out_of_fuel = ""
-        for run in range(1, trials + 1):
+        for run in range(1, _CHECK_TRIALS + 1):
             assign: dict[str, Value] = {}
             args = [_instantiate(p, assign, nats, stream) for p in o.patterns]
             try:
@@ -542,9 +544,7 @@ def consistent_trials(
     return CheckResult(TESTED, f"random trials reaching both equations: {', '.join(reached)}")
 
 
-def check_consistent(
-    d: DefEquations, prov: DefEnv, seed: int = 0, trials: int = 1000
-) -> CheckResult:
+def check_consistent(d: DefEquations, prov: DefEnv, seed: int = 0) -> CheckResult:
     undecided: list[tuple[Overlap, str]] = []
     # Overlaps with variables; a ground overlap has one instance, and
     # evaluating it once already says all that trials could.
@@ -574,7 +574,7 @@ def check_consistent(
     why = "; ".join(f"{o.labels}: {reason}" for o, reason in undecided)
     detail = f"not decided statically ({why})"
     if to_probe:
-        probed = consistent_trials(d, prov, to_probe, seed, trials)
+        probed = consistent_trials(d, prov, to_probe, seed)
         if probed.verdict == FAILED:
             return probed
         detail += f"; {probed.detail}"
@@ -718,17 +718,17 @@ def _random_domain_value(dom: str, stream: Stream) -> Value:
 
 
 def coverage_trials(
-    d: DefEquations, prov: DefEnv, domains: tuple[str, ...], seed: int = 0, trials: int = 1000
+    d: DefEquations, prov: DefEnv, domains: tuple[str, ...], seed: int = 0
 ) -> CheckResult:
     """Probe coverage with random values of the declared domains."""
     stream = Stream(_derive_seed(seed, f"comprehensive:{d.name}"))
-    for _ in range(trials):
+    for _ in range(_CHECK_TRIALS):
         args = [_random_domain_value(dom, stream) for dom in domains]
         if not any(_trial_bindings(eq, args, prov) is not None for eq in d.equations):
             return CheckResult(
                 FAILED, "no equation matched a sampled input", _describe_input(d.params, args)
             )
-    return CheckResult(TESTED, f"guarded coverage probed with {trials} random trials")
+    return CheckResult(TESTED, f"guarded coverage probed with {_CHECK_TRIALS} random trials")
 
 
 def check_comprehensive(
@@ -736,7 +736,6 @@ def check_comprehensive(
     prov: DefEnv,
     domains: tuple[str, ...] | None,
     seed: int = 0,
-    trials: int = 1000,
 ) -> CheckResult:
     if domains is None:
         if all(isinstance(p, Var) for eq in d.equations for p in eq.patterns):
@@ -762,7 +761,7 @@ def check_comprehensive(
     where = _describe_input(d.params, witness)
     if not guarded:
         return CheckResult(FAILED, "patterns leave the declared domains uncovered", where)
-    probed = coverage_trials(d, prov, domains, seed, trials)
+    probed = coverage_trials(d, prov, domains, seed)
     if probed.verdict == FAILED:
         return probed
     return CheckResult(
@@ -874,14 +873,13 @@ def measure_trials(
     measure: Term,
     domains: tuple[str, ...] | None = None,
     seed: int = 0,
-    trials: int = 1000,
 ) -> CheckResult:
     """Test the measure's strict decrease across self-calls on random inputs."""
     calls_by_eq = _calls_by_equation(d)
     stream = Stream(_derive_seed(seed, f"constructive:{d.name}"))
     doms = domains if domains is not None else tuple("any" for _ in d.params)
     checked = 0
-    for _ in range(trials):
+    for _ in range(_CHECK_TRIALS):
         args = [_random_domain_value(dom, stream) for dom in doms]
         for eq, calls in calls_by_eq:
             bindings = _trial_bindings(eq, args, prov)
@@ -924,7 +922,6 @@ def check_constructive(
     measure: Term | None = None,
     domains: tuple[str, ...] | None = None,
     seed: int = 0,
-    trials: int = 1000,
 ) -> CheckResult:
     calls_by_eq = _calls_by_equation(d)
     if not calls_by_eq:
@@ -951,7 +948,7 @@ def check_constructive(
     if measure is None:
         return CheckResult(FAILED, detail, witness)
     # admit has already rejected a measure with variables outside the params.
-    probed = measure_trials(d, prov, measure, domains, seed, trials)
+    probed = measure_trials(d, prov, measure, domains, seed)
     if probed.verdict == FAILED:
         return probed
     return CheckResult(TESTED, f"{detail}; {probed.detail}")
@@ -1036,7 +1033,6 @@ def admit(
     domains: tuple[str, ...] | None = None,
     measure: Term | None = None,
     seed: int = 0,
-    trials: int = 1000,
 ) -> AdmissibilityReport:
     """Run all three checks; on success the report carries the compiled
     defun and the environment that holds it.
@@ -1057,9 +1053,9 @@ def admit(
     compiled = _translate(d)
     prov = env.copy()
     prov.define(compiled)
-    consistent = check_consistent(d, prov, seed, trials)
-    comprehensive = check_comprehensive(d, prov, domains, seed, trials)
-    constructive = check_constructive(d, prov, measure, domains, seed, trials)
+    consistent = check_consistent(d, prov, seed)
+    comprehensive = check_comprehensive(d, prov, domains, seed)
+    constructive = check_constructive(d, prov, measure, domains, seed)
     if FAILED in (consistent.verdict, comprehensive.verdict, constructive.verdict):
         return AdmissibilityReport(d.name, consistent, comprehensive, constructive, None)
     fact = _size_fact(d, env.size_bounds) if constructive.verdict == PROVED else None

@@ -1,9 +1,15 @@
 """Batch command-line interface.
 
-Every subcommand reads files, prints human text (or a versioned JSON
-report with --json), and exits 0 on success, 1 on any verdict failure,
-2 on usage or parse errors.  Reports never include wall-clock times, so
-identical inputs and seed give byte-identical JSON.
+Every subcommand reads files and returns ``(code, report, lines)``: its
+exit code, its JSON report and its human text, one string a line.
+``main`` alone prints.  With --json it stamps the report with ``schema``,
+``command`` and ``exit`` and dumps it; otherwise it prints the lines.
+``circuit build|basis|adder`` return no report: their netlist JSON or dot
+text is their output in both modes.
+
+Exit codes are 0 on success, 1 on any verdict failure, 2 on usage or
+parse errors.  Reports never include wall-clock times, so identical
+inputs and seed give byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -17,11 +23,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import circuits, cost, mapreduce
+from .admissibility import AdmissibilityReport
 from .errors import BadDamping, BadWidth, EqError, ParseError
 from .evaluator import eval_counting
 from .loader import Session, property_report_json
-from .properties import Counterexample, Pass
-from .syntax import parse_term
+from .properties import Pass
+from .prover import ProofOutcome
+from .syntax import Property, parse_term
 from .values import Symbol, from_json as value_from_json, print_value, to_json as value_to_json
 
 SCHEMA = 1
@@ -29,6 +37,10 @@ SCHEMA = 1
 EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
+
+# What a command hands to main: its exit code, its JSON report (None when
+# its text is its only output) and its text, one string a line.
+CommandResult = tuple[int, dict | None, list[str]]
 
 
 def _default_seed() -> int:
@@ -47,11 +59,6 @@ def _dump(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True)
 
 
-def _print_json(report: dict) -> None:
-    report["schema"] = SCHEMA
-    print(_dump(report))
-
-
 def _load_session(paths: list[str], seed: int) -> tuple[Session, list]:
     session = Session(seed=seed)
     results = []
@@ -65,158 +72,111 @@ def _load_session(paths: list[str], seed: int) -> tuple[Session, list]:
 
 
 def _describe_admissibility(rep) -> list[str]:
-    lines = []
-    verdicts = rep.verdicts()
-    summary = ", ".join(f"{k} {v}" for k, v in verdicts.items())
-    if rep.admitted:
-        lines.append(f"{rep.name}: admitted ({summary})")
-    else:
-        lines.append(f"{rep.name}: rejected ({summary})")
-        for key, res in (
-            ("consistent", rep.consistent),
-            ("comprehensive", rep.comprehensive),
-            ("constructive", rep.constructive),
-        ):
-            if res.verdict == "Failed":
-                witness = f" [witness: {res.witness}]" if res.witness else ""
-                lines.append(f"  {key}: {res.detail}{witness}")
+    """One summary line, then one line per failed check (an admitted
+    definition has none)."""
+    summary = ", ".join(f"{k} {v}" for k, v in rep.verdicts().items())
+    lines = [f"{rep.name}: {'admitted' if rep.admitted else 'rejected'} ({summary})"]
+    for key in ("consistent", "comprehensive", "constructive"):
+        res = getattr(rep, key)
+        if res.verdict == "Failed":
+            witness = f" [witness: {res.witness}]" if res.witness else ""
+            lines.append(f"  {key}: {res.detail}{witness}")
     return lines
 
 
-def cmd_check(args) -> int:
-    session, results = _load_session(args.files, args.seed)
-    reports = [r.detail for r in results if r.kind == "defeqs"]
-    code = EXIT_OK if all(r.admitted for r in reports) else EXIT_VERDICT
-    if args.json:
-        _print_json(
-            {
-                "command": "check",
-                "inputs": list(args.files),
-                "seed": args.seed,
-                "definitions": [r.to_json() for r in reports],
-                "exit": code,
-            },
-        )
-    else:
-        for rep in reports:
-            for line in _describe_admissibility(rep):
-                print(line)
-        admitted = sum(1 for r in reports if r.admitted)
-        print(f"{admitted} of {len(reports)} definitions admitted")
-    return code
+def cmd_check(args) -> CommandResult:
+    _, results = _load_session(args.files, args.seed)
+    reports = [r for r in results if isinstance(r, AdmissibilityReport)]
+    admitted = sum(1 for r in reports if r.admitted)
+    report = {
+        "inputs": list(args.files),
+        "seed": args.seed,
+        "definitions": [r.to_json() for r in reports],
+    }
+    lines = [line for rep in reports for line in _describe_admissibility(rep)]
+    lines.append(f"{admitted} of {len(reports)} definitions admitted")
+    return (EXIT_OK if admitted == len(reports) else EXIT_VERDICT), report, lines
 
 
-def cmd_test(args) -> int:
+def cmd_test(args) -> CommandResult:
     session, results = _load_session(args.files, args.seed)
     reports = [
-        session.run_property(r.detail, trials=args.trials)
-        for r in results
-        if r.kind == "property"
+        session.run_property(p, trials=args.trials) for p in results if isinstance(p, Property)
     ]
-    failures = [r for r in reports if isinstance(r.outcome, Counterexample)]
-    code = EXIT_OK if not failures else EXIT_VERDICT
-    if args.json:
-        _print_json(
-            {
-                "command": "test",
-                "inputs": list(args.files),
-                "seed": args.seed,
-                "properties": [property_report_json(r) for r in reports],
-                "exit": code,
-            },
-        )
-    else:
-        for r in reports:
-            if isinstance(r.outcome, Pass):
-                extra = f", {r.outcome.vacuous} vacuous" if r.outcome.vacuous else ""
-                print(f"{r.name}: pass ({r.outcome.trials_run} trials{extra})")
-            else:
-                bind = ", ".join(
-                    f"{k} = {print_value(v)}" for k, v in sorted(r.outcome.bindings.items())
-                )
-                print(f"{r.name}: counterexample at trial {r.outcome.trial_index}: {bind}")
-        print(f"{len(reports) - len(failures)} of {len(reports)} properties passed")
-    return code
+    lines = []
+    for r in reports:
+        if isinstance(r.outcome, Pass):
+            extra = f", {r.outcome.vacuous} vacuous" if r.outcome.vacuous else ""
+            lines.append(f"{r.name}: pass ({r.outcome.trials_run} trials{extra})")
+        else:
+            bind = ", ".join(
+                f"{k} = {print_value(v)}" for k, v in sorted(r.outcome.bindings.items())
+            )
+            lines.append(f"{r.name}: counterexample at trial {r.outcome.trial_index}: {bind}")
+    passed = sum(1 for r in reports if isinstance(r.outcome, Pass))
+    lines.append(f"{passed} of {len(reports)} properties passed")
+    report = {
+        "inputs": list(args.files),
+        "seed": args.seed,
+        "properties": [property_report_json(r) for r in reports],
+    }
+    return (EXIT_OK if passed == len(reports) else EXIT_VERDICT), report, lines
 
 
-def cmd_prove(args) -> int:
-    session, results = _load_session(args.files, args.seed)
-    outcomes = [r.detail for r in results if r.kind == "proof"]
-    code = EXIT_OK if all(o.accepted for o in outcomes) else EXIT_VERDICT
-    if args.json:
-        _print_json(
-            {
-                "command": "prove",
-                "inputs": list(args.files),
-                "seed": args.seed,
-                "proofs": [o.to_json() for o in outcomes],
-                "exit": code,
-            },
-        )
-    else:
-        for o in outcomes:
-            if o.accepted:
-                print(f"{o.name}: Accepted")
-            else:
-                where = f"{o.case} step {o.step_index}" if o.case else "?"
-                print(f"{o.name}: rejected at {where}: {o.reason}")
-        accepted = sum(1 for o in outcomes if o.accepted)
-        print(f"{accepted} of {len(outcomes)} proofs accepted")
-    return code
+def cmd_prove(args) -> CommandResult:
+    _, results = _load_session(args.files, args.seed)
+    outcomes = [o for o in results if isinstance(o, ProofOutcome)]
+    lines = [
+        f"{o.name}: Accepted"
+        if o.accepted
+        else f"{o.name}: rejected at {o.case} step {o.step_index}: {o.reason}"
+        for o in outcomes
+    ]
+    accepted = sum(1 for o in outcomes if o.accepted)
+    lines.append(f"{accepted} of {len(outcomes)} proofs accepted")
+    report = {
+        "inputs": list(args.files),
+        "seed": args.seed,
+        "proofs": [o.to_json() for o in outcomes],
+    }
+    return (EXIT_OK if accepted == len(outcomes) else EXIT_VERDICT), report, lines
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> CommandResult:
     session, _ = _load_session(args.files, args.seed)
-    term = parse_term(args.expr)
-    value, count = eval_counting(term, {}, session.env)
-    if args.json:
-        _print_json(
-            {
-                "command": "eval",
-                "inputs": list(args.files),
-                "expr": args.expr,
-                "value": print_value(value),
-                "json_value": value_to_json(value),
-                "steps": count.total,
-                "per_operator": count.per_operator,
-                "exit": EXIT_OK,
-            },
-        )
-    else:
-        print(print_value(value))
-    return EXIT_OK
+    value, count = eval_counting(parse_term(args.expr), {}, session.env)
+    shown = print_value(value)
+    report = {
+        "inputs": list(args.files),
+        "expr": args.expr,
+        "value": shown,
+        "json_value": value_to_json(value),
+        "steps": count.total,
+        "per_operator": count.per_operator,
+    }
+    return EXIT_OK, report, [shown]
 
 
 # ---------------------------------------------------------------------------
 # steps
 
 
-def cmd_steps(args) -> int:
+def cmd_steps(args) -> CommandResult:
     paths = args.defs if args.defs else sorted((corpus_root() / "defs").glob("*.lx"))
     session, _ = _load_session([str(p) for p in paths], args.seed)
     if args.worst_case:
-        measured = cost.measure_steps(
-            args.op, cost.reverse_sorted_list, args.sizes, args.seed, session.env, samples=1
-        )
+        gen, samples = cost.reverse_sorted_list, 1
     else:
-        measured = cost.measure_steps(
-            args.op, cost.random_list, args.sizes, args.seed, session.env, samples=args.samples
-        )
-    report = cost.check_bound(measured, args.candidate, args.window)
-    code = EXIT_OK if report.consistent else EXIT_VERDICT
-    if args.json:
-        payload = report.to_json()
-        payload.update(
-            {"command": "steps", "op": args.op, "seed": args.seed, "exit": code}
-        )
-        _print_json(payload)
-    else:
-        sys.stdout.write(cost.emit_csv(report))
-        print(
-            f"{report.verdict}: {args.op} vs {args.candidate} "
-            f"(c in [{report.c_lo:.4f}, {report.c_hi:.4f}], window {report.window})"
-        )
-    return code
+        gen, samples = cost.random_list, args.samples
+    measured = cost.measure_steps(args.op, gen, args.sizes, args.seed, session.env, samples)
+    bound = cost.check_bound(measured, args.candidate, args.window)
+    report = {**bound.to_json(), "op": args.op, "seed": args.seed}
+    lines = cost.emit_csv(bound).splitlines()
+    lines.append(
+        f"{bound.verdict}: {args.op} vs {args.candidate} "
+        f"(c in [{bound.c_lo:.4f}, {bound.c_hi:.4f}], window {bound.window})"
+    )
+    return (EXIT_OK if bound.consistent else EXIT_VERDICT), report, lines
 
 
 # ---------------------------------------------------------------------------
@@ -228,64 +188,45 @@ def _load_netlist(path: str) -> circuits.Netlist:
         return circuits.Netlist.from_json(json.load(fh))
 
 
-def _emit_netlist(args, net: circuits.Netlist) -> None:
-    if getattr(args, "dot", False):
-        print(net.to_dot())
-    else:
-        print(_dump(net.to_json()))
-
-
-def cmd_circuit(args) -> int:
-    if args.verb == "build":
-        _emit_netlist(args, circuits.formula_to_circuit(parse_term(args.expr)))
-        return EXIT_OK
-    if args.verb == "adder":
-        _emit_netlist(args, circuits.ripple_carry(args.width))
-        return EXIT_OK
-    if args.verb == "basis":
-        _emit_netlist(args, circuits.to_basis(_load_netlist(args.file), args.to))
-        return EXIT_OK
+def cmd_circuit(args) -> CommandResult:
     if args.verb == "sim":
         net = _load_netlist(args.file)
-        assignment = {}
-        for part in args.assign.replace(",", " ").split():
-            name, _, bit = part.partition("=")
-            assignment[name] = int(bit)
-        bits = circuits.simulate(net, assignment)
-        if args.json:
-            _print_json({"command": "circuit sim", "outputs": bits, "exit": EXIT_OK})
-        else:
-            print(" ".join(str(b) for b in bits))
-        return EXIT_OK
-    # equiv
-    result = circuits.exhaustive_equiv(_load_netlist(args.left), _load_netlist(args.right))
-    code = EXIT_OK if result.equivalent else EXIT_VERDICT
-    if args.json:
-        payload = result.to_json()
-        payload.update({"command": "circuit equiv", "exit": code})
-        _print_json(payload)
-    elif result.equivalent:
-        print("Equivalent")
-    else:
+        for port in net.inputs:
+            if port not in args.assign:
+                raise ValueError(f"--assign gives no value for port {port}")
+        for name in args.assign:
+            if name not in net.inputs:
+                raise ValueError(f"--assign names {name}, which is not a port of {args.file}")
+        bits = circuits.simulate(net, args.assign)
+        return EXIT_OK, {"outputs": bits}, [" ".join(str(b) for b in bits)]
+    if args.verb == "equiv":
+        result = circuits.exhaustive_equiv(_load_netlist(args.left), _load_netlist(args.right))
+        if result.equivalent:
+            return EXIT_OK, result.to_json(), ["Equivalent"]
         bind = " ".join(f"{k}={v}" for k, v in sorted(result.witness.items()))
-        print(f"Differ at {bind}")
-    return code
+        return EXIT_VERDICT, result.to_json(), [f"Differ at {bind}"]
+    if args.verb == "build":
+        net = circuits.formula_to_circuit(parse_term(args.expr))
+    elif args.verb == "adder":
+        net = circuits.ripple_carry(args.width)
+    else:  # basis
+        net = circuits.to_basis(_load_netlist(args.file), args.to)
+    # The netlist is the whole output, with or without --json.
+    return EXIT_OK, None, [net.to_dot() if args.dot else _dump(net.to_json())]
 
 
 # ---------------------------------------------------------------------------
 # mr
 
 
-def cmd_mr(args) -> int:
+def cmd_mr(args) -> CommandResult:
     if args.job == "grep" and not args.pattern:
-        print("mr grep requires --pattern", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("mr grep requires --pattern")
     with open(args.input) as fh:
         data = json.load(fh)
     pairs = [(value_from_json(k), value_from_json(v)) for k, v in data]
     if args.job == "pagerank":
-        ranks = mapreduce.pagerank(pairs, args.iterations, Fraction(args.damping))
-        out = [(node, rank) for node, rank in ranks]
+        out = mapreduce.pagerank(pairs, args.iterations, Fraction(args.damping))
     else:
         session, _ = _load_session(
             [str(p) for p in sorted((corpus_root() / "defs").glob("*.lx"))], args.seed
@@ -300,20 +241,12 @@ def cmd_mr(args) -> int:
         [value_to_json(k), str(v) if isinstance(v, Fraction) else value_to_json(v)]
         for k, v in out
     ]
-    if args.json:
-        _print_json(
-            {
-                "command": f"mr {args.job}",
-                "input": args.input,
-                "pairs": rendered,
-                "exit": EXIT_OK,
-            },
-        )
-    else:
-        for k, v in out:
-            shown = f"{v} ({float(v):.6f})" if isinstance(v, Fraction) else print_value(v)
-            print(f"{print_value(k)}\t{shown}")
-    return EXIT_OK
+    lines = [
+        f"{print_value(k)}\t"
+        + (f"{v} ({float(v):.6f})" if isinstance(v, Fraction) else print_value(v))
+        for k, v in out
+    ]
+    return EXIT_OK, {"input": args.input, "pairs": rendered}, lines
 
 
 # ---------------------------------------------------------------------------
@@ -322,23 +255,18 @@ def cmd_mr(args) -> int:
 
 def _file_report(name: str, results, session: Session) -> dict:
     report: dict = {"file": name}
-    defs = [r.detail.to_json() for r in results if r.kind == "defeqs"]
-    proofs = [r.detail.to_json() for r in results if r.kind == "proof"]
-    props = [
-        property_report_json(session.run_property(r.detail))
-        for r in results
-        if r.kind == "property"
-    ]
-    if defs:
-        report["definitions"] = defs
-    if proofs:
-        report["proofs"] = proofs
-    if props:
-        report["properties"] = props
+    for key, kind, to_json in (
+        ("definitions", AdmissibilityReport, AdmissibilityReport.to_json),
+        ("proofs", ProofOutcome, ProofOutcome.to_json),
+        ("properties", Property, lambda p: property_report_json(session.run_property(p))),
+    ):
+        items = [to_json(r) for r in results if isinstance(r, kind)]
+        if items:
+            report[key] = items
     return report
 
 
-def cmd_ci(args) -> int:
+def cmd_ci(args) -> CommandResult:
     root = Path(args.dir) if args.dir else corpus_root()
     session = Session(seed=args.seed)
     file_reports: list[dict] = []
@@ -350,9 +278,9 @@ def cmd_ci(args) -> int:
             results = session.load_file(path)
             file_reports.append(_file_report(name, results, session))
             for r in results:
-                if r.kind == "defeqs" and not r.detail.admitted:
+                if isinstance(r, AdmissibilityReport) and not r.admitted:
                     problems.append(f"{name}: {r.name} not admitted")
-                if r.kind == "proof" and not r.detail.accepted:
+                if isinstance(r, ProofOutcome) and not r.accepted:
                     problems.append(f"{name}: proof {r.name} rejected")
 
     for path in sorted((root / "negative").glob("*.lx")):
@@ -360,7 +288,7 @@ def cmd_ci(args) -> int:
         neg = Session(seed=args.seed)
         results = neg.load_file(path)
         file_reports.append(_file_report(name, results, neg))
-        if all(r.detail.admitted for r in results if r.kind == "defeqs"):
+        if all(r.admitted for r in results if isinstance(r, AdmissibilityReport)):
             problems.append(f"{name}: expected a rejection, everything was admitted")
 
     golden_dir = root / "golden"
@@ -378,30 +306,20 @@ def cmd_ci(args) -> int:
             mismatches.append(f"{report['file']}: differs from golden {gpath.name}")
 
     code = EXIT_OK if not problems and not mismatches else EXIT_VERDICT
-    if args.json:
-        _print_json(
-            {
-                "command": "ci",
-                "seed": args.seed,
-                "files": file_reports,
-                "problems": problems,
-                "golden_mismatches": mismatches,
-                "exit": code,
-            },
-        )
-    else:
-        for report in file_reports:
-            print(f"{report['file']}: loaded")
-        for p in problems:
-            print(f"problem: {p}")
-        for m in mismatches:
-            print(f"golden: {m}")
-        verdict = "ok" if code == EXIT_OK else "FAILED"
-        print(
-            f"ci {verdict}: {len(file_reports)} files, "
-            f"{len(problems)} problems, {len(mismatches)} golden mismatches"
-        )
-    return code
+    lines = [f"{report['file']}: loaded" for report in file_reports]
+    lines += [f"problem: {p}" for p in problems]
+    lines += [f"golden: {m}" for m in mismatches]
+    lines.append(
+        f"ci {'ok' if code == EXIT_OK else 'FAILED'}: {len(file_reports)} files, "
+        f"{len(problems)} problems, {len(mismatches)} golden mismatches"
+    )
+    report = {
+        "seed": args.seed,
+        "files": file_reports,
+        "problems": problems,
+        "golden_mismatches": mismatches,
+    }
+    return code, report, lines
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +343,19 @@ def _sizes(text: str) -> list[int]:
             f"need at least {cost.MIN_SIZES} sizes to judge growth, got {text!r}"
         )
     return sizes
+
+
+def _assignment(text: str) -> dict[str, int]:
+    """Input bits: comma- or space-separated name=0 or name=1, each name once."""
+    bits: dict[str, int] = {}
+    for part in text.replace(",", " ").split():
+        name, eq, bit = part.partition("=")
+        if not (name and eq and bit in ("0", "1")):
+            raise argparse.ArgumentTypeError(f"expected name=0 or name=1, got {part!r}")
+        if name in bits:
+            raise argparse.ArgumentTypeError(f"port {name} is assigned twice")
+        bits[name] = int(bit)
+    return bits
 
 
 def _window(text: str) -> float:
@@ -484,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--dot", action="store_true")
     v = verbs.add_parser("sim", parents=[common])
     v.add_argument("file")
-    v.add_argument("--assign", required=True, help="e.g. x=1,y=0")
+    v.add_argument("--assign", type=_assignment, required=True, help="e.g. x=1,y=0")
     v = verbs.add_parser("equiv", parents=[common])
     v.add_argument("left")
     v.add_argument("right")
@@ -519,7 +450,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.seed is None:
             args.seed = _default_seed()
-        return args.fn(args)
+        code, report, lines = args.fn(args)
+        if args.json and report is not None:
+            name = [args.command, getattr(args, "verb", None) or getattr(args, "job", None)]
+            report.update(schema=SCHEMA, command=" ".join(filter(None, name)), exit=code)
+            print(_dump(report))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except (ParseError, BadWidth, BadDamping) as exc:
         # BadWidth and BadDamping only ever judge a command's arguments.
         print(str(exc), file=sys.stderr)

@@ -44,7 +44,6 @@ def measure_steps(
     seed: int = 0,
     defs: DefEnv | None = None,
     samples: int = MEASURE_SAMPLES,
-    fuel: int = MEASURE_FUEL,
 ) -> dict[int, int]:
     """Median step total over `samples` random inputs at each size.
 
@@ -57,7 +56,7 @@ def measure_steps(
         for i in range(samples):
             stream = Stream(trial_seed(seed, size * samples + i))
             value = gen(size, stream)
-            _, count = eval_counting(term, {"input": value}, defs, fuel)
+            _, count = eval_counting(term, {"input": value}, defs, MEASURE_FUEL)
             totals.append(count.total)
         totals.sort()
         out[size] = totals[len(totals) // 2]

@@ -6,6 +6,12 @@ the admissibility checks before their compiled form joins the
 environment, trusted defuns bypass the checks explicitly, and proofs
 run against the rule database as it stands at that point in the file.
 
+``Session.load_form`` returns what the form gives its caller to check:
+the ``AdmissibilityReport`` of an equation group, the ``Property`` itself
+(run it with ``Session.run_property``) or the ``ProofOutcome`` of a proof.
+Directives and trusted defuns return ``None``, and ``load_forms`` and
+``load_file`` keep only the results that are not ``None``.
+
 ``Session.env`` is replaced at each admission by the environment the
 checks ran in, which already holds the compiled defun and its size fact.
 A rejected definition leaves ``Session.env`` as it was.
@@ -21,7 +27,6 @@ from .evaluator import DefEnv
 from .prover import ProofOutcome, check_proof
 from .properties import (
     DEFAULT_TRIALS,
-    Counterexample,
     Pass,
     Property,
     PropertyReport,
@@ -39,12 +44,8 @@ from .syntax import (
 )
 from .values import print_value
 
-
-@dataclass(frozen=True)
-class FormResult:
-    kind: str  # defeqs | defun | property | proof
-    name: str
-    detail: object
+# What a checked form hands back to its caller.
+LoadResult = AdmissibilityReport | Property | ProofOutcome
 
 
 @dataclass
@@ -54,9 +55,6 @@ class Session:
     seed: int = 0
     sigs: dict[str, tuple[str, ...]] = field(default_factory=dict)
     measures: dict[str, Term] = field(default_factory=dict)
-    admissibility: dict[str, AdmissibilityReport] = field(default_factory=dict)
-    properties: list[Property] = field(default_factory=list)
-    proofs: list[ProofOutcome] = field(default_factory=list)
 
     def __post_init__(self):
         if self.rules is None:
@@ -64,7 +62,7 @@ class Session:
 
     # -- loading ------------------------------------------------------------
 
-    def load_form(self, form: TopForm) -> FormResult | None:
+    def load_form(self, form: TopForm) -> LoadResult | None:
         if isinstance(form, Directive):
             store = self.sigs if form.kind == "sig" else self.measures
             if form.name in store:
@@ -81,11 +79,10 @@ class Session:
                 measure=self.measures.get(form.name),
                 seed=self.seed,
             )
-            self.admissibility[form.name] = report
             if report.admitted:
                 self.env = report.env
                 self.rules.add_definitional(form)
-            return FormResult("defeqs", form.name, report)
+            return report
         if isinstance(form, RawDefun):
             if not form.trusted:
                 raise NotAdmitted(
@@ -94,38 +91,28 @@ class Session:
                     form.loc,
                 )
             self.env.define(form)
-            return FormResult("defun", form.name, None)
+            return None
         if isinstance(form, Property):
-            self.properties.append(form)
-            return FormResult("property", form.name, form)
+            return form
         if isinstance(form, ProofScript):
-            outcome = check_proof(form, self.rules, self.env)
-            self.proofs.append(outcome)
-            return FormResult("proof", form.name, outcome)
+            return check_proof(form, self.rules, self.env)
         raise TypeError(f"unknown top form {form!r}")
 
-    def load_forms(self, forms: list[TopForm]) -> list[FormResult]:
-        out = []
-        for form in forms:
-            result = self.load_form(form)
-            if result is not None:
-                out.append(result)
-        return out
+    def load_forms(self, forms: list[TopForm]) -> list[LoadResult]:
+        results = [self.load_form(form) for form in forms]
+        return [r for r in results if r is not None]
 
-    def load_file(self, path) -> list[FormResult]:
+    def load_file(self, path) -> list[LoadResult]:
         return self.load_forms(parse_file(path))
 
     # -- running ------------------------------------------------------------
 
-    def run_property(
-        self, p: Property, seed: int | None = None, trials: int | None = None
-    ) -> PropertyReport:
+    def run_property(self, p: Property, trials: int | None = None) -> PropertyReport:
         if trials is not None:
             p = replace(p, trials=trials)
-        use_seed = self.seed if seed is None else seed
-        outcome = run_property(p, use_seed, self.env)
+        outcome = run_property(p, self.seed, self.env)
         ran = p.trials if p.trials is not None else DEFAULT_TRIALS
-        return PropertyReport(p.name, outcome, use_seed, ran)
+        return PropertyReport(p.name, outcome, self.seed, ran)
 
 
 def property_report_json(r: PropertyReport) -> dict:
@@ -133,12 +120,10 @@ def property_report_json(r: PropertyReport) -> dict:
     if isinstance(r.outcome, Pass):
         out["outcome"] = "Pass"
         out["vacuous"] = r.outcome.vacuous
-    elif isinstance(r.outcome, Counterexample):
+    else:  # run_property returns a Pass or a Counterexample
         out["outcome"] = "Counterexample"
         out["trial"] = r.outcome.trial_index
         out["bindings"] = {
             k: print_value(v) for k, v in sorted(r.outcome.bindings.items())
         }
-    else:
-        out["outcome"] = type(r.outcome).__name__
     return out

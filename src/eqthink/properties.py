@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EqError, EvalError, UnexpectedToken
-from .evaluator import DefEnv, DEFAULT_FUEL, evaluate
+from .evaluator import DefEnv, evaluate
 from .syntax import App, IntLit, Property, Term, Var
 from .values import NIL, Symbol, Value, from_list
 
@@ -180,7 +180,6 @@ def run_property(
     p: Property,
     seed: int,
     defs: DefEnv | None = None,
-    fuel: int = DEFAULT_FUEL,
 ) -> TestOutcome:
     """Run a property's trials; deterministic given (property, seed, defs)."""
     gens = [(var, parse_genspec(form)) for var, form in p.binders]
@@ -192,9 +191,9 @@ def run_property(
         stream = Stream(trial_seed(seed, i))
         bindings = {var: generate(g, stream) for var, g in gens}
         try:
-            if hyp is not None and evaluate(hyp, bindings, defs, fuel) is NIL:
+            if hyp is not None and evaluate(hyp, bindings, defs) is NIL:
                 vacuous += 1
-            result = evaluate(claim, bindings, defs, fuel)
+            result = evaluate(claim, bindings, defs)
         except EvalError as exc:
             raise TrialError(
                 f"trial {i} of {p.name} raised {exc.code}: {exc.message}", bindings, i, exc

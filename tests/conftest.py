@@ -20,6 +20,12 @@ settings.load_profile("repo")
 GROWTH_SIZES = [2**k for k in range(4, 13)]
 
 
+def by_name(results: list, kind: type) -> dict:
+    """The load results of one type (admissibility report, property or proof
+    outcome), indexed by name."""
+    return {r.name: r for r in results if isinstance(r, kind)}
+
+
 def load_corpus(seed: int = 0) -> tuple[Session, list]:
     session = Session(seed=seed)
     results = []

@@ -12,6 +12,9 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
+from conftest import by_name
+
+from eqthink.admissibility import AdmissibilityReport
 from eqthink.circuits import (
     BASES,
     big_add,
@@ -38,9 +41,9 @@ from eqthink.properties import (
     generate,
     trial_seed,
 )
-from eqthink.prover import check_proof, derive_truth_table
+from eqthink.prover import ProofOutcome, check_proof, derive_truth_table
 from eqthink.rewriting import RuleDatabase, match
-from eqthink.syntax import SymLit, parse_file, parse_term, substitute
+from eqthink.syntax import Property, SymLit, parse_file, parse_term, substitute
 from eqthink.values import NIL, Symbol, from_list, to_list, value_equal
 
 PROOF_DIR = corpus_root() / "proofs"
@@ -90,8 +93,8 @@ def test_absorption_proof_replays_and_rejects_mutants():
 
 
 def test_append_associativity_proof_and_random_validation(corpus):
-    session, _ = corpus
-    outcome = next(o for o in session.proofs if o.name == "app-assoc")
+    session, results = corpus
+    outcome = by_name(results, ProofOutcome)["app-assoc"]
     assert outcome.accepted
 
     script = _script(PROOF_DIR / "60_append.lx", "app-assoc")
@@ -113,24 +116,24 @@ def test_append_associativity_proof_and_random_validation(corpus):
 
 
 def test_guarded_prefix_narrative(corpus):
-    session, _ = corpus
-    by_name = {p.name: p for p in session.properties}
+    session, results = corpus
+    properties = by_name(results, Property)
 
-    unguarded_lists = session.run_property(by_name["app-pfx-random-lists"])
+    unguarded_lists = session.run_property(properties["app-pfx-random-lists"])
     assert unguarded_lists.trials == 100 and unguarded_lists.seed == 0
     assert isinstance(unguarded_lists.outcome, Pass)
 
-    any_object = session.run_property(by_name["app-pfx-any-object"])
+    any_object = session.run_property(properties["app-pfx-any-object"])
     assert isinstance(any_object.outcome, Counterexample)
     witness = any_object.outcome.bindings["xs"]
     assert evaluate(
         parse_term("(true-listp xs)"), {"xs": witness}, session.env
     ) is NIL, "counterexample must be a non-list"
 
-    guarded = session.run_property(by_name["app-pfx-guarded"])
+    guarded = session.run_property(properties["app-pfx-guarded"])
     assert isinstance(guarded.outcome, Pass)
 
-    proof = next(o for o in session.proofs if o.name == "app-pfx")
+    proof = by_name(results, ProofOutcome)["app-pfx"]
     assert proof.accepted
     script = _script(PROOF_DIR / "70_app_prefix.lx", "app-pfx")
     assert script.method == ("induction", "list", "xs")
@@ -141,17 +144,18 @@ def test_guarded_prefix_narrative(corpus):
 
 
 def test_admissibility_positives_and_negatives(corpus):
-    session, _ = corpus
+    session, results = corpus
+    admissibility = by_name(results, AdmissibilityReport)
     required = ("append", "prefix", "merge", "merge-sort", "insertion-sort", "avl-insert")
     for name in required:
-        assert session.admissibility[name].admitted, name
-    assert session.admissibility["merge-sort"].constructive.verdict == "Proved"
+        assert admissibility[name].admitted, name
+    assert admissibility["merge-sort"].constructive.verdict == "Proved"
     assert "merge-sort" in session.measures
 
     rejected = []
     for path in sorted(NEGATIVE_DIR.glob("*.lx")):
         fresh = Session()
-        reports = [r.detail for r in fresh.load_file(path) if r.kind == "defeqs"]
+        reports = [r for r in fresh.load_file(path) if isinstance(r, AdmissibilityReport)]
         bad = [r for r in reports if not r.admitted]
         assert bad, f"{path.name} unexpectedly admitted"
         for report in bad:

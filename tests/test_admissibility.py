@@ -10,11 +10,13 @@ import json
 from collections import Counter
 
 import pytest
+from conftest import by_name
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqthink import admissibility, evaluator
 from eqthink.admissibility import (
+    AdmissibilityReport,
     admit,
     consistent_trials,
     coverage_trials,
@@ -50,14 +52,14 @@ def _admit(src, **kw):
     report = None
     for form in forms:
         result = session.load_form(form)
-        if result is not None and result.kind == "defeqs":
-            report = result.detail
+        if isinstance(result, AdmissibilityReport):
+            report = result
     return report, session
 
 
 def test_append_earns_proved_on_all_three(corpus):
-    session, _ = corpus
-    report = session.admissibility["append"]
+    _, results = corpus
+    report = by_name(results, AdmissibilityReport)["append"]
     assert report.admitted
     assert report.verdicts() == {
         "consistent": "Proved",
@@ -67,7 +69,8 @@ def test_append_earns_proved_on_all_three(corpus):
 
 
 def test_corpus_verdicts_match_design(corpus):
-    session, _ = corpus
+    _, results = corpus
+    admissibility = by_name(results, AdmissibilityReport)
     expect = {
         # the unguarded zero/nil overlap is ground: evaluated once, it agrees
         "prefix": ("Proved", "Proved", "Proved"),
@@ -83,7 +86,7 @@ def test_corpus_verdicts_match_design(corpus):
         "bmul": ("Proved", "Proved", "Proved"),
     }
     for name, (cons, comp, cstr) in expect.items():
-        report = session.admissibility[name]
+        report = admissibility[name]
         assert report.admitted, name
         got = report.verdicts()
         assert got["consistent"] == cons, (name, got)
@@ -92,9 +95,10 @@ def test_corpus_verdicts_match_design(corpus):
 
 
 def test_every_corpus_definition_admitted(corpus):
-    session, _ = corpus
-    assert session.admissibility
-    for name, report in session.admissibility.items():
+    _, results = corpus
+    admissibility = by_name(results, AdmissibilityReport)
+    assert admissibility
+    for name, report in admissibility.items():
         assert report.admitted, name
 
 
@@ -137,11 +141,11 @@ def test_rejected_definition_leaves_the_session_environment_alone():
     session.load_forms(sigs)
     env = session.env
     ops, sites = list(env.op_names), list(env.sites)
-    report = session.load_form(bad).detail
+    report = session.load_form(bad)
     assert not report.admitted and report.env is None
     assert session.env is env and env.op_names == ops and env.sites == sites
     assert "clash" not in env.defs and "clash" not in env.op_index
-    assert session.load_form(good).detail.admitted
+    assert session.load_form(good).admitted
     assert session.env is not env and "clash" not in session.env.defs
     assert evaluate(parse_term("(n '(a b c))"), {}, session.env) == 3
 
@@ -161,7 +165,7 @@ def test_contradictory_equations_rejected_with_witness():
     assert "disagree" in report.consistent.detail
 
 
-def test_undecided_overlaps_report_the_trials_that_reached_them():
+def test_undecided_overlaps_report_the_trials_that_reached_them(monkeypatch):
     [d] = parse_program(
         """
         (defeqs same (x)
@@ -175,7 +179,8 @@ def test_undecided_overlaps_report_the_trials_that_reached_them():
 
     # The ground overlap (loopy 0) runs out of fuel; it has one instance,
     # so no trial probes it again.
-    report = admit(_LOOPY, DefEnv(), domains=("nat",), trials=5)
+    monkeypatch.setattr(admissibility, "_CHECK_TRIALS", 5)
+    report = admit(_LOOPY, DefEnv(), domains=("nat",))
     assert report.consistent.verdict == "TestedOnly"
     assert report.consistent.detail == (
         "not decided statically (l0/l1: ground evaluation raised StepLimitExceeded)"
@@ -222,8 +227,9 @@ def test_ground_overlap_that_raises_is_evaluated_once(monkeypatch):
 )
 
 
-def test_guard_out_of_fuel_counts_as_not_matching():
-    report = admit(_DIVERGING_GUARD, DefEnv(), domains=("any",), trials=5)
+def test_guard_out_of_fuel_counts_as_not_matching(monkeypatch):
+    monkeypatch.setattr(admissibility, "_CHECK_TRIALS", 5)
+    report = admit(_DIVERGING_GUARD, DefEnv(), domains=("any",))
     assert not report.admitted
     assert report.comprehensive.verdict == "Failed"
     assert report.comprehensive.detail == "no equation matched a sampled input"
@@ -538,7 +544,8 @@ _NEWLY_PROVED = [
 @pytest.mark.parametrize("seed", [0, 1, 7, 11])
 def test_newly_proved_verdicts_survive_the_trials(corpus, seed):
     """The trials that earned these verdicts TestedOnly find no counterexample."""
-    session, _ = corpus
+    session, results = corpus
+    admissibility = by_name(results, AdmissibilityReport)
     forms = {
         form.name: form
         for path in sorted((corpus_root() / "defs").glob("*.lx"))
@@ -548,7 +555,7 @@ def test_newly_proved_verdicts_survive_the_trials(corpus, seed):
     env = session.env
     for check, name in _NEWLY_PROVED:
         d = forms[name]
-        assert session.admissibility[name].verdicts()[check] == "Proved", (check, name)
+        assert admissibility[name].verdicts()[check] == "Proved", (check, name)
         if check == "consistent":
             result = consistent_trials(d, env, overlaps(d), seed)
         elif check == "comprehensive":
@@ -808,8 +815,8 @@ def test_size_facts_hold_on_random_inputs(corpus_env, values):
 
 
 def test_size_facts_stay_out_of_reports(corpus):
-    session, _ = corpus
-    report = session.admissibility["evens"]
+    _, results = corpus
+    report = by_name(results, AdmissibilityReport)["evens"]
     assert report.env.size_bounds["evens"] == 0
     assert set(report.to_json()) == {
         "name", "admitted", "consistent", "comprehensive", "constructive", "compiled"

@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from eqthink import cli, cost
+from eqthink import circuits, cli, cost
 from eqthink.cli import corpus_root, main
+from eqthink.syntax import parse_term
 
 CORPUS = corpus_root()
 LISTS = str(CORPUS / "defs" / "00_lists.lx")
@@ -358,6 +359,29 @@ def test_malformed_netlist_exits_two(tmp_path, capsys, text, message):
         assert code == 2 and err == message + "\n", argv
 
 
+@pytest.mark.parametrize(
+    "assign, message",
+    [
+        ("x=2,y=0", "argument --assign: expected name=0 or name=1, got 'x=2'"),
+        ("x=1,y=q", "argument --assign: expected name=0 or name=1, got 'y=q'"),
+        ("x=1,x=0,y=1", "argument --assign: port x is assigned twice"),
+        ("x=1", "--assign gives no value for port y"),
+        ("x=1,y=0,z=1", "--assign names z, which is not a port of {net}"),
+    ],
+    ids=["bit-2", "bit-q", "repeated", "missing", "unknown"],
+)
+def test_bad_circuit_sim_assignment_is_a_usage_error(tmp_path, capsys, assign, message):
+    net = tmp_path / "and.json"
+    net.write_text(run(capsys, "circuit", "build", "(and x y)")[1])
+    try:
+        code = main(["circuit", "sim", str(net), "--assign", assign])
+    except SystemExit as exc:  # argparse refuses the value itself
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].endswith(message.format(net=net))
+
+
 def test_circuit_adder_and_dot(capsys):
     code, out, _ = run(capsys, "circuit", "adder", "2")
     assert code == 0 and json.loads(out)["inputs"] == ["x0", "x1", "y0", "y1", "cin"]
@@ -435,6 +459,42 @@ def test_ci_update_golden_round_trip(tmp_path, capsys):
     assert code == 1 and "no golden file" in out
     assert run(capsys, "ci", str(work), "--update-golden")[0] == 0
     assert run(capsys, "ci", str(work))[0] == 0
+
+
+JSON_CASES = [
+    (("check", CLASH), "check"),
+    (("test", LISTS, "--trials", "20"), "test"),
+    (("prove", LISTS, APPEND_PROOF), "prove"),
+    (("eval", LISTS, "-e", "(append '(1) '(2))"), "eval"),
+    (("steps", "merge-sort", "--sizes", "8,16,32,64"), "steps"),
+    (("circuit", "sim", "{and}", "--assign", "x=1,y=1"), "circuit sim"),
+    (("circuit", "equiv", "{and}", "{or}"), "circuit equiv"),
+    (("mr", "wordcount", "{docs}"), "mr wordcount"),
+    (("mr", "grep", "{docs}", "--pattern", "cat"), "mr grep"),
+    (("mr", "invert", "{links}"), "mr invert"),
+    (("mr", "pagerank", "{links}", "--iterations", "3"), "mr pagerank"),
+    (("ci",), "ci"),
+]
+
+
+@pytest.mark.parametrize("argv, command", JSON_CASES, ids=[c for _, c in JSON_CASES])
+def test_every_json_report_comes_through_main(tmp_path, capsys, argv, command):
+    files = {
+        "and": circuits.formula_to_circuit(parse_term("(and x y)")).to_json(),
+        "or": circuits.formula_to_circuit(parse_term("(or x y)")).to_json(),
+        "docs": [[1, ["the", "cat"]], [2, ["the"]]],
+        "links": [["a", ["b"]], ["b", ["a", "c"]], ["c", []]],
+    }
+    paths = {}
+    for name, data in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+    argv = [arg.format(**paths) for arg in argv]
+    code, out, _ = run(capsys, *argv, "--json")
+    report = json.loads(out)
+    assert report["schema"] == 1 and report["command"] == command
+    assert report["exit"] == code
+    assert run(capsys, *argv)[0] == code
 
 
 def test_console_script_installed():

@@ -7,11 +7,13 @@ numbers must denote the integers they claim to.
 
 import math
 
+from conftest import by_name
 from hypothesis import given
 from hypothesis import strategies as st
 
 from eqthink.properties import Counterexample, Pass
-from eqthink.syntax import App, Var
+from eqthink.prover import ProofOutcome
+from eqthink.syntax import App, Property, Var
 from eqthink.values import NIL, Pair, from_list, to_list, value_equal
 
 
@@ -23,9 +25,10 @@ def _call(env, op, *args):
 
 
 def test_all_proofs_accepted(corpus):
-    session, _ = corpus
-    assert session.proofs and all(o.accepted for o in session.proofs)
-    assert {o.name for o in session.proofs} == {
+    _, results = corpus
+    proofs = by_name(results, ProofOutcome).values()
+    assert proofs and all(o.accepted for o in proofs)
+    assert {o.name for o in proofs} == {
         "and-absorption",
         "app-assoc",
         "app-pfx",
@@ -35,8 +38,8 @@ def test_all_proofs_accepted(corpus):
 
 
 def test_property_outcomes_as_designed(corpus):
-    session, _ = corpus
-    reports = {p.name: session.run_property(p) for p in session.properties}
+    session, results = corpus
+    reports = {name: session.run_property(p) for name, p in by_name(results, Property).items()}
     for name, report in reports.items():
         if name == "app-pfx-any-object":
             assert isinstance(report.outcome, Counterexample), name

@@ -1,4 +1,5 @@
 import pytest
+from conftest import by_name
 
 from eqthink.errors import (
     AmbiguousWithoutPosition,
@@ -7,7 +8,7 @@ from eqthink.errors import (
     ProofError,
 )
 from eqthink.loader import Session
-from eqthink.prover import derive_truth_table, rewrite_step
+from eqthink.prover import ProofOutcome, derive_truth_table, rewrite_step
 from eqthink.rewriting import RewriteRule, RuleDatabase
 from eqthink.syntax import parse_program, parse_term
 
@@ -15,10 +16,6 @@ from eqthink.syntax import parse_program, parse_term
 def _load(src):
     session = Session()
     return session, session.load_forms(parse_program(src))
-
-
-def _proofs(results):
-    return {r.name: r.detail for r in results if r.kind == "proof"}
 
 
 PLUS = """
@@ -126,7 +123,7 @@ def test_builtin_arith_step():
           (:chain (+ 2 3) (5 :by arith)))
         """
     )
-    assert _proofs(results)["fold-sum"].accepted
+    assert by_name(results, ProofOutcome)["fold-sum"].accepted
 
 
 def test_builtin_arith_rejects_unequal():
@@ -138,7 +135,7 @@ def test_builtin_arith_rejects_unequal():
           (:chain (+ 2 3) (6 :by arith)))
         """
     )
-    outcome = _proofs(results)["bad-sum"]
+    outcome = by_name(results, ProofOutcome)["bad-sum"]
     assert not outcome.accepted and outcome.step_index == 1
 
 
@@ -159,7 +156,7 @@ def test_equational_proof_accepted_and_becomes_lemma():
                   (q :by or-identity)))
         """
     )
-    outcomes = _proofs(results)
+    outcomes = by_name(results, ProofOutcome)
     assert outcomes["or-absorbs"].accepted
     assert outcomes["uses-lemma"].accepted
     assert "or-absorbs" in session.rules.rules
@@ -174,7 +171,7 @@ def test_rejected_proof_does_not_become_lemma():
           (:chain (or x nil) (nil :by or-identity)))
         """
     )
-    assert not _proofs(results)["wrong"].accepted
+    assert not by_name(results, ProofOutcome)["wrong"].accepted
     assert "wrong" not in session.rules.rules
 
 
@@ -187,7 +184,7 @@ def test_chain_start_mismatch_rejected_at_zero():
           (:chain (or nil x) (x :by or-identity)))
         """
     )
-    outcome = _proofs(results)["off-start"]
+    outcome = by_name(results, ProofOutcome)["off-start"]
     assert not outcome.accepted
     assert outcome.case == "chain" and outcome.step_index == 0
 
@@ -202,7 +199,7 @@ def test_chain_endpoint_mismatch_rejected_at_end():
                   ((and (or x y) y) :by or-identity)))
         """
     )
-    outcome = _proofs(results)["stops-early"]
+    outcome = by_name(results, ProofOutcome)["stops-early"]
     assert not outcome.accepted and outcome.step_index == 1
     assert "ends at" in outcome.reason
 
@@ -220,7 +217,7 @@ def test_nat_induction_accepted():
                  ((1+ n) :by ind-hyp)))
         """
     )
-    assert _proofs(results)["plus-zero"].accepted
+    assert by_name(results, ProofOutcome)["plus-zero"].accepted
 
 
 def test_induction_hypothesis_variable_is_rigid():
@@ -237,7 +234,7 @@ def test_induction_hypothesis_variable_is_rigid():
                  ((1+ (plus 0 0)) :by ind-hyp)))
         """
     )
-    outcome = _proofs(results)["cheat"]
+    outcome = by_name(results, ProofOutcome)["cheat"]
     assert not outcome.accepted
     assert outcome.case == "step" and outcome.step_index == 2
 
@@ -255,7 +252,7 @@ def test_base_case_failure_reported_in_base(corpus):
                  ((1+ n) :by ind-hyp)))
         """
     )
-    outcome = _proofs(results)["bad-base"]
+    outcome = by_name(results, ProofOutcome)["bad-base"]
     assert not outcome.accepted and outcome.case == "base"
 
 
@@ -272,9 +269,9 @@ def test_mutating_a_label_rejects_at_that_step():
                   (y :by or-identity)))
         """
     _, results = _load(src.format(label="or-identity"))
-    assert _proofs(results)["and-absorption"].accepted
+    assert by_name(results, ProofOutcome)["and-absorption"].accepted
     _, results = _load(src.format(label="or-null"))
-    outcome = _proofs(results)["and-absorption"]
+    outcome = by_name(results, ProofOutcome)["and-absorption"]
     assert not outcome.accepted and outcome.step_index == 1
 
 
