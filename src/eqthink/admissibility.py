@@ -45,12 +45,14 @@ conditionals whose arguments it decides, evaluates ground applications
 once, unfolds every call of an operator whose body calls no defined
 operator, and unfolds a call of a recursive operator one level when
 every test in its body decides: (evens (cons x (cons y ys))) becomes
-(cons x (evens ys)).  The guard decision simplifies the guards and
-enumerates truth assignments of the atoms that remain.  The relations
-< <= = > >= compare integer coercions, so over one pair of arguments
-exactly one of <, = and > holds: such atoms share one three-way
-ordering.  Every other atom is an independent boolean.  The enumeration
-may include assignments no input realizes, never the reverse, so "cannot
+(cons x (evens ys)).  The guard decision simplifies each guard and
+turns what remains into a boolean circuit, whose truth table
+``circuits.truth_table`` enumerates.  The relations < <= = > >= compare
+integer coercions, so over one pair of arguments exactly one of <, = and
+> holds: such atoms read the pair's two ports lt and gt (< is lt, = is
+(nor lt gt)), and a validity conjunct (nand lt gt) drops the fourth
+combination.  Every other atom is one independent port.  The table may
+include assignments no input realizes, never the reverse, so "cannot
 both hold" and "one always holds" are sound.
 
 Each check yields Proved, TestedOnly, or Failed, with a concrete witness
@@ -62,11 +64,11 @@ equations with identical right-hand sides share a branch.
 from __future__ import annotations
 
 import hashlib
-import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 
+from . import circuits
 from .errors import (
     BadArity,
     EvalError,
@@ -88,6 +90,7 @@ from .syntax import (
     T_LIT,
     Term,
     Var,
+    parse_term,
     print_term,
     substitute,
     subterms,
@@ -158,7 +161,9 @@ class AdmissibilityReport:
 
 
 def _derive_seed(seed: int, tag: str) -> int:
-    digest = hashlib.blake2b(tag.encode(), digest_size=8, key=seed.to_bytes(8, "little", signed=False)).digest()
+    # Any int seed works; seeds in [0, 2**64) keep their bytes.
+    key = (seed % 2**64).to_bytes(8, "little")
+    digest = hashlib.blake2b(tag.encode(), digest_size=8, key=key).digest()
     return int.from_bytes(digest, "little")
 
 
@@ -265,22 +270,14 @@ def _instantiate(p: Term, assign: dict[str, Value], nats: set[str], stream: Stre
 # ---------------------------------------------------------------------------
 # Static guard decision
 
-# The outcomes of comparing two arguments' integer coercions (-1, 0, 1) at
-# which each relation holds; swapping the arguments flips the relation.
-_HOLDS = {"<": (-1,), "<=": (-1, 0), "=": (0,), ">": (1,), ">=": (0, 1)}
-_FLIP = {"<": ">", "<=": ">=", "=": "=", ">": "<", ">=": "<="}
-_ORDERING = (-1, 0, 1)
-_BOOLEAN = (False, True)
-_CONNECTIVES = {
-    "not": lambda a: not a,
-    "and": lambda a, b: a and b,
-    "or": lambda a, b: a or b,
-    "implies": lambda a, b: not a or b,
-    "xor": lambda a, b: a != b,
-    "nand": lambda a, b: not (a and b),
-    "nor": lambda a, b: not (a or b),
-    "if": lambda c, a, b: a if c else b,
+# Each relation over one argument pair as a formula over two ports: lt when
+# the first argument's integer coercion is below the second's, gt when it is
+# above.  Swapping the arguments flips the relation.
+_RELATIONS = {
+    op: parse_term(src)
+    for op, src in {"<": "lt", "<=": "(not gt)", "=": "(nor lt gt)", ">": "gt", ">=": "(not lt)"}.items()
 }
+_FLIP = {"<": ">", "<=": ">=", "=": "=", ">": "<", ">=": "<="}
 
 
 def _shape(t: Term, atoms: frozenset[str] = frozenset()) -> str | None:
@@ -330,15 +327,17 @@ def _simplify(
     shapes = [_shape(a, atoms) for a in args]
     if op == "consp" and shapes[0] is not None:
         return T_LIT if shapes[0] == "cons" else NIL_LIT
-    if op in _CONNECTIVES and None not in shapes:
-        return T_LIT if _CONNECTIVES[op](*(s != "nil" for s in shapes)) else NIL_LIT
+    if op in circuits.CONNECTIVES and None not in shapes:
+        closed = App(op, tuple(NIL_LIT if s == "nil" else T_LIT for s in shapes))
+        (bit,) = circuits.simulate(circuits.formula_to_circuit(closed), {})
+        return T_LIT if bit else NIL_LIT
     if op == "equal":
         if args[0] == args[1]:
             return T_LIT
         if None not in shapes and shapes[0] != shapes[1]:
             return NIL_LIT
-    if op in _HOLDS and args[0] == args[1]:
-        return T_LIT if 0 in _HOLDS[op] else NIL_LIT
+    if op in _RELATIONS and args[0] == args[1]:  # only <=, = and >= hold
+        return T_LIT if "=" in op else NIL_LIT
     record = prov.defs.get(op)
     if record is not None:
         body = record.defun.body
@@ -353,65 +352,58 @@ def _simplify(
     return App(op, args, loc=t.loc)
 
 
-def _atom(t: Term) -> tuple[object, tuple]:
-    """The variable an atom reads and the values of it at which it holds."""
-    if isinstance(t, App) and t.op in _HOLDS:
-        a, b = t.args
-        op = t.op
-        if print_term(b) < print_term(a):
-            a, b, op = b, a, _FLIP[op]
-        return (a, b), _HOLDS[op]
-    return t, (True,)
+def _no_row_holds(
+    guards: list[Term | None], prov: DefEnv, atoms: frozenset[str], combine
+) -> bool:
+    """True when no truth assignment to the atoms left after simplifying
+    each guard makes ``combine`` of the guards hold; False past
+    _MAX_ASSIGNMENTS.  None as a guard holds.
 
+    The guards become boolean formulas over fresh ports.  A boolean atom
+    reads one port; the relations over one argument pair read its ports lt
+    and gt, and a validity conjunct (nand lt gt) keeps the two apart.
+    """
+    pairs: dict[tuple[Term, Term], int] = {}
+    booleans: dict[Term, int] = {}
 
-def _guard_table(
-    guards: list[Term | None], prov: DefEnv, atoms: frozenset[str] = frozenset()
-) -> list[tuple[bool, ...]] | None:
-    """Each guard's truth under every assignment to the atoms left after
-    simplification, or None past _MAX_ASSIGNMENTS.  None as a guard holds."""
-    terms = [T_LIT if g is None else _simplify(g, prov, atoms) for g in guards]
-    found: dict[Term, tuple] = {}
-    stack = list(terms)
-    while stack:
-        t = stack.pop()
-        if _shape(t, atoms) is not None:
-            continue
-        if isinstance(t, App) and t.op in _CONNECTIVES:
-            stack.extend(t.args)
-        elif t not in found:
-            found[t] = _atom(t)
-    domains = {key: _ORDERING if isinstance(key, tuple) else _BOOLEAN for key, _ in found.values()}
-    if math.prod(len(values) for values in domains.values()) > _MAX_ASSIGNMENTS:
-        return None
-
-    def holds(t: Term, assignment: dict) -> bool:
+    def formula(t: Term) -> Term:
         shape = _shape(t, atoms)
         if shape is not None:
-            return shape != "nil"
-        if isinstance(t, App) and t.op in _CONNECTIVES:
-            return _CONNECTIVES[t.op](*(holds(a, assignment) for a in t.args))
-        key, values = found[t]
-        return assignment[key] in values
+            return NIL_LIT if shape == "nil" else T_LIT
+        op = t.op if isinstance(t, App) else None
+        if op == "if":
+            c, a, b = map(formula, t.args)
+            return App("or", (App("and", (c, a)), App("and", (App("not", (c,)), b))))
+        if op in circuits.CONNECTIVES:
+            return App(op, tuple(map(formula, t.args)))
+        if op in _RELATIONS:
+            a, b = t.args
+            if print_term(b) < print_term(a):
+                a, b, op = b, a, _FLIP[op]
+            i = pairs.setdefault((a, b), len(pairs))
+            return substitute(_RELATIONS[op], {"lt": Var(f"lt{i}"), "gt": Var(f"gt{i}")})
+        return Var(f"b{booleans.setdefault(t, len(booleans))}")
 
-    table = []
-    for combo in itertools.product(*domains.values()):
-        assignment = dict(zip(domains, combo))
-        table.append(tuple(holds(t, assignment) for t in terms))
-    return table
+    f = combine([formula(T_LIT if g is None else _simplify(g, prov, atoms)) for g in guards])
+    if 3 ** len(pairs) * 2 ** len(booleans) > _MAX_ASSIGNMENTS:
+        return False
+    for i in range(len(pairs)):
+        f = App("and", (f, App("nand", (Var(f"lt{i}"), Var(f"gt{i}")))))
+    return not any(out == [1] for _, out in circuits.truth_table(circuits.formula_to_circuit(f)))
 
 
 def guards_exclusive(g1: Term | None, g2: Term | None, prov: DefEnv) -> bool:
     """True when no input makes both guards hold (None stands for no guard)."""
-    table = _guard_table([g1, g2], prov)
-    return table is not None and not any(a and b for a, b in table)
+    return _no_row_holds([g1, g2], prov, frozenset(), lambda gs: App("and", tuple(gs)))
 
 
 def guards_exhaustive(
     guards: list[Term | None], prov: DefEnv, atoms: frozenset[str] = frozenset()
 ) -> bool:
     """True when every input makes at least one guard hold."""
-    table = _guard_table(guards, prov, atoms)
-    return table is not None and all(any(row) for row in table)
+    return _no_row_holds(
+        guards, prov, atoms, lambda gs: App("not", (reduce(lambda a, b: App("or", (a, b)), gs),))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,10 @@ order, gates follow, and every gate argument references a strictly
 smaller node id, so construction order is topological order.  Outputs
 are an ordered list of node ids.
 
+``CONNECTIVES`` is the one list of boolean connectives and ``truth_table``
+the one enumeration of assignments; equivalence, the prover's truth tables
+and admission's guard decision all build on them.
+
 Gates are built from formulas only.  A basis rewrite is a table giving
 each gate kind outside the basis as a formula over its arguments ``a``
 and ``b`` (nand builds constants from ``p``, the first input port), and a
@@ -14,7 +18,9 @@ structurally equal gates, so a repeated subformula costs one gate.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import (
     BadWidth,
@@ -49,7 +55,7 @@ _GATE_FN = {
     "IMPL": lambda a, b: (1 - a) | b,
 }
 
-_OP_TO_GATE = {
+CONNECTIVES = {
     "and": "AND",
     "or": "OR",
     "not": "NOT",
@@ -61,7 +67,7 @@ _OP_TO_GATE = {
 
 # Each gate kind as a formula over its arguments a and b.
 _GATE_FORMULA: dict[str, Term] = {
-    gate: App(op, (Var("a"), Var("b"))[: GATE_ARITY[gate]]) for op, gate in _OP_TO_GATE.items()
+    gate: App(op, (Var("a"), Var("b"))[: GATE_ARITY[gate]]) for op, gate in CONNECTIVES.items()
 } | {"CONST1": SymLit("t"), "CONST0": SymLit("nil")}
 
 
@@ -208,7 +214,7 @@ def _formula_vars(f: Term) -> set[str]:
             if t.name not in ("t", "nil"):
                 raise NonBooleanOperator(f"{t.name} is not a boolean constant", t.loc)
         elif isinstance(t, App):
-            if t.op not in _OP_TO_GATE:
+            if t.op not in CONNECTIVES:
                 raise NonBooleanOperator(f"{t.op} is not a boolean connective", t.loc)
         else:
             raise NonBooleanOperator("integer literals are not boolean formulas", t.loc)
@@ -224,7 +230,7 @@ def _build_formula(f: Term, b: _Builder, nodes: dict[str, int], lowering: dict[s
     if isinstance(f, SymLit):
         kind, args = ("CONST1" if f.name == "t" else "CONST0"), []
     else:
-        kind, args = _OP_TO_GATE[f.op], [_build_formula(a, b, nodes, lowering) for a in f.args]
+        kind, args = CONNECTIVES[f.op], [_build_formula(a, b, nodes, lowering) for a in f.args]
     formula = lowering.get(kind)
     if formula is None:
         return b.gate(kind, *args)
@@ -232,7 +238,18 @@ def _build_formula(f: Term, b: _Builder, nodes: dict[str, int], lowering: dict[s
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive equivalence
+# Truth tables and exhaustive equivalence
+
+
+def truth_table(n: Netlist) -> Iterator[tuple[dict[str, int], list[int]]]:
+    """Each assignment to n's ports with n's outputs under it, in
+    lexicographic order (ports sorted, 0 before 1); at most 20 ports."""
+    names = sorted(n.inputs)
+    if len(names) > 20:
+        raise TooManyInputs(f"{len(names)} inputs exceed the 20-input limit")
+    for bits in product((0, 1), repeat=len(names)):
+        assignment = dict(zip(names, bits))
+        yield assignment, simulate(n, assignment)
 
 
 @dataclass(frozen=True)
@@ -255,14 +272,8 @@ def exhaustive_equiv(a: Netlist, b: Netlist) -> EquivResult:
         raise PortMismatch(
             f"output counts differ: {len(a.outputs)} vs {len(b.outputs)}"
         )
-    names = sorted(a.inputs)
-    if len(names) > 20:
-        raise TooManyInputs(f"{len(names)} inputs exceed the 20-input limit")
-    for mask in range(1 << len(names)):
-        assignment = {
-            name: (mask >> (len(names) - 1 - i)) & 1 for i, name in enumerate(names)
-        }
-        if simulate(a, assignment) != simulate(b, assignment):
+    for (assignment, out_a), (_, out_b) in zip(truth_table(a), truth_table(b)):
+        if out_a != out_b:
             return EquivResult(False, assignment)
     return EquivResult(True)
 

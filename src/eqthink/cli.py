@@ -224,6 +224,8 @@ def cmd_mr(args) -> CommandResult:
         raise ValueError("mr grep requires --pattern")
     with open(args.input) as fh:
         data = json.load(fh)
+    if not isinstance(data, list) or not all(isinstance(p, list) and len(p) == 2 for p in data):
+        raise ValueError(f"{args.input}: mr input must be a JSON array of [key, value] pairs")
     pairs = [(value_from_json(k), value_from_json(v)) for k, v in data]
     if args.job == "pagerank":
         out = mapreduce.pagerank(pairs, args.iterations, Fraction(args.damping))
@@ -454,11 +456,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.json and report is not None:
             name = [args.command, getattr(args, "verb", None) or getattr(args, "job", None)]
             report.update(schema=SCHEMA, command=" ".join(filter(None, name)), exit=code)
-            print(_dump(report))
-        else:
-            for line in lines:
-                print(line)
-        return code
+            lines = [_dump(report)]
     except (ParseError, BadWidth, BadDamping) as exc:
         # BadWidth and BadDamping only ever judge a command's arguments.
         print(str(exc), file=sys.stderr)
@@ -472,6 +470,15 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("input nested too deeply for the interpreter's recursion limit", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (say, head): the output was still made,
+        # so the code stands.  What is left in the buffer goes nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

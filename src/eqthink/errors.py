@@ -106,10 +106,6 @@ class ConditionUnmet(ProofError):
     code = "ConditionUnmet"
 
 
-class TooManyVariables(EqError):
-    code = "TooManyVariables"
-
-
 class CircuitError(EqError):
     code = "CircuitError"
 

@@ -16,7 +16,6 @@ checker turns it into the rejected ``ProofOutcome`` with its message.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from . import circuits
 from .errors import (
@@ -25,7 +24,6 @@ from .errors import (
     EvalError,
     NoMatchingPosition,
     ProofError,
-    TooManyVariables,
 )
 from .evaluator import DefEnv, evaluate
 from .rewriting import (
@@ -309,12 +307,5 @@ def check_proof(script: ProofScript, db: RuleDatabase, env: DefEnv | None = None
 
 def derive_truth_table(f: Term) -> list[tuple[dict[str, bool], bool]]:
     """One row per assignment; variables in sorted order, true first."""
-    net = circuits.formula_to_circuit(f)
-    names = net.inputs
-    if len(names) > 20:
-        raise TooManyVariables(f"{len(names)} variables exceed the 20-variable limit")
-    rows: list[tuple[dict[str, bool], bool]] = []
-    for values in product((True, False), repeat=len(names)):
-        (bit,) = circuits.simulate(net, {n: int(v) for n, v in zip(names, values)})
-        rows.append((dict(zip(names, values)), bit == 1))
-    return rows
+    rows = circuits.truth_table(circuits.formula_to_circuit(f))
+    return [({n: v == 1 for n, v in a.items()}, bit == 1) for a, (bit,) in rows][::-1]

@@ -8,6 +8,7 @@ checked by replaying equations directly against the compiled defun.
 import itertools
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from conftest import by_name
@@ -563,6 +564,22 @@ def test_newly_proved_verdicts_survive_the_trials(corpus, seed):
         else:
             result = measure_trials(d, env, session.measures[name], session.sigs[name], seed)
         assert result.verdict != "Failed", (check, name, seed, result)
+
+
+UNDECIDED_GUARDS = Path(__file__).parent / "fixtures" / "undecided_guards.lx"
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seeds_outside_64_bits_wrap(seed):
+    """Admission takes the seed mod 2**64, as the property trials do."""
+
+    def reports(seed):
+        results = Session(seed=seed).load_file(UNDECIDED_GUARDS)
+        return [r.to_json() for r in results if isinstance(r, AdmissibilityReport)]
+
+    (report,) = reports(seed)
+    assert report["consistent"]["verdict"] == "TestedOnly"
+    assert reports(seed) == reports(seed % 2**64)
 
 
 def test_admitting_defs_leaves_few_trials(monkeypatch):

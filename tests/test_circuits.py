@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from eqthink import circuits
 from eqthink.circuits import (
     BASES,
     Gate,
@@ -142,6 +143,19 @@ def test_equiv_input_budget():
     big = Netlist(names, (Gate("OR", (0, 1)),), (21,))
     with pytest.raises(TooManyInputs):
         exhaustive_equiv(big, big)
+
+
+def test_equiv_stops_at_the_first_difference(monkeypatch):
+    """Two 20-input netlists that differ at the all-zero assignment, the
+    first in scan order, cost one simulation each."""
+    calls = []
+    monkeypatch.setattr(circuits, "simulate", lambda n, a: calls.append(a) or simulate(n, a))
+    names = tuple(f"v{i:02d}" for i in range(20))
+    a = Netlist(names, (Gate("OR", (0, 1)),), (20,))
+    b = Netlist(names, (Gate("NOR", (0, 1)),), (20,))
+    result = exhaustive_equiv(a, b)
+    assert result.witness == dict.fromkeys(names, 0)
+    assert len(calls) == 2
 
 
 # -- bases --------------------------------------------------------------------

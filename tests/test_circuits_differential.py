@@ -30,12 +30,10 @@ from eqthink.circuits import (
     EquivResult,
     Gate,
     Netlist,
-    PortMismatch,
-    TooManyInputs,
     _Builder,
     simulate,
 )
-from eqthink.errors import BadWidth, CircuitError, EqError
+from eqthink.errors import BadWidth, CircuitError, EqError, PortMismatch, TooManyInputs
 from eqthink.evaluator import DefEnv
 from eqthink.syntax import NIL_LIT, T_LIT, App, SymLit, Term, Var, parse_term, print_term
 
@@ -396,8 +394,23 @@ def test_guard_decision_matches_the_guard_table(case):
 def _combined(rng: random.Random, atoms: list[Term]) -> Term:
     g, *rest = atoms
     for part in rest:
-        g = App(rng.choice(["and", "or", "implies", "xor"]), (g, part))
+        op = rng.choice(["and", "or", "implies", "xor", "if"])
+        g = App("if", (part, g, App("not", (g,)))) if op == "if" else App(op, (g, part))
     return App("not", (g,)) if rng.random() < 0.3 else g
+
+
+def test_guard_decision_matches_on_every_pair_of_relations():
+    """Two relations over one pair, each in either argument order, and a
+    conditional over three."""
+    env = DefEnv()
+    x, y = Var("x"), Var("y")
+    relations = [App(op, args) for op in _HOLDS for args in ((x, y), (y, x))]
+    for g1, g2 in product(relations, repeat=2):
+        assert admissibility.guards_exclusive(g1, g2, env) == guards_exclusive(g1, g2, env)
+        assert admissibility.guards_exhaustive([g1, g2], env) == guards_exhaustive([g1, g2], env)
+    for test, then, other in product(relations, repeat=3):
+        g = [App("if", (test, then, other))]
+        assert admissibility.guards_exhaustive(g, env) == guards_exhaustive(g, env), g
 
 
 def _straddling_guards(rng: random.Random, pairs: int, booleans: int) -> list[Term]:

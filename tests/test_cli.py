@@ -427,6 +427,37 @@ def test_mr_grep_needs_pattern(tmp_path, capsys):
     assert code == 0 and out.strip() == "1\t'(the cat)"
 
 
+@pytest.mark.parametrize("data", ["5", "null", '{"ab": [1]}', '["xy"]', "[[1, 2, 3]]"])
+def test_mr_input_must_be_pairs(tmp_path, capsys, data):
+    path = tmp_path / "in.json"
+    path.write_text(data)
+    code, out, err = run(capsys, "mr", "wordcount", str(path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+
+
+def test_mr_empty_input_prints_nothing(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text("[]")
+    assert run(capsys, "mr", "wordcount", str(path)) == (0, "", "")
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_closed_stdout_keeps_the_exit_code(tmp_path, flags):
+    """A reader that stops early (say, head) is no usage error."""
+    src = tmp_path / "long.lx"
+    src.write_text("(defun upto (n acc) :trust (if (equal n 0) acc (upto (- n 1) (cons n acc))))")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "eqthink.cli", "eval", *flags, str(src), "-e", "(upto 200000 nil)"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")
+
+
 def test_ci_passes_on_bundled_corpus(capsys):
     code, out, _ = run(capsys, "ci")
     assert code == 0

@@ -1,16 +1,18 @@
 import pytest
 from conftest import by_name
 
+from eqthink import circuits
 from eqthink.errors import (
     AmbiguousWithoutPosition,
     ConditionUnmet,
     NoMatchingPosition,
     ProofError,
+    TooManyInputs,
 )
 from eqthink.loader import Session
 from eqthink.prover import ProofOutcome, derive_truth_table, rewrite_step
 from eqthink.rewriting import RewriteRule, RuleDatabase
-from eqthink.syntax import parse_program, parse_term
+from eqthink.syntax import App, Var, parse_program, parse_term
 
 
 def _load(src):
@@ -291,6 +293,17 @@ def test_derive_truth_table_rejects_non_boolean():
     for src in ["(+ x y)", "(implies x 3)", "(or x 'banana)"]:
         with pytest.raises(NonBooleanOperator):
             derive_truth_table(parse_term(src))
+
+
+def test_derive_truth_table_refuses_21_variables(monkeypatch):
+    calls = []
+    monkeypatch.setattr(circuits, "simulate", lambda n, a: calls.append(a))
+    formula = parse_term("(and v00 v01)")
+    for i in range(2, 21):
+        formula = App("or", (formula, Var(f"v{i:02d}")))
+    with pytest.raises(TooManyInputs):
+        derive_truth_table(formula)
+    assert calls == []
 
 
 def test_truth_tables_of_operator_lemmas_agree_semantically(corpus):
