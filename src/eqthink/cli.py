@@ -478,6 +478,9 @@ def main(argv: list[str] | None = None) -> int:
         # The reader stopped early (say, head): the output was still made,
         # so the code stands.  What is left in the buffer goes nowhere.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

@@ -458,6 +458,17 @@ def test_closed_stdout_keeps_the_exit_code(tmp_path, flags):
     assert (proc.wait(), err) == (0, b"")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+def test_failed_write_to_stdout_exits_two():
+    with open("/dev/full", "w") as full:
+        out = subprocess.run(
+            [sys.executable, "-m", "eqthink.cli", "check", LISTS],
+            stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == ["[Errno 28] No space left on device"]
+
+
 def test_ci_passes_on_bundled_corpus(capsys):
     code, out, _ = run(capsys, "ci")
     assert code == 0
