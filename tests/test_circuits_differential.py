@@ -177,6 +177,7 @@ def exhaustive_equiv(a: Netlist, b: Netlist) -> EquivResult:
     return EquivResult(True)
 
 
+# The error the old truth table raised; errors.py no longer has it.
 class TooManyVariables(EqError):
     code = "TooManyVariables"
 
