@@ -159,6 +159,18 @@ class AdmissibilityReport:
             "compiled": print_defun(self.compiled) if self.compiled else None,
         }
 
+    def lines(self) -> list[str]:
+        """One summary line, then one line per failed check (an admitted
+        definition has none)."""
+        summary = ", ".join(f"{k} {v}" for k, v in self.verdicts().items())
+        lines = [f"{self.name}: {'admitted' if self.admitted else 'rejected'} ({summary})"]
+        for key in ("consistent", "comprehensive", "constructive"):
+            res = getattr(self, key)
+            if res.verdict == FAILED:
+                witness = f" [witness: {res.witness}]" if res.witness else ""
+                lines.append(f"  {key}: {res.detail}{witness}")
+        return lines
+
 
 def _derive_seed(seed: int, tag: str) -> int:
     # Any int seed works; seeds in [0, 2**64) keep their bytes.

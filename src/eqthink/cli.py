@@ -142,6 +142,34 @@ def cmd_prove(args) -> CommandResult:
     return (EXIT_OK if accepted == len(outcomes) else EXIT_VERDICT), report, lines
 
 
+# What check, test and prove each report: the kind of load result they
+# read, the report key, and the attribute that says one result passed.
+FILE_COMMANDS = {
+    "check": (AdmissibilityReport, "definitions", "admitted"),
+    "test": (Property, "properties", "passed"),
+    "prove": (ProofOutcome, "proofs", "accepted"),
+}
+
+
+def _checked(results, kind, session: Session, trials: int | None = None) -> list:
+    """The results of one kind, with each property run into its report."""
+    items = [r for r in results if isinstance(r, kind)]
+    if kind is Property:
+        return [session.run_property(p, trials=trials) for p in items]
+    return items
+
+
+def cmd_files(args) -> CommandResult:
+    kind, key, verdict = FILE_COMMANDS[args.command]
+    session, results = _load_session(args.files, args.seed)
+    reports = _checked(results, kind, session, getattr(args, "trials", None))
+    passed = sum(1 for r in reports if getattr(r, verdict))
+    lines = [line for r in reports for line in r.lines()]
+    lines.append(f"{passed} of {len(reports)} {key} {verdict}")
+    report = {"inputs": list(args.files), "seed": args.seed, key: [r.to_json() for r in reports]}
+    return (EXIT_OK if passed == len(reports) else EXIT_VERDICT), report, lines
+
+
 def cmd_eval(args) -> CommandResult:
     session, _ = _load_session(args.files, args.seed)
     value, count = eval_counting(parse_term(args.expr), {}, session.env)
@@ -382,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[common], help="run admissibility checks")
     p.add_argument("files", nargs="+")
-    p.set_defaults(fn=cmd_check)
+    p.set_defaults(fn=cmd_files)
 
     p = sub.add_parser("eval", parents=[common], help="evaluate an expression")
     p.add_argument("files", nargs="*")
@@ -392,11 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", parents=[common], help="run properties")
     p.add_argument("files", nargs="+")
     p.add_argument("--trials", type=_positive_int, default=None)
-    p.set_defaults(fn=cmd_test)
+    p.set_defaults(fn=cmd_files)
 
     p = sub.add_parser("prove", parents=[common], help="check proof scripts")
     p.add_argument("files", nargs="+")
-    p.set_defaults(fn=cmd_prove)
+    p.set_defaults(fn=cmd_files)
 
     p = sub.add_parser("steps", parents=[common], help="measure step growth")
     p.add_argument("op")

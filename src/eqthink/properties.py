@@ -11,12 +11,13 @@ as generated.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import EqError, EvalError, UnexpectedToken
 from .evaluator import DefEnv, evaluate
 from .syntax import App, IntLit, Property, Term, Var
-from .values import NIL, Symbol, Value, from_list
+from .values import NIL, Symbol, Value, from_list, print_value
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -136,6 +137,65 @@ def generate(g: GenSpec, stream: Stream) -> Value:
 
 
 # ---------------------------------------------------------------------------
+# Generator forms
+
+# A generator form compiles to the function that draws one value from a stream.
+Draw = Callable[[Stream], Value]
+
+
+def _integer(stream: Stream) -> Value:
+    """Uniform integer in [-100, 100]."""
+    return stream.int_between(-100, 100)
+
+
+def _list_of(element: Draw) -> Draw:
+    """True list with length uniform in [0, 20], drawn before its elements."""
+
+    def draw(stream: Stream) -> Value:
+        length = stream.int_between(0, 20)
+        return from_list([element(stream) for _ in range(length)])
+
+    return draw
+
+
+def _symbol(names: tuple[str, ...]) -> Draw:
+    return lambda stream: Symbol(names[stream.below(len(names))])
+
+
+_OBJECT_DRAWS = (_integer, _symbol(DEFAULT_ALPHABET), _list_of(_integer))
+
+
+def random_object(stream: Stream) -> Value:
+    """One of: integer, symbol, or true list of integers (1/3 each)."""
+    return _OBJECT_DRAWS[stream.below(3)](stream)
+
+
+def generator(t: Term) -> Draw:
+    """The draw function of a generator form like (random-list-of (random-integer)).
+
+    The whole form is checked here, so a malformed element form is refused
+    even where a draw would never reach it."""
+    if not isinstance(t, App):
+        raise UnexpectedToken("generator must be an application form", getattr(t, "loc", None))
+    if t.op == "random-integer" and not t.args:
+        return _integer
+    if t.op == "random-natural" and len(t.args) == 1 and isinstance(t.args[0], IntLit):
+        bound = t.args[0].value
+        if bound < 0:
+            raise UnexpectedToken("random-natural bound must be >= 0", t.loc)
+        return lambda stream: stream.int_between(0, bound)
+    if t.op == "random-list-of" and len(t.args) == 1:
+        return _list_of(generator(t.args[0]))
+    if t.op == "random-object" and not t.args:
+        return random_object
+    if t.op == "random-symbol" and t.args:
+        if not all(isinstance(a, Var) for a in t.args):
+            raise UnexpectedToken("random-symbol takes identifiers", t.loc)
+        return _symbol(tuple(a.name for a in t.args))
+    raise UnexpectedToken(f"unknown generator form {t.op!r}", t.loc)
+
+
+# ---------------------------------------------------------------------------
 # Running properties
 
 
@@ -174,6 +234,32 @@ class PropertyReport:
     outcome: TestOutcome
     seed: int
     trials: int
+
+    @property
+    def passed(self) -> bool:
+        return isinstance(self.outcome, Pass)
+
+    def lines(self) -> list[str]:
+        if self.passed:
+            extra = f", {self.outcome.vacuous} vacuous" if self.outcome.vacuous else ""
+            return [f"{self.name}: pass ({self.outcome.trials_run} trials{extra})"]
+        bind = ", ".join(
+            f"{k} = {print_value(v)}" for k, v in sorted(self.outcome.bindings.items())
+        )
+        return [f"{self.name}: counterexample at trial {self.outcome.trial_index}: {bind}"]
+
+    def to_json(self) -> dict:
+        out: dict = {"name": self.name, "seed": self.seed, "trials": self.trials}
+        if self.passed:
+            out["outcome"] = "Pass"
+            out["vacuous"] = self.outcome.vacuous
+        else:  # run_property returns a Pass or a Counterexample
+            out["outcome"] = "Counterexample"
+            out["trial"] = self.outcome.trial_index
+            out["bindings"] = {
+                k: print_value(v) for k, v in sorted(self.outcome.bindings.items())
+            }
+        return out
 
 
 def run_property(

@@ -59,6 +59,11 @@ class ProofOutcome:
             out["reason"] = self.reason
         return out
 
+    def lines(self) -> list[str]:
+        if self.accepted:
+            return [f"{self.name}: Accepted"]
+        return [f"{self.name}: rejected at {self.case} step {self.step_index}: {self.reason}"]
+
 
 def _ground(t: Term) -> bool:
     return not term_vars(t)
