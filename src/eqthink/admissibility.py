@@ -77,7 +77,7 @@ from .errors import (
     UnknownOperator,
 )
 from .evaluator import DefEnv, evaluate
-from .properties import RandomObject, Stream, generate
+from .properties import Stream, random_object
 from .syntax import (
     PRIMITIVE_ARITY,
     App,
@@ -266,7 +266,7 @@ def _instantiate(p: Term, assign: dict[str, Value], nats: set[str], stream: Stre
             if p.name in nats:
                 assign[p.name] = stream.int_between(0, 40)
             else:
-                assign[p.name] = generate(RandomObject(), stream)
+                assign[p.name] = random_object(stream)
         return assign[p.name]
     if isinstance(p, IntLit):
         return p.value
@@ -717,8 +717,8 @@ def _random_domain_value(dom: str, stream: Stream) -> Value:
         return stream.int_between(0, 60)
     if dom == "list":
         length = stream.int_between(0, 10)
-        return from_list([generate(RandomObject(), stream) for _ in range(length)])
-    return generate(RandomObject(), stream)
+        return from_list([random_object(stream) for _ in range(length)])
+    return random_object(stream)
 
 
 def coverage_trials(

@@ -4,6 +4,9 @@ Every subcommand reads files and returns ``(code, report, lines)``: its
 exit code, its JSON report and its human text, one string a line.
 ``main`` alone prints.  With --json it stamps the report with ``schema``,
 ``command`` and ``exit`` and dumps it; otherwise it prints the lines.
+``check``, ``test`` and ``prove`` are one command, ``cmd_files``, read off
+the table ``FILE_COMMANDS``; each checked result renders its own lines and
+JSON, and ``ci`` reads the same table for its per-file reports.
 ``circuit build|basis|adder`` return no report: their netlist JSON or dot
 text is their output in both modes.
 
@@ -26,8 +29,7 @@ from . import circuits, cost, mapreduce
 from .admissibility import AdmissibilityReport
 from .errors import BadDamping, BadWidth, EqError, ParseError
 from .evaluator import eval_counting
-from .loader import Session, property_report_json
-from .properties import Pass
+from .loader import Session
 from .prover import ProofOutcome
 from .syntax import Property, parse_term
 from .values import Symbol, from_json as value_from_json, print_value, to_json as value_to_json
@@ -69,77 +71,6 @@ def _load_session(paths: list[str], seed: int) -> tuple[Session, list]:
 
 # ---------------------------------------------------------------------------
 # check / test / prove / eval
-
-
-def _describe_admissibility(rep) -> list[str]:
-    """One summary line, then one line per failed check (an admitted
-    definition has none)."""
-    summary = ", ".join(f"{k} {v}" for k, v in rep.verdicts().items())
-    lines = [f"{rep.name}: {'admitted' if rep.admitted else 'rejected'} ({summary})"]
-    for key in ("consistent", "comprehensive", "constructive"):
-        res = getattr(rep, key)
-        if res.verdict == "Failed":
-            witness = f" [witness: {res.witness}]" if res.witness else ""
-            lines.append(f"  {key}: {res.detail}{witness}")
-    return lines
-
-
-def cmd_check(args) -> CommandResult:
-    _, results = _load_session(args.files, args.seed)
-    reports = [r for r in results if isinstance(r, AdmissibilityReport)]
-    admitted = sum(1 for r in reports if r.admitted)
-    report = {
-        "inputs": list(args.files),
-        "seed": args.seed,
-        "definitions": [r.to_json() for r in reports],
-    }
-    lines = [line for rep in reports for line in _describe_admissibility(rep)]
-    lines.append(f"{admitted} of {len(reports)} definitions admitted")
-    return (EXIT_OK if admitted == len(reports) else EXIT_VERDICT), report, lines
-
-
-def cmd_test(args) -> CommandResult:
-    session, results = _load_session(args.files, args.seed)
-    reports = [
-        session.run_property(p, trials=args.trials) for p in results if isinstance(p, Property)
-    ]
-    lines = []
-    for r in reports:
-        if isinstance(r.outcome, Pass):
-            extra = f", {r.outcome.vacuous} vacuous" if r.outcome.vacuous else ""
-            lines.append(f"{r.name}: pass ({r.outcome.trials_run} trials{extra})")
-        else:
-            bind = ", ".join(
-                f"{k} = {print_value(v)}" for k, v in sorted(r.outcome.bindings.items())
-            )
-            lines.append(f"{r.name}: counterexample at trial {r.outcome.trial_index}: {bind}")
-    passed = sum(1 for r in reports if isinstance(r.outcome, Pass))
-    lines.append(f"{passed} of {len(reports)} properties passed")
-    report = {
-        "inputs": list(args.files),
-        "seed": args.seed,
-        "properties": [property_report_json(r) for r in reports],
-    }
-    return (EXIT_OK if passed == len(reports) else EXIT_VERDICT), report, lines
-
-
-def cmd_prove(args) -> CommandResult:
-    _, results = _load_session(args.files, args.seed)
-    outcomes = [o for o in results if isinstance(o, ProofOutcome)]
-    lines = [
-        f"{o.name}: Accepted"
-        if o.accepted
-        else f"{o.name}: rejected at {o.case} step {o.step_index}: {o.reason}"
-        for o in outcomes
-    ]
-    accepted = sum(1 for o in outcomes if o.accepted)
-    lines.append(f"{accepted} of {len(outcomes)} proofs accepted")
-    report = {
-        "inputs": list(args.files),
-        "seed": args.seed,
-        "proofs": [o.to_json() for o in outcomes],
-    }
-    return (EXIT_OK if accepted == len(outcomes) else EXIT_VERDICT), report, lines
 
 
 # What check, test and prove each report: the kind of load result they
@@ -285,12 +216,8 @@ def cmd_mr(args) -> CommandResult:
 
 def _file_report(name: str, results, session: Session) -> dict:
     report: dict = {"file": name}
-    for key, kind, to_json in (
-        ("definitions", AdmissibilityReport, AdmissibilityReport.to_json),
-        ("proofs", ProofOutcome, ProofOutcome.to_json),
-        ("properties", Property, lambda p: property_report_json(session.run_property(p))),
-    ):
-        items = [to_json(r) for r in results if isinstance(r, kind)]
+    for kind, key, _ in FILE_COMMANDS.values():
+        items = [r.to_json() for r in _checked(results, kind, session)]
         if items:
             report[key] = items
     return report

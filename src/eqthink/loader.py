@@ -25,13 +25,7 @@ from .admissibility import AdmissibilityReport, admit
 from .errors import DuplicateDefinition, NotAdmitted
 from .evaluator import DefEnv
 from .prover import ProofOutcome, check_proof
-from .properties import (
-    DEFAULT_TRIALS,
-    Pass,
-    Property,
-    PropertyReport,
-    run_property,
-)
+from .properties import DEFAULT_TRIALS, Property, PropertyReport, run_property
 from .rewriting import RuleDatabase
 from .syntax import (
     DefEquations,
@@ -42,7 +36,6 @@ from .syntax import (
     TopForm,
     parse_file,
 )
-from .values import print_value
 
 # What a checked form hands back to its caller.
 LoadResult = AdmissibilityReport | Property | ProofOutcome
@@ -114,16 +107,3 @@ class Session:
         ran = p.trials if p.trials is not None else DEFAULT_TRIALS
         return PropertyReport(p.name, outcome, self.seed, ran)
 
-
-def property_report_json(r: PropertyReport) -> dict:
-    out: dict = {"name": r.name, "seed": r.seed, "trials": r.trials}
-    if isinstance(r.outcome, Pass):
-        out["outcome"] = "Pass"
-        out["vacuous"] = r.outcome.vacuous
-    else:  # run_property returns a Pass or a Counterexample
-        out["outcome"] = "Counterexample"
-        out["trial"] = r.outcome.trial_index
-        out["bindings"] = {
-            k: print_value(v) for k, v in sorted(r.outcome.bindings.items())
-        }
-    return out

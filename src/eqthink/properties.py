@@ -1,6 +1,7 @@
 """Randomized property testing for the mini-language.
 
-Properties bind variables to generator specs and assert a claim term.
+Properties bind variables to generator forms, each compiled to the
+function that draws its values, and assert a claim term.
 Trials are reproducible: the PRNG is splitmix64 and trial ``i`` runs on a
 fresh stream seeded with ``master_seed XOR (i * 0x9E3779B97F4A7C15)``, so
 any single trial can be replayed without rerunning the ones before it.
@@ -58,85 +59,6 @@ def trial_seed(master_seed: int, index: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Generator specs
-
-
-class GenSpec:
-    __slots__ = ()
-
-
-@dataclass(frozen=True, slots=True)
-class RandomInteger(GenSpec):
-    """Uniform integer in [-100, 100]."""
-
-
-@dataclass(frozen=True, slots=True)
-class RandomNatural(GenSpec):
-    """Uniform natural in [0, bound]."""
-
-    bound: int
-
-
-@dataclass(frozen=True, slots=True)
-class RandomListOf(GenSpec):
-    """True list with length uniform in [0, 20]."""
-
-    element: GenSpec
-
-
-@dataclass(frozen=True, slots=True)
-class RandomObject(GenSpec):
-    """One of: integer, symbol, or true list of integers (1/3 each)."""
-
-
-@dataclass(frozen=True, slots=True)
-class RandomSymbol(GenSpec):
-    alphabet: tuple[str, ...] = DEFAULT_ALPHABET
-
-
-_OBJECT_KINDS = (RandomInteger(), RandomSymbol(), RandomListOf(RandomInteger()))
-
-
-def parse_genspec(t: Term) -> GenSpec:
-    """Interpret a generator form like (random-list-of (random-integer))."""
-    if not isinstance(t, App):
-        raise UnexpectedToken("generator must be an application form", getattr(t, "loc", None))
-    if t.op == "random-integer" and not t.args:
-        return RandomInteger()
-    if t.op == "random-natural" and len(t.args) == 1 and isinstance(t.args[0], IntLit):
-        if t.args[0].value < 0:
-            raise UnexpectedToken("random-natural bound must be >= 0", t.loc)
-        return RandomNatural(t.args[0].value)
-    if t.op == "random-list-of" and len(t.args) == 1:
-        return RandomListOf(parse_genspec(t.args[0]))
-    if t.op == "random-object" and not t.args:
-        return RandomObject()
-    if t.op == "random-symbol" and t.args:
-        names = []
-        for a in t.args:
-            if not isinstance(a, Var):
-                raise UnexpectedToken("random-symbol takes identifiers", t.loc)
-            names.append(a.name)
-        return RandomSymbol(tuple(names))
-    raise UnexpectedToken(f"unknown generator form {t.op!r}", t.loc)
-
-
-def generate(g: GenSpec, stream: Stream) -> Value:
-    if isinstance(g, RandomInteger):
-        return stream.int_between(-100, 100)
-    if isinstance(g, RandomNatural):
-        return stream.int_between(0, g.bound)
-    if isinstance(g, RandomListOf):
-        length = stream.int_between(0, 20)
-        return from_list([generate(g.element, stream) for _ in range(length)])
-    if isinstance(g, RandomSymbol):
-        return Symbol(g.alphabet[stream.below(len(g.alphabet))])
-    if isinstance(g, RandomObject):
-        return generate(_OBJECT_KINDS[stream.below(3)], stream)
-    raise TypeError(f"not a generator spec: {g!r}")
-
-
-# ---------------------------------------------------------------------------
 # Generator forms
 
 # A generator form compiles to the function that draws one value from a stream.
@@ -162,12 +84,12 @@ def _symbol(names: tuple[str, ...]) -> Draw:
     return lambda stream: Symbol(names[stream.below(len(names))])
 
 
-_OBJECT_DRAWS = (_integer, _symbol(DEFAULT_ALPHABET), _list_of(_integer))
+_OBJECT_KINDS = (_integer, _symbol(DEFAULT_ALPHABET), _list_of(_integer))
 
 
 def random_object(stream: Stream) -> Value:
     """One of: integer, symbol, or true list of integers (1/3 each)."""
-    return _OBJECT_DRAWS[stream.below(3)](stream)
+    return _OBJECT_KINDS[stream.below(3)](stream)
 
 
 def generator(t: Term) -> Draw:
@@ -268,14 +190,14 @@ def run_property(
     defs: DefEnv | None = None,
 ) -> TestOutcome:
     """Run a property's trials; deterministic given (property, seed, defs)."""
-    gens = [(var, parse_genspec(form)) for var, form in p.binders]
+    draws = [(var, generator(form)) for var, form in p.binders]
     trials = p.trials if p.trials is not None else DEFAULT_TRIALS
     claim = p.claim
     hyp = claim.args[0] if isinstance(claim, App) and claim.op == "implies" else None
     vacuous = 0
     for i in range(trials):
         stream = Stream(trial_seed(seed, i))
-        bindings = {var: generate(g, stream) for var, g in gens}
+        bindings = {var: draw(stream) for var, draw in draws}
         try:
             if hyp is not None and evaluate(hyp, bindings, defs) is NIL:
                 vacuous += 1

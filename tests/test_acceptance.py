@@ -35,10 +35,8 @@ from eqthink.mapreduce import invert_links, job_wordcount, pagerank
 from eqthink.properties import (
     Counterexample,
     Pass,
-    RandomInteger,
-    RandomListOf,
     Stream,
-    generate,
+    generator,
     trial_seed,
 )
 from eqthink.prover import ProofOutcome, check_proof, derive_truth_table
@@ -102,12 +100,12 @@ def test_append_associativity_proof_and_random_validation(corpus):
     assert [s.label for s in base.steps] == ["app0", "app0"]
     assert len(step.steps) == 6  # seven lines: the start term plus six steps
 
-    lists = RandomListOf(RandomInteger())
+    lists = generator(parse_term("(random-list-of (random-integer))"))
     lhs = parse_term("(append xs (append ys zs))")
     rhs = parse_term("(append (append xs ys) zs)")
     for i in range(1000):
         stream = Stream(trial_seed(0, i))
-        bindings = {v: generate(lists, stream) for v in ("xs", "ys", "zs")}
+        bindings = {v: lists(stream) for v in ("xs", "ys", "zs")}
         assert value_equal(
             evaluate(lhs, bindings, session.env), evaluate(rhs, bindings, session.env)
         )

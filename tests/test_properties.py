@@ -8,15 +8,10 @@ from eqthink.properties import (
     Counterexample,
     DEFAULT_TRIALS,
     Pass,
-    RandomInteger,
-    RandomListOf,
-    RandomNatural,
-    RandomObject,
-    RandomSymbol,
     Stream,
     TrialError,
-    generate,
-    parse_genspec,
+    generator,
+    random_object,
     run_property,
     splitmix64,
     trial_seed,
@@ -63,31 +58,33 @@ def test_trial_seeds_spread():
 
 
 def test_parse_genspec_forms():
-    assert parse_genspec(parse_term("(random-integer)")) == RandomInteger()
-    assert parse_genspec(parse_term("(random-natural 9)")) == RandomNatural(9)
-    spec = parse_genspec(parse_term("(random-list-of (random-integer))"))
-    assert spec == RandomListOf(RandomInteger())
-    assert parse_genspec(parse_term("(random-object)")) == RandomObject()
-    assert parse_genspec(parse_term("(random-symbol a b)")) == RandomSymbol(("a", "b"))
+    s, t = Stream(11), Stream(11)
+    assert generator(parse_term("(random-integer)"))(s) == t.int_between(-100, 100)
+    assert generator(parse_term("(random-natural 9)"))(s) == t.int_between(0, 9)
+    draw = generator(parse_term("(random-list-of (random-integer))"))
+    assert to_list(draw(s)) == [t.int_between(-100, 100) for _ in range(t.int_between(0, 20))]
+    assert generator(parse_term("(random-object)")) is random_object
+    assert generator(parse_term("(random-symbol a b)"))(s) == Symbol("ab"[t.below(2)])
     with pytest.raises(EqError):
-        parse_genspec(parse_term("(random-walk)"))
+        generator(parse_term("(random-walk)"))
     with pytest.raises(EqError):
-        parse_genspec(parse_term("(random-natural x)"))
+        generator(parse_term("(random-natural x)"))
 
 
 def test_generate_ranges():
     s = Stream(7)
-    ints = [generate(RandomInteger(), s) for _ in range(300)]
+    ints = [generator(parse_term("(random-integer)"))(s) for _ in range(300)]
     assert all(-100 <= n <= 100 for n in ints)
     assert min(ints) < -60 and max(ints) > 60
 
-    nats = [generate(RandomNatural(5), s) for _ in range(200)]
+    nats = [generator(parse_term("(random-natural 5)"))(s) for _ in range(200)]
     assert set(nats) == {0, 1, 2, 3, 4, 5}
 
-    lengths = {len(to_list(generate(RandomListOf(RandomInteger()), s))) for _ in range(300)}
+    lists = generator(parse_term("(random-list-of (random-integer))"))
+    lengths = {len(to_list(lists(s))) for _ in range(300)}
     assert min(lengths) == 0 and max(lengths) == 20
 
-    syms = {generate(RandomSymbol(("p", "q")), s) for _ in range(50)}
+    syms = {generator(parse_term("(random-symbol p q)"))(s) for _ in range(50)}
     assert syms == {Symbol("p"), Symbol("q")}
 
 
@@ -95,7 +92,7 @@ def test_random_object_covers_all_shapes():
     s = Stream(3)
     kinds = set()
     for _ in range(200):
-        v = generate(RandomObject(), s)
+        v = random_object(s)
         if isinstance(v, int):
             kinds.add("int")
         elif isinstance(v, Symbol):
@@ -133,7 +130,7 @@ def test_counterexample_reports_first_failing_trial():
     assert outcome.bindings["x"] == 0
     probe = _prop("(defproperty probe (x :value (random-natural 3)) t)")
     s = Stream(trial_seed(0, outcome.trial_index))
-    assert generate(RandomNatural(3), s) == 0
+    assert generator(parse_term("(random-natural 3)"))(s) == 0
 
 
 def test_vacuous_trials_counted():
