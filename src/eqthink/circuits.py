@@ -110,7 +110,8 @@ class Netlist:
 
     @classmethod
     def from_json(cls, data) -> "Netlist":
-        """The netlist ``to_json`` wrote; ``ValueError`` if ``data`` lacks its shape."""
+        """The netlist ``to_json`` wrote; ``ValueError`` if ``data`` lacks its
+        shape or breaks a rule of the constructor."""
         if not isinstance(data, dict) or not {"inputs", "gates", "outputs"} <= data.keys():
             raise ValueError('netlist JSON must be an object with "inputs", "gates" and "outputs"')
         inputs, gates = data["inputs"], data["gates"]
@@ -120,11 +121,14 @@ class Netlist:
             isinstance(g, dict) and isinstance(g.get("kind"), str) for g in gates
         ):
             raise ValueError('netlist gates must be a list of objects with a "kind" name')
-        return cls(
-            inputs,
-            [Gate(g["kind"], _node_ids(g.get("args"), "gate args")) for g in gates],
-            list(_node_ids(data["outputs"], "outputs")),
-        )
+        try:
+            return cls(
+                inputs,
+                [Gate(g["kind"], _node_ids(g.get("args"), "gate args")) for g in gates],
+                list(_node_ids(data["outputs"], "outputs")),
+            )
+        except CircuitError as exc:  # well-typed, yet no netlist
+            raise ValueError(exc.message) from None
 
     def to_dot(self) -> str:
         lines = ["digraph netlist {", "  rankdir=LR;"]

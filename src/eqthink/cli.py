@@ -185,6 +185,13 @@ def cmd_mr(args) -> CommandResult:
         data = json.load(fh)
     if not isinstance(data, list) or not all(isinstance(p, list) and len(p) == 2 for p in data):
         raise ValueError(f"{args.input}: mr input must be a JSON array of [key, value] pairs")
+    # Checked here, not in the jobs, so library callers pay no per-call check.
+    if args.job in ("wordcount", "grep") and not all(
+        isinstance(v, list) and all(isinstance(w, str) for w in v) for _, v in data
+    ):
+        raise ValueError(f"{args.input}: mr {args.job} values must be arrays of words")
+    if args.job == "invert" and not all(isinstance(v, list) for _, v in data):
+        raise ValueError(f"{args.input}: mr invert values must be arrays of link targets")
     pairs = [(value_from_json(k), value_from_json(v)) for k, v in data]
     if args.job == "pagerank":
         out = mapreduce.pagerank(pairs, args.iterations, Fraction(args.damping))
@@ -365,7 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--defs", nargs="*", help="definition files (default: bundled corpus)")
     p.set_defaults(fn=cmd_steps)
 
-    p = sub.add_parser("circuit", parents=[common], help="netlist tools")
+    # --json and --seed belong to the verbs alone: given before the verb
+    # too, the verb's default would overwrite the value.
+    p = sub.add_parser("circuit", help="netlist tools")
     verbs = p.add_subparsers(dest="verb", required=True)
     v = verbs.add_parser("build", parents=[common])
     v.add_argument("expr")

@@ -84,12 +84,12 @@ def _symbol(names: tuple[str, ...]) -> Draw:
     return lambda stream: Symbol(names[stream.below(len(names))])
 
 
-_OBJECT_KINDS = (_integer, _symbol(DEFAULT_ALPHABET), _list_of(_integer))
+_OBJECT_DRAWS = (_integer, _symbol(DEFAULT_ALPHABET), _list_of(_integer))
 
 
 def random_object(stream: Stream) -> Value:
     """One of: integer, symbol, or true list of integers (1/3 each)."""
-    return _OBJECT_KINDS[stream.below(3)](stream)
+    return _OBJECT_DRAWS[stream.below(3)](stream)
 
 
 def generator(t: Term) -> Draw:

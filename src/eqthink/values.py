@@ -217,6 +217,11 @@ def from_json(data) -> Value:
         return Symbol(data)
     if isinstance(data, list):
         return from_list(from_json(x) for x in data)
-    if isinstance(data, dict) and set(data) == {"cons"} and len(data["cons"]) == 2:
+    if (
+        isinstance(data, dict)
+        and set(data) == {"cons"}
+        and isinstance(data["cons"], list)
+        and len(data["cons"]) == 2
+    ):
         return Pair(from_json(data["cons"][0]), from_json(data["cons"][1]))
     raise ValueError(f"cannot map JSON value {data!r} into the language")

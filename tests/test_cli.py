@@ -344,8 +344,42 @@ _NOT_AN_OBJECT = 'netlist JSON must be an object with "inputs", "gates" and "out
             '{"inputs": [["a"]], "gates": [], "outputs": [0]}',
             "netlist inputs must be a list of port names",
         ),
+        (
+            '{"inputs": ["a", "a"], "gates": [], "outputs": [0]}',
+            "duplicate input port name",
+        ),
+        (
+            '{"inputs": ["a"], "gates": [{"kind": "MUX", "args": [0]}], "outputs": [1]}',
+            "unknown gate kind MUX",
+        ),
+        (
+            '{"inputs": ["a"], "gates": [{"kind": "NOT", "args": [0]}], "outputs": [2]}',
+            "output references missing node 2",
+        ),
+        (
+            '{"inputs": ["a"], "gates": [{"kind": "AND", "args": [0]}], "outputs": [1]}',
+            "gate 1 (AND) has wrong arity",
+        ),
+        (
+            '{"inputs": ["a"], "gates": [{"kind": "NOT", "args": [2]},'
+            ' {"kind": "NOT", "args": [0]}], "outputs": [1]}',
+            "gate 1 references node 2 ahead of it",
+        ),
+        ('{"inputs": ["a"], "gates": [], "outputs": []}', "netlist needs at least one output"),
     ],
-    ids=["no-gates", "array", "string-arg", "no-args", "list-port"],
+    ids=[
+        "no-gates",
+        "array",
+        "string-arg",
+        "no-args",
+        "list-port",
+        "duplicate-port",
+        "unknown-kind",
+        "output-past-end",
+        "arity",
+        "forward-reference",
+        "no-outputs",
+    ],
 )
 def test_malformed_netlist_exits_two(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.json"
@@ -380,6 +414,17 @@ def test_bad_circuit_sim_assignment_is_a_usage_error(tmp_path, capsys, assign, m
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.splitlines()[-1].endswith(message.format(net=net))
+
+
+@pytest.mark.parametrize("option", [["--json"], ["--seed", "3"]], ids=" ".join)
+def test_circuit_options_before_the_verb_are_refused(tmp_path, capsys, option):
+    net = tmp_path / "and.json"
+    net.write_text(run(capsys, "circuit", "build", "(and x y)")[1])
+    with pytest.raises(SystemExit) as exc:
+        main(["circuit", *option, "sim", str(net), "--assign", "x=1,y=1"])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+    code, report = run_json(capsys, "circuit", "sim", str(net), "--assign", "x=1,y=1")
+    assert (code, report["outputs"]) == (0, [1])
 
 
 def test_circuit_adder_and_dot(capsys):
@@ -427,11 +472,31 @@ def test_mr_grep_needs_pattern(tmp_path, capsys):
     assert code == 0 and out.strip() == "1\t'(the cat)"
 
 
-@pytest.mark.parametrize("data", ["5", "null", '{"ab": [1]}', '["xy"]', "[[1, 2, 3]]"])
-def test_mr_input_must_be_pairs(tmp_path, capsys, data):
+_MR_BAD_INPUTS = [
+    ("wordcount", "5"),
+    ("wordcount", "null"),
+    ("wordcount", '{"ab": [1]}'),
+    ("wordcount", '["xy"]'),
+    ("wordcount", "[[1, 2, 3]]"),
+    ("pagerank", '[[{"cons": 5}, []]]'),
+    ("wordcount", '[[{"cons": "ab"}, ["the"]]]'),
+    ("wordcount", '[[1, "the"]]'),
+    ("wordcount", '[[1, ["the", 3, "cat"]]]'),
+    ("grep", '[[1, "the"]]'),
+    ("grep", '[[1, [["the"]]]]'),
+    ("invert", '[["a", 5]]'),
+]
+
+
+@pytest.mark.parametrize(
+    "job, data",
+    _MR_BAD_INPUTS,
+    ids=[data if job == "wordcount" else f"{job} {data}" for job, data in _MR_BAD_INPUTS],
+)
+def test_mr_input_must_be_pairs(tmp_path, capsys, job, data):
     path = tmp_path / "in.json"
     path.write_text(data)
-    code, out, err = run(capsys, "mr", "wordcount", str(path))
+    code, out, err = run(capsys, "mr", job, str(path), "--pattern", "the")
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
 
