@@ -106,4 +106,3 @@ class Session:
         outcome = run_property(p, self.seed, self.env)
         ran = p.trials if p.trials is not None else DEFAULT_TRIALS
         return PropertyReport(p.name, outcome, self.seed, ran)
-
