@@ -27,7 +27,9 @@ from pathlib import Path
 
 from . import circuits, cost, mapreduce
 from .admissibility import AdmissibilityReport
-from .errors import BadDamping, BadWidth, EqError, ParseError
+from .errors import (
+    BadArity, BadDamping, BadWidth, EqError, ParseError, UnboundVariable, UnknownOperator,
+)
 from .evaluator import eval_counting
 from .loader import Session
 from .prover import ProofOutcome
@@ -103,7 +105,11 @@ def cmd_files(args) -> CommandResult:
 
 def cmd_eval(args) -> CommandResult:
     session, _ = _load_session(args.files, args.seed)
-    value, count = eval_counting(parse_term(args.expr), {}, session.env)
+    try:
+        value, count = eval_counting(parse_term(args.expr), {}, session.env)
+    except (UnknownOperator, UnboundVariable) as exc:
+        # Raised while the term is translated, before any step runs.
+        raise ValueError(str(exc)) from None
     shown = print_value(value)
     report = {
         "inputs": list(args.files),
@@ -123,6 +129,11 @@ def cmd_eval(args) -> CommandResult:
 def cmd_steps(args) -> CommandResult:
     paths = args.defs if args.defs else sorted((corpus_root() / "defs").glob("*.lx"))
     session, _ = _load_session([str(p) for p in paths], args.seed)
+    arity = session.env.arity(args.op)
+    if arity is None:
+        raise ValueError(str(UnknownOperator(f"unknown operator {args.op}")))
+    if arity != 1:
+        raise ValueError(str(BadArity(f"{args.op} takes {arity} argument(s), got 1")))
     if args.worst_case:
         gen, samples = cost.reverse_sorted_list, 1
     else:

@@ -23,16 +23,19 @@ region holds in every branch nested inside it and is dropped when that
 branch is left.  Inside an ``if``'s then-branch each conjunct of its test
 is known true, inside the else-branch a single test is known false: a
 test already decided on the path emits as a constant, and ``first``/``rest``
-of a local known to be a pair read ``.head``/``.tail`` directly.  An ``and``
-in test position is a Python ``and`` over its conjuncts' conditions.  An
-application of primitives to constants only (a quoted list, say) folds to
-one constant at translation time.  Sharing is safe because primitives are
-pure and total; calls to defined operators are never shared or skipped.
-A call goes through its ``_DefRecord`` at call time, so self-recursion
-works and a ``DefEnv.copy()`` shares the functions already generated.
-A branch nested deeper than
-``_MAX_NESTING`` moves into a function of its own, which keeps the
-generated source within Python's indentation limit.
+of a local known to be a pair read ``.head``/``.tail`` directly.  An integer
+relation whose complement over the same argument names is on the path
+(``<`` and ``>=``, ``<=`` and ``>``) is that test negated, or the flipped
+constant if it is decided; both compare the same coerced integers.  An
+``and`` in test position is a Python ``and`` over its conjuncts'
+conditions.  An application of primitives to constants only (a quoted
+list, say) folds to one constant at translation time.  Sharing is safe
+because primitives are pure and total; calls to defined operators are
+never shared or skipped.  A call goes through its ``_DefRecord`` at call
+time, so self-recursion works and a ``DefEnv.copy()`` shares the functions
+already generated.  A branch nested deeper than ``_MAX_NESTING`` moves
+into a function of its own, which keeps the generated source within
+Python's indentation limit.
 
 Steps are paid once per path segment.  A region is the nodes that always
 run once a function is entered or an ``if`` branch is taken (an
@@ -67,28 +70,37 @@ A defined operator whose every self-call sits in tail position (its body,
 or a branch of an ``if`` in tail position) or as the last argument of a
 chain of ``cons`` in tail position is emitted as one ``while`` loop: tail
 recursion modulo cons (Friedman and Wise, 1975; Leijen and Lorenzen, POPL
-2023).  A self-call rebinds the parameters and goes round again.  The
-``cons`` cells above it are built destination-passing: each is made with
-an empty tail, which the next round fills, and the round that ends fills
-the last.  The loop writes only cells it made and has not yet returned, an
+2023).  A self-call rebinds the parameters it changes and goes round
+again.  The ``cons`` cells above it are built destination-passing after a
+head cell, whose tail the loop returns: a round links its new cells in
+after the last one, and the round that ends stores its value as the last
+tail.  The loop writes only cells it made and has not yet returned, an
 unfilled cell never enters the per-path table, and running out of fuel
-drops the partial list with the exception.  An operator with a self-call
-anywhere else (an argument, a ``cons`` head, a test, an ``if`` under a
-``cons``, or a branch split off at ``_MAX_NESTING``) stays recursive.  Each round pays what the call it
-replaces paid, at the same sites, and checks the fuel at every payment, so
-totals, tallies and the fuel outcome are unchanged.  Only where the counts
-are kept moves: ``total`` and the hits of the payments that can go round
-again are Python locals, written to the ``StepCount`` before a call to
-another generated function (which pays into it), before raising
-``StepLimitExceeded``, and at the end.
+drops the partial list with the exception.  An operator with a
+self-call anywhere else (an argument, a ``cons`` head, a test, an ``if``
+under a ``cons``, or a branch split off at ``_MAX_NESTING``) stays
+recursive.  Each round pays what the call it replaces paid, at the same
+sites, and checks the fuel at every payment, so totals, tallies and the
+fuel outcome are unchanged.  Only where the counts are kept moves:
+``total`` and the hits of the payments that can go round again are Python
+locals, written to the ``StepCount`` before a call to another generated
+function (which pays into it), before raising ``StepLimitExceeded``, and at
+the end.
+
+A parameter that every self-call passes on unchanged is invariant, and its
+integer coercion is computed once, before the ``while``, for every round
+and branch.  Only coercions move: one is total and reads only the
+parameter, so it holds on every path, while a ``first`` emitted under a
+path fact reads ``.head``, which only that path allows.
 
 A ``cons`` is emitted as three statements, ``v = BlankPair()``,
-``v.head = h`` and ``v.tail = t``, and so is each cell a loop builds, whose
-tail is ``None`` until it is filled.  ``Pair(h, t)`` would enter a Python
-frame for ``Pair.__init__`` on every cell (CPython 3.11 does not specialise
-class instantiation), which about doubles the cost of a cell; ``BlankPair``
-is a ``Pair`` whose ``__init__`` is C code.  A folded constant is still
-made by ``Pair``.
+``v.head = h`` and ``v.tail = t``.  The last cell of a chain a loop builds
+gets only the first two; its tail is stored by the next round or at the
+exit, before anything reads it.  ``Pair(h, t)`` would enter a Python frame
+for ``Pair.__init__`` on every cell (CPython 3.11 does not specialise class
+instantiation), which about doubles the cost of a cell; ``BlankPair`` is a
+``Pair`` whose ``__init__`` is C code.  A folded constant is still made by
+``Pair``.
 
 Evaluation runs as plain calls on the caller's thread: the generated
 functions only call Python functions, which CPython 3.11+ runs without
@@ -322,6 +334,8 @@ _VALUES = {
     "1-": "{i0} - 1",
 }
 _ARITHMETIC = {"+", "-", "*", "1+", "1-"}
+# Integer relations and their complements over the same operands.
+_COMPLEMENTS = {"<": ">=", ">=": "<", "<=": ">", ">": "<="}
 
 
 def _host_function(op: str):
@@ -387,12 +401,15 @@ class _Translator:
     primitive application's key (its operator and argument names, or
     ``("int", name)`` for an integer coercion) maps to the name holding
     its value, a Python bool for a test, or to ``True``/``False`` for a
-    test the path has decided.  A branch extends the table and drops its
-    entries on the way out.
+    test the path has decided; a relation may map to its complement's
+    condition negated.  A branch extends the table and drops its entries on
+    the way out.
 
     A defined operator ``op`` whose self-calls all sit on the loop spine
     (see ``_loop_spine``) is emitted as one ``while`` loop instead: while
-    ``spine`` is set, the function being emitted is that loop.
+    ``spine`` is set, the function being emitted is that loop.  The
+    coercions of its ``invariant`` parameters are kept in ``hoisted``,
+    which no branch drops, and emitted in ``preamble``, before the loop.
     """
 
     def __init__(self, env: DefEnv, params, name: str, op: str | None = None):
@@ -410,6 +427,9 @@ class _Translator:
         self.spine: set[int] | None = None
         self.loop_sites: list[int] = []
         self.cells = False
+        self.invariant: set[str] = set()
+        self.hoisted: dict[tuple, str] = {}
+        self.preamble: list[str] = []
 
     def translate(self, t: Term):
         self.ground = _fold(t)
@@ -433,21 +453,29 @@ class _Translator:
 
     def loop_function(self, t: Term, spine: set[int]) -> None:
         """Emit the operator as one loop: a self-call rebinds the parameters
-        and goes round again, and a ``cons`` chain above it is built into a
-        fresh cell whose tail the next round fills (``cell``; ``root`` is
-        the first).  ``total`` and the hits of payments that can go round
-        again live in locals, flushed to ``ctr`` before a call, before
-        raising and at the end; a round that ends puts its value in ``r``."""
+        and goes round again, and a ``cons`` chain above it is linked in
+        after ``cell``, the last cell so far, whose tail the next round or
+        the exit fills (``root`` is the head cell, whose tail is the value).
+        ``total`` and the hits of payments that can go round again live in
+        locals, flushed to ``ctr`` before a call, before raising and at the
+        end; a round that ends puts its value in ``r``."""
         self.spine = spine
+        self.invariant = set(self.params)
+        stack = [t]
+        while stack:
+            node = stack.pop()
+            if node.op == self.op:
+                self.invariant -= {p for p, a in zip(self.params, node.args)
+                                   if not isinstance(a, Var) or self.locals.get(a.name) != p}
+            stack += (a for a in node.args if id(a) in spine)
         self.region(t, 2, None, Counter())
         body, self.lines = self.lines, []
         flush = ["ctr.total = total", *(f"ctr.hits[{s}] += h{s}" for s in self.loop_sites)]
         zero = [" = ".join(f"h{s}" for s in self.loop_sites) + " = 0"] if self.loop_sites else []
         self.emit(0, f"def {self.name}({self.signature}):")
-        for line in ["total = ctr.total", "fuel = ctr.fuel", *zero]:
+        cells = ["root = cell = BlankPair()"] if self.cells else []
+        for line in ["total = ctr.total", "fuel = ctr.fuel", *zero, *cells, *self.preamble]:
             self.emit(1, line)
-        if self.cells:
-            self.emit(1, "root = cell = None")
         self.emit(1, "while True:")
         for line in body:
             if isinstance(line, tuple):
@@ -459,10 +487,8 @@ class _Translator:
         for part in flush:
             self.emit(1, part)
         if self.cells:
-            self.emit(1, "if cell is None:")
-            self.emit(2, "return r")
             self.emit(1, "cell.tail = r")
-            self.emit(1, "return root")
+            self.emit(1, "return root.tail")
         else:
             self.emit(1, "return r")
         self.functions.append("\n".join(self.lines))
@@ -550,8 +576,9 @@ class _Translator:
     def recur(self, t: App, depth: int) -> None:
         """Emit a self-call under a chain of ``cons`` heads (none, for a
         plain tail call) as the next round of the loop.  The chain's cells
-        are new, filled in order, and linked in after ``cell``; its last
-        cell's tail is left for the next round, and no unfilled cell enters
+        are new, filled in order, and linked in after ``cell``, which starts
+        as a head cell that is never returned; the last cell's tail is left
+        for the next round or the exit to store, and no unfilled cell enters
         ``known``."""
         heads = []
         while t.op == "cons":
@@ -560,13 +587,10 @@ class _Translator:
         args = [self.value(a, depth) for a in t.args]
         if heads:
             self.cells = True
-            last = first = self.cons(depth, heads[-1], "None")
+            last = first = self.cons(depth, heads[-1])
             for head in reversed(heads[:-1]):
                 first = self.cons(depth, head, first)
-            self.emit(depth, "if cell is None:")
-            self.emit(depth + 1, f"root = {first}")
-            self.emit(depth, "else:")
-            self.emit(depth + 1, f"cell.tail = {first}")
+            self.emit(depth, f"cell.tail = {first}")
             self.emit(depth, f"cell = {last}")
         moved = [(p, a) for p, a in zip(self.params, args) if p != a]
         if moved:
@@ -654,11 +678,17 @@ class _Translator:
         return f"{value} is not NIL", []
 
     def share(self, t: App, depth: int) -> tuple[tuple, str]:
-        """Emit primitive application ``t`` unless the table holds it, and
-        return its key and the name holding its value."""
+        """Emit primitive application ``t`` unless the table holds it or
+        its complement, and return its key and the name holding its value
+        (a condition, for a test)."""
         key, args = self.arguments(t, depth)
         name = self.known.get(key)
-        if name is None:
+        complement = self.known.get((_COMPLEMENTS.get(t.op), *args))
+        if name is None and complement is not None:
+            # Both compare the same coerced integers, so one is the other negated.
+            name = {"True": "False", "False": "True"}.get(complement, f"not {complement}")
+            self.known[key] = name
+        elif name is None:
             if t.op == "cons":
                 name = self.cons(depth, *args)
             else:
@@ -694,24 +724,34 @@ class _Translator:
             ints = {f"i{k}": self.integer(arg, depth) for k, arg in enumerate(args)}
         return template.format(*args, **ints)
 
-    def cons(self, depth: int, head: str, tail: str) -> str:
+    def cons(self, depth: int, head: str, tail: str | None = None) -> str:
         """Emit a new pair in a fresh local and return its name:
         ``BlankPair()`` and two slot stores, which enter no Python frame,
-        where ``Pair(head, tail)`` enters its ``__init__``."""
+        where ``Pair(head, tail)`` enters its ``__init__``.  Without a
+        ``tail``, a loop stores it later."""
         cell = self.temp()
         self.emit(depth, f"{cell} = BlankPair()")
         self.emit(depth, f"{cell}.head = {head}")
-        self.emit(depth, f"{cell}.tail = {tail}")
+        if tail is not None:
+            self.emit(depth, f"{cell}.tail = {tail}")
         return cell
 
     def integer(self, name: str, depth: int) -> str:
-        """The name holding ``name``'s value coerced to an integer."""
+        """The name holding ``name``'s value coerced to an integer.  In a
+        loop, that of an invariant parameter goes in the preamble, and every
+        round and branch reuses it."""
+        hoist = self.spine is not None and name in self.invariant
+        table = self.hoisted if hoist else self.known
         key = ("int", name)
-        coerced = self.known.get(key)
+        coerced = table.get(key)
         if coerced is None:
             coerced = self.temp()
-            self.emit(depth, f"{coerced} = {name} if isinstance({name}, int) else 0")
-            self.known[key] = coerced
+            line = f"{coerced} = {name} if isinstance({name}, int) else 0"
+            if hoist:
+                self.preamble.append(line)
+            else:
+                self.emit(depth, line)
+            table[key] = coerced
         return coerced
 
     def expression(self, t: Term, depth: int) -> str:

@@ -73,9 +73,13 @@ def test_eval_prints_list_holding_improper_pair(capsys):
     assert code == 0 and out.strip() == "(cons (cons 1 2) nil)"
 
 
-def test_eval_error_exit_codes(capsys):
-    assert run(capsys, "eval", "-e", "(undefined-op 1)")[0] == 1
+def test_eval_error_exit_codes(capsys, tmp_path):
+    assert run(capsys, "eval", "-e", "(undefined-op 1)")[0] == 2
     assert run(capsys, "eval", "-e", "(cons 1")[0] == 2
+    # An unknown name in a loaded file is still the file's failure.
+    bad = tmp_path / "bad.lx"
+    bad.write_text("(defun bad (x) :trust (nosuch x))\n")
+    assert run(capsys, "eval", str(bad), "-e", "(bad 1)")[0] == 1
 
 
 def test_parse_error_in_file_exits_two(tmp_path, capsys):
@@ -217,6 +221,29 @@ def test_steps_refuses_too_few_sizes_before_measuring(capsys, monkeypatch):
         "eqthink steps: error: argument --sizes: "
         "need at least 4 sizes to judge growth, got '512,1024,2048'"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # An unknown operator exited 1, the code of a failed growth verdict.
+        (("steps", "nosuch", "--sizes", "4,8,16,32"),
+         "UnknownOperator: unknown operator nosuch"),
+        (("steps", "append", "--sizes", "4,8,16,32"),
+         "BadArity: append takes 2 argument(s), got 1"),
+        # Unknown names in a -e term exited 1, a malformed one 2.
+        (("eval", "-e", "(foo 1)"), "<string>:1:1: UnknownOperator: unknown operator foo"),
+        (("eval", "-e", "(+ x 1)"), "<string>:1:4: UnboundVariable: variable x is not bound"),
+        (("eval", "-e", "(if 1 2)"), "<string>:1:1: BadArity: if takes 3 argument(s), got 2"),
+    ],
+)
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_names_in_command_line_terms_are_usage_errors(capsys, monkeypatch, argv, message, mode):
+    measured = []
+    monkeypatch.setattr(cost, "measure_steps", lambda *args, **kw: measured.append(args))
+    code, out, err = run(capsys, *argv, *mode)
+    assert (code, out, measured) == (2, "", [])
+    assert err == message + "\n"
 
 
 @pytest.mark.parametrize(

@@ -156,7 +156,7 @@ _VARS = ("x", "y", "z")
 _LIBRARY_ARITY = {
     "app": 2, "nth-down": 2, "count-down": 1, "forever": 1, "insert": 2, "stuck": 1,
     "sum-acc": 2, "twins": 1, "size": 1, "sizes": 1, "nest-heads": 1, "twice": 1, "all-pos": 1,
-    "tw": 1,
+    "tw": 1, "tally": 3, "swap": 3, "rank": 3,
 }
 _FUEL = 3000
 
@@ -228,18 +228,20 @@ def test_matches_oracle_on_random_terms(t, frame):
 
 
 # A region drawn from a small pool repeats the applications the translator
-# shares along a path: selectors, tests, and integer coercions of the same
-# operands.  `and` chains and `if`s nested on one test decide tests that
-# the branches below them meet again.
+# shares along a path: selectors, tests, integer coercions of the same
+# operands, and relations over `y` and `(first x)` that complement or
+# mirror one another.  `and` chains and `if`s nested on one test decide
+# tests that the branches below them meet again.
 _POOL = [
     Var("x"), Var("y"), IntLit(0), IntLit(2), NIL_LIT,
     App("first", (Var("x"),)), App("rest", (Var("x"),)), App("first", (Var("y"),)),
     App("consp", (Var("x"),)), App("consp", (Var("y"),)),
     App("equal", (Var("x"), NIL_LIT)), App("<=", (Var("y"), App("first", (Var("x"),)))),
     App("zp", (Var("y"),)), App("not", (App("consp", (Var("x"),)),)),
+    *(App(op, (Var("y"), App("first", (Var("x"),)))) for op in (">", ">=", "<")),
 ]
-_SHARED_OPS = ("cons", "first", "rest", "consp", "equal", "<", "<=", ">", "+", "1-", "zp", "not",
-               "and", "or", "xor", "insert", "app")
+_SHARED_OPS = ("cons", "first", "rest", "consp", "equal", "<", "<=", ">", ">=", "+", "1-", "zp",
+               "not", "and", "or", "xor", "insert", "app")
 
 
 def _and_chain(tests):
@@ -273,6 +275,20 @@ shared_terms = st.recursive(st.sampled_from(_POOL), _shared_regions, max_leaves=
 @given(shared_terms, frames)
 def test_shared_subterms_match_oracle(t, frame):
     _matches_oracle(t, frame, _library())
+
+
+@pytest.mark.parametrize("one, other", itertools.product(("<", "<=", ">", ">="), repeat=2))
+def test_relations_over_the_same_operands_match_oracle(one, other):
+    # Two relations meet over the same operands on one path: in a branch
+    # decided by the first, after it in an `and` chain, and side by side,
+    # over operands that are less, equal, greater and not integers.
+    a, b = f"({one} y (first x))", f"({other} y (first x))"
+    shapes = [f"(if {a} {b} {b})", f"(if (and (consp x) {a}) (not {b}) (cons {a} {b}))",
+              f"(if (and {a} {b}) 1 2)", f"(cons {a} (cons {b} nil))",
+              f"(if (and {b} {a}) {a} {b})"]
+    env = _library()
+    for shape, x, y in itertools.product(shapes, [-1, 0, 1, Symbol("a")], [0, T]):
+        _matches_oracle(parse_term(shape), {"x": from_list([x]), "y": y}, env)
 
 
 _SORT_INPUTS = st.lists(st.integers(-20, 20), max_size=12).map(from_list)
@@ -481,6 +497,17 @@ def _library() -> DefEnv:
           (if (consp xs) (if (all-pos (rest xs)) (< 0 (first xs)) nil) t))
         (defun tw (xs) :trust
           (if (consp xs) (cons (first xs) (if (< 0 (first xs)) (tw (rest xs)) nil)) nil))
+        (defun tally (n m xs) :trust
+          (if (consp xs)
+              (if (< n (first xs)) (tally n (1+ m) (rest xs)) (tally (1+ n) m (rest xs)))
+              (+ n m)))
+        (defun swap (a b xs) :trust (if (consp xs) (swap b a (rest xs)) (- a b)))
+        (defun rank (y xs n) :trust
+          (if (consp xs)
+              (if (consp y)
+                  (if (< (first y) (first xs)) (rank y (rest xs) (1+ n)) (rank y (rest xs) n))
+                  (rank y (rest xs) n))
+              n))
         """
     )
     for form in forms:
@@ -503,9 +530,15 @@ def few_frames(monkeypatch):
 # Every self-call of these sits in tail position or as the last argument of
 # a `cons` chain in tail position, so each is emitted as one loop: an
 # accumulator, the library's own `app`, `insert` and `nth-down`, a chain
-# two cells deep, and a loop that calls `size` every round.
+# two cells deep, and a loop that calls `size` every round.  The rest probe
+# which parameters a round leaves alone: `insert` compares an unchanged
+# head that may be a list, `tally` rebinds each of its two counters on only
+# one of two self-calls, `swap` exchanges its two operands every round, and
+# `rank` takes the `first` of an unchanged parameter only where it is known
+# to be a pair.
 _LOOPS = ["(sum-acc x 0)", "(app x x)", "(insert 0 x)", "(nth-down 3 x)", "(twins x)",
-          "(sizes x)"]
+          "(sizes x)", "(insert (first x) (rest x))", "(tally 0 0 x)", "(swap (first x) 3 x)",
+          "(rank (first x) x 0)"]
 # These stay recursive: a self-call in a `cons` head, in an `if` test, and
 # in an `if` under a `cons`.  `twice` has one as another self-call's
 # argument.
