@@ -118,6 +118,7 @@ def cmd_eval(args) -> CommandResult:
         "json_value": value_to_json(value),
         "steps": count.total,
         "per_operator": count.per_operator,
+        "self_steps": count.self_steps,
     }
     return EXIT_OK, report, [shown]
 

@@ -133,17 +133,25 @@ _MAX_NESTING = 40
 _PRIMITIVES = [name for name in PRIMITIVE_ARITY]
 
 
+# The owner of the payment sites of top-level terms in ``self_steps``; no
+# operator has this name, since a name cannot hold a parenthesis.
+TERM_OWNER = "(term)"
+
+
 class StepCount:
-    """The steps one evaluation took: ``total``, and ``per_operator``.
+    """The steps one evaluation took: ``total``, ``per_operator`` and
+    ``self_steps``.
 
     Generated code pays into this object as it runs: it adds to ``total``,
     checks it against ``fuel``, and counts one hit per payment site in
-    ``hits``.  ``per_operator`` is expanded from the hits and the sites'
-    operator counts the first time it is read, since most callers want
+    ``hits``.  ``per_operator`` (the nodes of each operator paid) and
+    ``self_steps`` (the steps paid in each defined operator's own body, and
+    in top-level terms under ``TERM_OWNER``) are expanded from the hits and
+    the sites' counts the first time they are read, since most callers want
     only the value or the total.
     """
 
-    __slots__ = ("total", "fuel", "hits", "_env", "_per")
+    __slots__ = ("total", "fuel", "hits", "_env", "_per", "_self")
 
     def __init__(self, fuel: int, env: "DefEnv"):
         self.total = 0
@@ -151,6 +159,7 @@ class StepCount:
         self.hits = [0] * len(env.sites)
         self._env = env
         self._per: dict[str, int] | None = None
+        self._self: dict[str, int] | None = None
 
     @property
     def per_operator(self) -> dict[str, int]:
@@ -163,6 +172,17 @@ class StepCount:
                         per[index] += hits * count
             self._per = {env.op_names[i]: n for i, n in enumerate(per) if n}
         return self._per
+
+    @property
+    def self_steps(self) -> dict[str, int]:
+        if self._self is None:
+            env = self._env
+            own: Counter = Counter()
+            for owner, site, hits in zip(env.owners, env.sites, self.hits):
+                if hits:
+                    own[owner] += hits * sum(count for _, count in site)
+            self._self = dict(sorted(own.items()))
+        return self._self
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StepCount):
@@ -208,8 +228,10 @@ class DefEnv:
         self.op_names: list[str] = list(_PRIMITIVES)
         self.op_index: dict[str, int] = {name: i for i, name in enumerate(self.op_names)}
         # The payment sites of the generated code: each one's (operator
-        # index, count) pairs, indexed like ``StepCount.hits``.
+        # index, count) pairs, indexed like ``StepCount.hits``, and the
+        # operator whose body it pays in (``TERM_OWNER`` for a term's).
         self.sites: list[tuple[tuple[int, int], ...]] = []
+        self.owners: list[str] = []
         # Generated functions' globals: the records and constants they use
         # and their split-off branches, one dictionary for the environment.
         self._namespace = dict(_GLOBALS)
@@ -250,6 +272,7 @@ class DefEnv:
         child.op_names = list(self.op_names)
         child.op_index = dict(self.op_index)
         child.sites = list(self.sites)
+        child.owners = list(self.owners)
         child.size_bounds = dict(self.size_bounds)
         return child
 
@@ -425,21 +448,26 @@ class _Translator:
         self.known: dict[tuple, str] = {}
         self.ground: dict[int, Value] = {}
         self.spine: set[int] | None = None
-        self.loop_sites: list[int] = []
+        self.loop_sites: list[tuple[int, int]] = []
         self.cells = False
+        self.budget = 0
+        self.checked = False
         self.invariant: set[str] = set()
         self.hoisted: dict[tuple, str] = {}
         self.preamble: list[str] = []
 
     def translate(self, t: Term):
         self.ground = _fold(t)
+        self.budget = 2 * _size(t)
         spine = _loop_spine(t, self.op, len(self.params)) if self.op else None
         if spine:
             self.loop_function(t, spine)
         else:
             self.function(t, self.name)
         namespace = self.env._namespace
-        exec("\n".join(self.functions), namespace)
+        # Named after the operator, so profiles and tracebacks can say which ran.
+        filename = f"<eqthink:{self.op or 'term'}>"
+        exec(compile("\n".join(self.functions), filename, "exec"), namespace)
         return namespace[self.name]
 
     def function(self, t: Term, name: str) -> None:
@@ -470,20 +498,43 @@ class _Translator:
             stack += (a for a in node.args if id(a) in spine)
         self.region(t, 2, None, Counter())
         body, self.lines = self.lines, []
-        flush = ["ctr.total = total", *(f"ctr.hits[{s}] += h{s}" for s in self.loop_sites)]
-        zero = [" = ".join(f"h{s}" for s in self.loop_sites) + " = 0"] if self.loop_sites else []
+        hits = [f"h{site}" for site, _ in self.loop_sites]
+        zero = [" = ".join(hits) + " = 0"] if hits else []
+        if len(hits) == 1:
+            # One looping site of k steps: the total is ``total + k * h``,
+            # and ``h > cap`` is ``total + k * h > fuel``.
+            [(site, k)] = self.loop_sites
+            counted, cap = f"total + {k} * h{site}", [f"cap = (fuel - total) // {k}"]
+        else:
+            counted, cap = "total", []
+        flush = [f"ctr.total = {counted}", *(f"ctr.hits[{s}] += {h}" for (s, _), h in zip(self.loop_sites, hits))]
         self.emit(0, f"def {self.name}({self.signature}):")
         cells = ["root = cell = BlankPair()"] if self.cells else []
-        for line in ["total = ctr.total", "fuel = ctr.fuel", *zero, *cells, *self.preamble]:
+        for line in ["total = ctr.total", "fuel = ctr.fuel", *zero, *cap, *cells, *self.preamble]:
             self.emit(1, line)
         self.emit(1, "while True:")
         for line in body:
-            if isinstance(line, tuple):
-                depth, before_call = line
-                for part in flush + zero if before_call else flush:
-                    self.emit(depth, part)
-            else:
+            if isinstance(line, str):
                 self.lines.append(line)
+                continue
+            kind, depth, *rest = line
+            if kind == "flush":
+                parts = flush + zero if rest[0] else flush
+            elif kind == "reread":
+                parts = ["total = ctr.total", *cap]
+            else:
+                site, steps, looping = rest
+                raising = ["    " + part for part in flush] + ["    raise StepLimitExceeded('step limit exceeded')"]
+                if cap and looping:
+                    parts = [f"h{site} += 1", f"if h{site} > cap:", *raising]
+                elif cap:
+                    parts = [f"total += {steps}", *cap, f"if {hits[0]} > cap:", *raising,
+                             f"ctr.hits[{site}] += 1"]
+                else:
+                    parts = [f"total += {steps}", "if total > fuel:", *raising,
+                             f"h{site} += 1" if looping else f"ctr.hits[{site}] += 1"]
+            for part in parts:
+                self.emit(depth, part)
         for part in flush:
             self.emit(1, part)
         if self.cells:
@@ -496,7 +547,7 @@ class _Translator:
     def flush(self, depth: int, before_call: bool = False) -> None:
         """Mark where the loop writes its locals to ``ctr``; the loop's
         payment sites are known only once it is emitted."""
-        self.lines.append((depth, before_call))
+        self.lines.append(("flush", depth, before_call))
 
     def emit(self, depth: int, line: str) -> None:
         self.lines.append("    " * depth + line)
@@ -529,6 +580,7 @@ class _Translator:
         sites.append(tuple(
             (self.env.op_index[op], count) for op, count in ops.items() if op in self.env.op_index
         ))
+        self.env.owners.append(self.op or TERM_OWNER)
         site = len(sites) - 1
         if self.spine is None:
             self.emit(depth, f"n = ctr.total + {steps}")
@@ -536,27 +588,16 @@ class _Translator:
             self.emit(depth, "if n > ctr.fuel: raise StepLimitExceeded('step limit exceeded')")
             self.emit(depth, f"ctr.hits[{site}] += 1")
             return
-        self.emit(depth, f"total += {steps}")
-        self.emit(depth, "if total > fuel:")
-        self.flush(depth + 1)
-        self.emit(depth + 1, "raise StepLimitExceeded('step limit exceeded')")
         if looping:
-            self.loop_sites.append(site)
-            self.emit(depth, f"h{site} += 1")
-        else:
-            self.emit(depth, f"ctr.hits[{site}] += 1")
+            self.loop_sites.append((site, steps))
+        # How a loop pays depends on how many of its sites loop, known only
+        # once it is emitted.
+        self.lines.append(("pay", depth, site, steps, looping))
 
     def result(self, t: Term, depth: int, out: str | None, pending: Counter) -> None:
         if isinstance(t, App) and t.op == "if":
             self.check_arity(t)
-            test, keys = self.condition(t.args[0], depth)
-            conjunction = isinstance(t.args[0], App) and t.args[0].op == "and"
-            self.emit(depth, f"if {test}:")
-            self.branch(t.args[1], depth + 1, out, pending, dict.fromkeys(keys, "True"))
-            self.emit(depth, "else:")
-            # A false conjunction says nothing about any one conjunct.
-            refuted = {} if conjunction else dict.fromkeys(keys, "False")
-            self.branch(t.args[2], depth + 1, out, pending, refuted)
+            self.decide([t.args[0]], t.args[1], t.args[2], depth, out, pending)
             return
         if out is None and self.spine is not None and id(t) in self.spine:
             self.recur(t, depth)
@@ -584,7 +625,6 @@ class _Translator:
         while t.op == "cons":
             heads.append(self.value(t.args[0], depth))
             t = t.args[1]
-        args = [self.value(a, depth) for a in t.args]
         if heads:
             self.cells = True
             last = first = self.cons(depth, heads[-1])
@@ -592,10 +632,24 @@ class _Translator:
                 first = self.cons(depth, head, first)
             self.emit(depth, f"cell.tail = {first}")
             self.emit(depth, f"cell = {last}")
+        args = [self.value(a, depth) for a in t.args]
         moved = [(p, a) for p, a in zip(self.params, args) if p != a]
         if moved:
-            self.emit(depth, f"{', '.join(p for p, _ in moved)} = {', '.join(a for _, a in moved)}")
+            targets, values = zip(*moved)
+            if args.count(values[-1]) == 1:
+                values = (*values[:-1], self.take(values[-1], depth))
+            self.emit(depth, f"{', '.join(targets)} = {', '.join(values)}")
         self.emit(depth, "continue")
+
+    def take(self, name: str, depth: int) -> str:
+        """The expression of ``name`` if the line just emitted assigns it,
+        and drop that line: for a value used once, where nothing follows."""
+        prefix = "    " * depth + f"{name} = "
+        last = self.lines[-1] if self.lines else None
+        if isinstance(last, str) and last.startswith(prefix):
+            self.lines.pop()
+            return last[len(prefix):]
+        return name
 
     def call(self, expression: str, depth: int) -> str:
         """A call to another generated function.  A loop first writes its
@@ -606,7 +660,7 @@ class _Translator:
         self.flush(depth, before_call=True)
         out = self.temp()
         self.emit(depth, f"{out} = {expression}")
-        self.emit(depth, "total = ctr.total")
+        self.lines.append(("reread", depth))
         return out
 
     def branch(self, t: Term, depth: int, out: str | None, pending: Counter, facts: dict) -> None:
@@ -649,21 +703,97 @@ class _Translator:
         """The value of ``t`` if it is ground, else None."""
         return self.ground.get(id(t)) if isinstance(t, App) else _literal(t)
 
-    def condition(self, t: Term, depth: int) -> tuple[str, list[tuple]]:
-        """Emit the test ``t`` and return a Python condition true when it is
-        not nil, with the table keys of the tests it is a conjunction of.
-        An ``and`` becomes a Python ``and`` over its conjuncts."""
-        if not (isinstance(t, App) and t.op == "and") or self.folded(t) is not None:
-            return self.test(t, depth)
-        self.check_arity(t)
-        parts, keys = [], []
-        for a in t.args:
-            part, more = self.condition(a, depth)
-            parts.append(part)
+    def decide(self, todo: list[Term], then: Term, other: Term, depth: int, out: str | None,
+               pending: Counter) -> None:
+        """Emit ``(if (and . todo) then other)``, testing the conjuncts in
+        order.  A conjunct the path decides emits no test; once one fails,
+        or all hold, only the branch taken is emitted.  When ``other``'s
+        guard repeats conjunct c, and the conjuncts after c are ``_pure``,
+        branch on c alone (``split``): the rest are tested only once c has
+        held, and ``other`` is emitted on both sides of c, each knowing c.
+        Otherwise the undecided conjuncts are tested together with a Python
+        ``and``, after all their code has run."""
+        parts: list[str] = []
+        keys: list[tuple] = []
+        while todo:
+            c = todo.pop(0)
+            if isinstance(c, App) and c.op == "and" and self.folded(c) is None:
+                self.check_arity(c)
+                todo[:0] = c.args
+                continue
+            test, more = self.test(c, depth)
+            if test == "True":
+                continue
+            if test == "False":
+                # Later conjuncts that pay or call still run.
+                if all(map(_pure, todo)):
+                    self.dead(lambda: [self.test(a, depth) for a in todo])
+                else:
+                    for a in todo:
+                        self.test(a, depth)
+                self.dead(lambda: self.branch(then, depth, out, pending, {}))
+                self.branch(other, depth, out, pending, {})
+                return
+            if not parts and depth < _MAX_NESTING and self.split(c, todo, other):
+                # In tail position nothing after the ``if`` reads the test.
+                self.emit(depth, f"if {self.take(test, depth) if out is None else test}:")
+                known = self.known
+                self.known = {**known, **dict.fromkeys(more, "True")}
+                self.decide(todo, then, other, depth + 1, out, pending)
+                self.known, checked = known, self.checked
+                self.emit(depth, "else:")
+                # The first copy translated all of ``other``, dead code too.
+                self.checked = True
+                self.branch(other, depth + 1, out, pending, dict.fromkeys(more, "False"))
+                self.checked = checked
+                return
+            parts.append(test)
             keys += more
-        if "False" in parts:
-            return "False", keys
-        return " and ".join(p for p in parts if p != "True") or "True", keys
+        if not parts:
+            self.branch(then, depth, out, pending, {})
+            self.dead(lambda: self.branch(other, depth, out, pending, {}))
+            return
+        if out is None and len(parts) == 1:
+            parts = [self.take(parts[0], depth)]
+        self.emit(depth, f"if {' and '.join(parts)}:")
+        self.branch(then, depth + 1, out, pending, dict.fromkeys(keys, "True"))
+        self.emit(depth, "else:")
+        # A false conjunction says nothing about any one of its conjuncts.
+        refuted = dict.fromkeys(keys, "False") if len(parts) == 1 else {}
+        self.branch(other, depth + 1, out, pending, refuted)
+
+    def split(self, c: Term, todo: list[Term], other: Term) -> bool:
+        """Whether to branch on conjunct ``c`` alone: ``other`` is an ``if``
+        whose guard has ``c`` as a conjunct too, the conjuncts after ``c``
+        are ``_pure``, and the budget of nodes translated twice still holds
+        ``other``, which the split spends."""
+        if not (isinstance(other, App) and other.op == "if" and len(other.args) == 3):
+            return False
+        shape, stack = _shape(c), [other.args[0]]
+        while stack:
+            g = stack.pop()
+            if isinstance(g, App) and g.op == "and" and len(g.args) == 2:
+                stack += g.args
+            elif _shape(g) == shape:
+                size = _size(other, self.budget)
+                if size > self.budget or not all(map(_pure, todo)):
+                    return False
+                self.budget -= size
+                return True
+        return False
+
+    def dead(self, emit) -> None:
+        """Translate what ``emit`` emits, so that its errors are raised in
+        read order, and drop the code: no path runs it.  In a code path
+        already ``checked`` it is not translated again."""
+        if self.checked:
+            return
+        lines, known, functions = self.lines, self.known, len(self.functions)
+        sites, cells = len(self.loop_sites), self.cells
+        self.lines, self.known = [], dict(known)
+        emit()
+        self.lines, self.known, self.cells = lines, known, cells
+        del self.functions[functions:], self.loop_sites[sites:]
 
     def test(self, t: Term, depth: int) -> tuple[str, list[tuple]]:
         """Emit ``t`` and return a Python condition atom true when it is not
@@ -681,6 +811,9 @@ class _Translator:
         """Emit primitive application ``t`` unless the table holds it or
         its complement, and return its key and the name holding its value
         (a condition, for a test)."""
+        pair = self.rebuilt(t, depth) if t.op == "cons" else None
+        if pair is not None:
+            return ("cons", pair), pair
         key, args = self.arguments(t, depth)
         name = self.known.get(key)
         complement = self.known.get((_COMPLEMENTS.get(t.op), *args))
@@ -688,6 +821,9 @@ class _Translator:
             # Both compare the same coerced integers, so one is the other negated.
             name = {"True": "False", "False": "True"}.get(complement, f"not {complement}")
             self.known[key] = name
+        elif name is None and t.op in _CONNECTIVES and all(a in ("True", "False") for a in args):
+            decided = _HOST[t.op](*(T if a == "True" else NIL for a in args))
+            name = "True" if decided is T else "False"
         elif name is None:
             if t.op == "cons":
                 name = self.cons(depth, *args)
@@ -698,6 +834,21 @@ class _Translator:
             if t.op in _ARITHMETIC:
                 self.known[("int", name)] = name
         return key, name
+
+    def rebuilt(self, t: App, depth: int) -> str | None:
+        """The pair ``e`` that ``t``, a ``(cons (first e) (rest e))``, is
+        built of, when the path knows ``e`` is a pair: values are immutable
+        and no primitive observes identity, so ``t`` is ``e`` itself.  Only
+        a pure ``e`` is emitted here, since emitting it again is free."""
+        self.check_arity(t)
+        head, tail = t.args
+        if (isinstance(head, App) and head.op == "first" and len(head.args) == 1
+                and isinstance(tail, App) and tail.op == "rest" and len(tail.args) == 1
+                and _pure(head.args[0]) and _shape(head.args[0]) == _shape(tail.args[0])):
+            pair = self.value(head.args[0], depth)
+            if self.known.get(("consp", pair)) == "True":
+                return pair
+        return None
 
     def arguments(self, t: App, depth: int) -> tuple[tuple, list[str]]:
         self.check_arity(t)
@@ -759,6 +910,9 @@ class _Translator:
         if not isinstance(t, App) or t.op in _CONDITIONS or self.folded(t) is not None:
             return self.value(t, depth)
         if t.op in _VALUES:
+            pair = self.rebuilt(t, depth) if t.op == "cons" else None
+            if pair is not None:
+                return pair
             key, args = self.arguments(t, depth)
             return self.known.get(key) or self.primitive(t, args, depth)
         record = self.env.defs.get(t.op)
@@ -814,7 +968,8 @@ def _loop_spine(body: Term, op: str, arity: int) -> set[int] | None:
             spine.add(id(t))
         order.append((t, tail))
         if t.op == "if" and len(t.args) == 3:
-            stack += [(t.args[0], False, depth), (t.args[1], tail, depth + 1), (t.args[2], tail, depth + 1)]
+            inner = depth + _width(t.args[0])
+            stack += [(t.args[0], False, depth), (t.args[1], tail, inner), (t.args[2], tail, inner)]
         elif t.op == "cons" and len(t.args) == 2:
             last = t.args[1]
             chained = tail and isinstance(last, App) and last.op in ("cons", op)
@@ -828,6 +983,43 @@ def _loop_spine(body: Term, op: str, arity: int) -> set[int] | None:
         if tail and t.op in ("if", "cons") and any(id(a) in spine for a in t.args[1:]):
             spine.add(id(t))
     return spine
+
+
+def _size(t: Term, limit: int | None = None) -> int:
+    """The number of nodes of ``t``, counting no further than past ``limit``."""
+    size, stack = 0, [t]
+    while stack and (limit is None or size <= limit):
+        node = stack.pop()
+        size += 1
+        if isinstance(node, App):
+            stack += node.args
+    return size
+
+
+def _pure(t: Term) -> bool:
+    """Whether ``t`` applies primitives other than ``if`` only: its code
+    pays nothing and calls nothing, so a path may skip it."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, App):
+            if node.op not in _CONDITIONS and node.op not in _VALUES:
+                return False
+            stack += node.args
+    return True
+
+
+def _width(test: Term) -> int:
+    """How many conjuncts ``test`` has, as ``_Translator.decide`` reads it:
+    an ``if`` with this test nests its branches at most this much deeper."""
+    width, stack = 0, [test]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App) and t.op == "and" and len(t.args) == 2:
+            stack += t.args
+        else:
+            width += 1
+    return width
 
 
 def _tally(t: Term, ops: Counter) -> None:

@@ -66,6 +66,15 @@ def test_eval_json_reports_step_counts(capsys):
     assert code == 0 and report["value"] == "3"
     assert report["steps"] == 1
     assert report["per_operator"] == {"+": 1}
+    assert report["self_steps"] == {"(term)": 1}
+
+
+def test_eval_json_reports_self_steps_per_operator(capsys):
+    code, report = run_json(capsys, "eval", LISTS, "-e", "(len (append (cons 1 nil) (cons 2 nil)))")
+    assert code == 0 and report["value"] == "2"
+    assert sum(report["self_steps"].values()) == report["steps"]
+    assert set(report["self_steps"]) == {"(term)", "append", "len"}
+    assert report["self_steps"]["(term)"] == 4
 
 
 def test_eval_prints_list_holding_improper_pair(capsys):

@@ -67,10 +67,14 @@ class Oracle:
         self.fuel = fuel
         self.steps = 0
         self.per = Counter()
+        # Steps paid in each operator's own frame; the term's are "(term)".
+        self.frames = ["(term)"]
+        self.self_steps = Counter()
 
     def step(self, op):
         self.steps += 1
         self.per[op] += 1
+        self.self_steps[self.frames[-1]] += 1
         if self.steps > self.fuel:
             raise StepLimitExceeded("step limit exceeded")
 
@@ -134,7 +138,10 @@ class Oracle:
             return _bool(value_compare(vals[0], vals[1]) < 0)
         record = self.env.defs[op]
         frame = dict(zip(record.defun.params, vals))
-        return self.run(record.defun.body, frame)
+        self.frames.append(op)
+        value = self.run(record.defun.body, frame)
+        self.frames.pop()
+        return value
 
 
 def agree(src, bindings=None, env=None):
@@ -156,7 +163,8 @@ _VARS = ("x", "y", "z")
 _LIBRARY_ARITY = {
     "app": 2, "nth-down": 2, "count-down": 1, "forever": 1, "insert": 2, "stuck": 1,
     "sum-acc": 2, "twins": 1, "size": 1, "sizes": 1, "nest-heads": 1, "twice": 1, "all-pos": 1,
-    "tw": 1, "tally": 3, "swap": 3, "rank": 3,
+    "tw": 1, "tally": 3, "swap": 3, "rank": 3, "three": 2, "skim": 2, "fx": 2, "mrg": 2,
+    "size-sum": 2, "rebuild": 2,
 }
 _FUEL = 3000
 
@@ -215,6 +223,7 @@ def _matches_oracle(t, frame, env, fuel=_FUEL):
     assert value_equal(value, oracle.run(t, frame))
     assert count.total == oracle.steps
     assert count.per_operator == dict(oracle.per)
+    assert count.self_steps == dict(oracle.self_steps)
     # The fuel outcome is exact: the total fits, one step less does not.
     assert eval_counting(t, frame, env, count.total)[1] == count
     if count.total:
@@ -508,6 +517,44 @@ def _library() -> DefEnv:
                   (if (< (first y) (first xs)) (rank y (rest xs) (1+ n)) (rank y (rest xs) n))
                   (rank y (rest xs) n))
               n))
+        (defun three (n xs) :trust
+          (if (and (consp xs) (< (first xs) n))
+              (cons 'lt (three n (rest xs)))
+              (if (and (consp xs) (= (first xs) n))
+                  (three n (rest xs))
+                  (if (and (consp xs) (> (first xs) n))
+                      (cons (first xs) (three n (rest xs)))
+                      nil))))
+        (defun skim (xs n) :trust
+          (if (and (consp xs) (zp n))
+              (first xs)
+              (if (and (consp xs) (< n (first xs)))
+                  (skim (rest xs) (1- n))
+                  (if (and (not (zp n)) (consp xs))
+                      (skim (rest xs) (- n 2))
+                      (if (consp xs) (skim (rest xs) n) n)))))
+        (defun fx (x ys) :trust
+          (if (and (consp ys) (< 0 (first x)))
+              (fx x (rest ys))
+              (if (and (consp ys) (>= 0 (first x)))
+                  (fx (first ys) (rest ys))
+                  x)))
+        (defun mrg (xs ys) :trust
+          (if (equal xs nil)
+              ys
+              (if (and (consp xs) (equal ys nil))
+                  (cons (first xs) (rest xs))
+                  (if (and (consp xs) (and (consp ys) (<= (first xs) (first ys))))
+                      (cons (first xs) (mrg (rest xs) ys))
+                      (if (and (consp xs) (and (consp ys) (> (first xs) (first ys))))
+                          (cons (first ys) (mrg xs (rest ys)))
+                          (mrg nil ys))))))
+        (defun size-sum (xs n) :trust
+          (if (consp xs) (size-sum (rest xs) (+ n (size (first xs)))) n))
+        (defun rebuild (xs n) :trust
+          (if (consp xs)
+              (if (zp n) (cons (first xs) (rest xs)) (rebuild (rest xs) (1- n)))
+              (cons (first xs) (rest xs))))
         """
     )
     for form in forms:
@@ -535,10 +582,19 @@ def few_frames(monkeypatch):
 # head that may be a list, `tally` rebinds each of its two counters on only
 # one of two self-calls, `swap` exchanges its two operands every round, and
 # `rank` takes the `first` of an unchanged parameter only where it is known
-# to be a pair.
+# to be a pair.  The rest probe guards tested one conjunct at a time:
+# `three` compares `(first xs)` three ways behind a repeated `(consp xs)`;
+# `skim` has later guards that repeat an earlier conjunct, once out of
+# order; `fx` reads `(first x)` of what may be a non-pair after
+# `(consp ys)` has held; `mrg` has two looping sites and rebuilds its
+# argument; `size-sum` has one looping site whose round calls `size`; and
+# `rebuild` rebuilds `(cons (first xs) (rest xs))` of a pair and of a
+# non-pair.
 _LOOPS = ["(sum-acc x 0)", "(app x x)", "(insert 0 x)", "(nth-down 3 x)", "(twins x)",
           "(sizes x)", "(insert (first x) (rest x))", "(tally 0 0 x)", "(swap (first x) 3 x)",
-          "(rank (first x) x 0)"]
+          "(rank (first x) x 0)", "(three 0 x)", "(three (first x) (rest x))", "(skim x 3)",
+          "(fx (first x) x)", "(fx x x)", "(mrg x (rest x))", "(mrg (first x) x)",
+          "(size-sum x 0)", "(rebuild x 2)", "(rebuild (first x) 0)"]
 # These stay recursive: a self-call in a `cons` head, in an `if` test, and
 # in an `if` under a `cons`.  `twice` has one as another self-call's
 # argument.
@@ -635,12 +691,13 @@ _DATA = st.recursive(
 )
 # Copies made by generated code: a cons returned from a recursion, cons
 # chains one and two cells deep built by loops, and a cons shared as an
-# argument.
+# argument.  (A `(cons (first x) (rest x))` of a pair is `x` itself, no
+# copy, so the last one rebuilds its tail.)
 _COPIES = [
     "(copy x)",
     "(copy-spine x)",
     "(copy-two x)",
-    "(if (consp x) (first (cons (cons (first x) (rest x)) nil)) x)",
+    "(if (consp x) (first (cons (cons (first x) (copy-spine (rest x))) nil)) x)",
 ]
 
 
@@ -822,6 +879,60 @@ def test_branches_decided_by_the_path_are_still_translated():
         evaluate(parse_term("(if (and (consp x) t) (if (consp x) 1 (app 1)) 3)"), {"x": 1}, env)
     with pytest.raises(UnboundVariable):
         evaluate(parse_term("(if (consp '(1)) 1 w)"), {}, env)
+
+
+def test_dead_branches_of_decided_guards_are_still_translated():
+    # Each guard below is decided on its path, in a split-off copy of a
+    # shared else-branch or by a repeated conjunct, so one of its branches
+    # is never emitted; the unknown operator in it must still raise.
+    env = _library()
+    terms = [
+        "(if (and (consp x) (< 0 (first x))) 1 (if (and (consp x) (mystery 2)) 2 3))",
+        "(if (and (consp x) (< 0 (first x))) 1 (if (and (consp x) (>= 0 (first x))) 2 (mystery)))",
+        "(if (consp x) (if (and (consp x) (consp x)) 1 (mystery 2)) 3)",
+        "(if (and (consp x) (zp (first x))) (if (consp x) 1 (mystery)) 2)",
+    ]
+    for term in terms:
+        with pytest.raises(UnknownOperator):
+            evaluate(parse_term(term), {"x": 1}, env)
+    [loop] = parse_program(
+        "(defun bad (xs) :trust (if (and (consp xs) (zp (first xs))) (bad (rest xs))"
+        " (if (and (consp xs) (< 0 (first xs))) (bad (rest xs))"
+        " (if (consp xs) (if (consp xs) 1 (mystery)) 2))))"
+    )
+    with pytest.raises(UnknownOperator):
+        env.define(loop)
+
+
+def test_generated_code_is_named_after_its_operator():
+    env = _library()
+    assert env.defs["insert"].fn.__code__.co_filename == "<eqthink:insert>"
+    assert env.defs["app"].fn.__code__.co_filename == "<eqthink:app>"
+    term = parse_term("(app x x)")
+    evaluate(term, {"x": NIL}, env)
+    [fn] = env._memo.values()
+    assert fn.__code__.co_filename == "<eqthink:term>"
+
+
+def test_self_steps_are_paid_in_each_operators_own_body():
+    env = _library()
+    t = parse_term("(sizes (cons x (cons (app x x) nil)))")
+    frame = {"x": from_list([1, 2, 3])}
+    _, count = eval_counting(t, frame, env)
+    oracle = Oracle(env)
+    oracle.run(t, frame)
+    assert count.self_steps == dict(oracle.self_steps)
+    assert sum(count.self_steps.values()) == count.total
+    assert set(count.self_steps) == {"(term)", "app", "size", "sizes"}
+
+
+def test_rebuilt_pattern_is_the_argument_itself(corpus_env):
+    x = from_list([1, 2, 3])
+    assert evaluate(parse_term("(merge x nil)"), {"x": x}, corpus_env) is x
+    env = _library()
+    assert evaluate(parse_term("(rebuild x 0)"), {"x": x}, env) is x
+    # A rebuilt non-pair is a new pair of nils.
+    assert value_equal(evaluate(parse_term("(rebuild 5 0)"), {}, env), Pair(NIL, NIL))
 
 
 def test_copies_translate_their_own_terms():
