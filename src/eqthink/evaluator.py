@@ -26,16 +26,36 @@ test already decided on the path emits as a constant, and ``first``/``rest``
 of a local known to be a pair read ``.head``/``.tail`` directly.  An integer
 relation whose complement over the same argument names is on the path
 (``<`` and ``>=``, ``<=`` and ``>``) is that test negated, or the flipped
-constant if it is decided; both compare the same coerced integers.  An
-``and`` in test position is a Python ``and`` over its conjuncts'
-conditions.  An application of primitives to constants only (a quoted
-list, say) folds to one constant at translation time.  Sharing is safe
-because primitives are pure and total; calls to defined operators are
-never shared or skipped.  A call goes through its ``_DefRecord`` at call
-time, so self-recursion works and a ``DefEnv.copy()`` shares the functions
-already generated.  A branch nested deeper than ``_MAX_NESTING`` moves
-into a function of its own, which keeps the generated source within
-Python's indentation limit.
+constant if it is decided; both compare the same coerced integers.  A
+connective over decided tests is decided too.  An application of
+primitives to constants only (a quoted list, say) folds to one constant
+at translation time.  Sharing is safe because primitives are pure and
+total; calls to defined operators are never shared or skipped.  A call
+goes through its ``_DefRecord`` at call time, so self-recursion works and
+a ``DefEnv.copy()`` shares the functions already generated.  A branch
+nested deeper than ``_MAX_NESTING`` moves into a function of its own,
+which keeps the generated source within Python's indentation limit.
+
+A guard ``(and p q ...)`` is decided one conjunct at a time, as a decision
+tree that tests each constructor once (Maranget, "Compiling pattern
+matching to good decision trees", ML 2008).  A conjunct decided on the
+path emits no test, and a guard the path decides emits only the branch it
+takes; the other branch is still translated, so errors are raised in read
+order, but its code is dropped.  When the else-branch is an ``if`` whose
+guard repeats p, as every ``cons``-pattern equation after the first does,
+the ``if`` branches on p alone: q's code runs only once p has held, and
+the else-branch is emitted twice, once knowing p true and once knowing it
+false, so on each side its own guard's p is decided.  That needs q and
+the conjuncts after it to be pure (no ``if``, no call), since skipping
+them must skip no payment and no call.  Otherwise the undecided conjuncts
+are emitted first and tested with one Python ``and``.  Duplication is
+bounded: an ``if`` splits only when its else-branch's guard shares the
+conjunct, and only while the nodes translated twice in one generated
+function stay within twice the term's size, so its translation stays
+linear.  The second copy of an else-branch skips what the first already
+translated and dropped.  Payments are untouched: each copy pays the same
+regions at sites of its own, a path runs exactly one copy, and a pure
+conjunct that is skipped neither pays nor calls.
 
 Steps are paid once per path segment.  A region is the nodes that always
 run once a function is entered or an ``if`` branch is taken (an
@@ -92,6 +112,23 @@ integer coercion is computed once, before the ``while``, for every round
 and branch.  Only coercions move: one is total and reads only the
 parameter, so it holds on every path, while a ``first`` emitted under a
 path fact reads ``.head``, which only that path allows.
+
+A loop with exactly one looping payment site, of k steps, counts rounds
+instead of steps: a round does ``h += 1`` and tests ``h > cap`` only.
+``total`` then holds what the other sites paid, the count is ``total + k *
+h``, and that is what the loop writes to the ``StepCount`` wherever it
+flushes.  ``cap = (fuel - total) // k`` is set at entry, after each call
+and after each payment at another site, so ``h > cap`` holds exactly when
+``total + k * h > fuel``, the old test, and totals, tallies and the fuel
+outcome are unchanged.  A loop with several looping sites keeps adding to
+``total``.
+
+A ``(cons (first e) (rest e))`` of an ``e`` the path knows to be a pair is
+``e`` itself: values are immutable and no primitive observes identity, so
+``merge``, ``merge-sort`` and ``avl-insert`` return their argument instead
+of rebuilding it.  The application nodes are still paid, since payments
+count the term's nodes, not the code.  A loop's destination cells are made
+by the loop, never taken from the table, so they stay fresh.
 
 A ``cons`` is emitted as three statements, ``v = BlankPair()``,
 ``v.head = h`` and ``v.tail = t``.  The last cell of a chain a loop builds
@@ -433,6 +470,10 @@ class _Translator:
     ``spine`` is set, the function being emitted is that loop.  The
     coercions of its ``invariant`` parameters are kept in ``hoisted``,
     which no branch drops, and emitted in ``preamble``, before the loop.
+
+    ``budget`` is how many more nodes of ``term`` guards may translate
+    twice (see ``split``), and ``checked`` is set while a second copy is
+    emitted.
     """
 
     def __init__(self, env: DefEnv, params, name: str, op: str | None = None):
@@ -450,7 +491,8 @@ class _Translator:
         self.spine: set[int] | None = None
         self.loop_sites: list[tuple[int, int]] = []
         self.cells = False
-        self.budget = 0
+        self.term: Term | None = None
+        self.budget: int | None = None
         self.checked = False
         self.invariant: set[str] = set()
         self.hoisted: dict[tuple, str] = {}
@@ -458,7 +500,7 @@ class _Translator:
 
     def translate(self, t: Term):
         self.ground = _fold(t)
-        self.budget = 2 * _size(t)
+        self.term = t
         spine = _loop_spine(t, self.op, len(self.params)) if self.op else None
         if spine:
             self.loop_function(t, spine)
@@ -517,22 +559,19 @@ class _Translator:
             if isinstance(line, str):
                 self.lines.append(line)
                 continue
-            kind, depth, *rest = line
-            if kind == "flush":
-                parts = flush + zero if rest[0] else flush
-            elif kind == "reread":
-                parts = ["total = ctr.total", *cap]
+            depth, *what = line
+            if len(what) == 1:
+                # A call: the callee pays into ``ctr``; read the total back.
+                parts = [*flush, *zero, what[0], "total = ctr.total", *cap]
             else:
-                site, steps, looping = rest
-                raising = ["    " + part for part in flush] + ["    raise StepLimitExceeded('step limit exceeded')"]
-                if cap and looping:
-                    parts = [f"h{site} += 1", f"if h{site} > cap:", *raising]
-                elif cap:
-                    parts = [f"total += {steps}", *cap, f"if {hits[0]} > cap:", *raising,
-                             f"ctr.hits[{site}] += 1"]
-                else:
-                    parts = [f"total += {steps}", "if total > fuel:", *raising,
-                             f"h{site} += 1" if looping else f"ctr.hits[{site}] += 1"]
+                site, steps, looping = what
+                rounds = cap and looping
+                parts = [f"h{site} += 1"] if rounds else [f"total += {steps}", *cap]
+                parts.append(f"if {hits[0]} > cap:" if cap else "if total > fuel:")
+                parts += [f"    {part}" for part in flush]
+                parts.append("    raise StepLimitExceeded('step limit exceeded')")
+                if not rounds:
+                    parts.append(f"h{site} += 1" if looping else f"ctr.hits[{site}] += 1")
             for part in parts:
                 self.emit(depth, part)
         for part in flush:
@@ -543,11 +582,6 @@ class _Translator:
         else:
             self.emit(1, "return r")
         self.functions.append("\n".join(self.lines))
-
-    def flush(self, depth: int, before_call: bool = False) -> None:
-        """Mark where the loop writes its locals to ``ctr``; the loop's
-        payment sites are known only once it is emitted."""
-        self.lines.append(("flush", depth, before_call))
 
     def emit(self, depth: int, line: str) -> None:
         self.lines.append("    " * depth + line)
@@ -590,9 +624,9 @@ class _Translator:
             return
         if looping:
             self.loop_sites.append((site, steps))
-        # How a loop pays depends on how many of its sites loop, known only
-        # once it is emitted.
-        self.lines.append(("pay", depth, site, steps, looping))
+        # How a loop pays, and what it writes to ``ctr`` before raising,
+        # depend on its looping sites, known only once it is emitted.
+        self.lines.append((depth, site, steps, looping))
 
     def result(self, t: Term, depth: int, out: str | None, pending: Counter) -> None:
         if isinstance(t, App) and t.op == "if":
@@ -657,10 +691,8 @@ class _Translator:
         back afterwards."""
         if self.spine is None:
             return expression
-        self.flush(depth, before_call=True)
         out = self.temp()
-        self.emit(depth, f"{out} = {expression}")
-        self.lines.append(("reread", depth))
+        self.lines.append((depth, f"{out} = {expression}"))
         return out
 
     def branch(self, t: Term, depth: int, out: str | None, pending: Counter, facts: dict) -> None:
@@ -775,6 +807,8 @@ class _Translator:
             if isinstance(g, App) and g.op == "and" and len(g.args) == 2:
                 stack += g.args
             elif _shape(g) == shape:
+                if self.budget is None:
+                    self.budget = 2 * _size(self.term)
                 size = _size(other, self.budget)
                 if size > self.budget or not all(map(_pure, todo)):
                     return False
@@ -838,15 +872,24 @@ class _Translator:
     def rebuilt(self, t: App, depth: int) -> str | None:
         """The pair ``e`` that ``t``, a ``(cons (first e) (rest e))``, is
         built of, when the path knows ``e`` is a pair: values are immutable
-        and no primitive observes identity, so ``t`` is ``e`` itself.  Only
+        and no primitive observes identity, so ``t`` is ``e`` itself.  The
+        tail may itself be such a ``cons`` that rebuilds ``(rest e)``.  Only
         a pure ``e`` is emitted here, since emitting it again is free."""
         self.check_arity(t)
         head, tail = t.args
-        if (isinstance(head, App) and head.op == "first" and len(head.args) == 1
-                and isinstance(tail, App) and tail.op == "rest" and len(tail.args) == 1
-                and _pure(head.args[0]) and _shape(head.args[0]) == _shape(tail.args[0])):
-            pair = self.value(head.args[0], depth)
-            if self.known.get(("consp", pair)) == "True":
+        e = _field(head, "first")
+        if e is None or not _pure(e):
+            return None
+        pair = self.value(e, depth)
+        if self.known.get(("consp", pair)) != "True":
+            return None
+        rest = _field(tail, "rest")
+        if rest is not None and _shape(rest) == _shape(e):
+            return pair
+        if isinstance(tail, App) and tail.op == "cons" and len(tail.args) == 2:
+            inner = _field(tail.args[0], "first")
+            if (inner is not None and _shape(inner) == (App, "rest", 1, *_shape(e))
+                    and self.rebuilt(tail, depth) is not None):
                 return pair
         return None
 
@@ -954,7 +997,8 @@ def _loop_spine(body: Term, op: str, arity: int) -> set[int] | None:
     that argument is itself a ``cons`` or a self-call: a chain of cells
     ends in the next round, never in an ``if``.  A self-call also must not
     sit in a branch split off into a function of its own; the loop's body
-    starts at nesting depth 2."""
+    starts at nesting depth 2, and an ``if``'s branches nest at most one
+    level deeper per conjunct of its test (see ``_width``)."""
     order: list[tuple[App, bool]] = []
     spine: set[int] = set()
     stack: list[tuple[Term, bool, int]] = [(body, True, 2)]
@@ -983,6 +1027,11 @@ def _loop_spine(body: Term, op: str, arity: int) -> set[int] | None:
         if tail and t.op in ("if", "cons") and any(id(a) in spine for a in t.args[1:]):
             spine.add(id(t))
     return spine
+
+
+def _field(t: Term, op: str) -> Term | None:
+    """The argument of ``t`` if ``t`` is ``(op e)``."""
+    return t.args[0] if isinstance(t, App) and t.op == op and len(t.args) == 1 else None
 
 
 def _size(t: Term, limit: int | None = None) -> int:

@@ -164,7 +164,7 @@ _LIBRARY_ARITY = {
     "app": 2, "nth-down": 2, "count-down": 1, "forever": 1, "insert": 2, "stuck": 1,
     "sum-acc": 2, "twins": 1, "size": 1, "sizes": 1, "nest-heads": 1, "twice": 1, "all-pos": 1,
     "tw": 1, "tally": 3, "swap": 3, "rank": 3, "three": 2, "skim": 2, "fx": 2, "mrg": 2,
-    "size-sum": 2, "rebuild": 2,
+    "size-sum": 2, "rebuild": 2, "clip": 2,
 }
 _FUEL = 3000
 
@@ -240,7 +240,8 @@ def test_matches_oracle_on_random_terms(t, frame):
 # shares along a path: selectors, tests, integer coercions of the same
 # operands, and relations over `y` and `(first x)` that complement or
 # mirror one another.  `and` chains and `if`s nested on one test decide
-# tests that the branches below them meet again.
+# tests that the branches below them meet again, and a guard whose
+# else-branch's guard repeats its first conjunct branches on it alone.
 _POOL = [
     Var("x"), Var("y"), IntLit(0), IntLit(2), NIL_LIT,
     App("first", (Var("x"),)), App("rest", (Var("x"),)), App("first", (Var("y"),)),
@@ -275,6 +276,10 @@ def _shared_regions(inner):
         st.tuples(inner, inner, inner).map(
             lambda c: App("if", (App("and", (c[0], c[1])), App("if", (c[0], c[2], c[1])), c[0]))
         ),
+        st.tuples(inner, inner, inner, inner, inner, inner).map(
+            lambda c: App("if", (App("and", (c[0], c[1])), c[2],
+                                 App("if", (App("and", (c[0], c[3])), c[4], c[5]))))
+        ),
     )
 
 
@@ -289,12 +294,14 @@ def test_shared_subterms_match_oracle(t, frame):
 @pytest.mark.parametrize("one, other", itertools.product(("<", "<=", ">", ">="), repeat=2))
 def test_relations_over_the_same_operands_match_oracle(one, other):
     # Two relations meet over the same operands on one path: in a branch
-    # decided by the first, after it in an `and` chain, and side by side,
-    # over operands that are less, equal, greater and not integers.
+    # decided by the first, after it in an `and` chain, side by side, and
+    # after an `if` in an argument that tested them, over operands that are
+    # less, equal, greater and not integers.
     a, b = f"({one} y (first x))", f"({other} y (first x))"
     shapes = [f"(if {a} {b} {b})", f"(if (and (consp x) {a}) (not {b}) (cons {a} {b}))",
               f"(if (and {a} {b}) 1 2)", f"(cons {a} (cons {b} nil))",
-              f"(if (and {b} {a}) {a} {b})"]
+              f"(if (and {b} {a}) {a} {b})", f"(cons (if {a} 1 2) (cons {a} {b}))",
+              f"(cons (if (and (consp x) {a}) 1 (if (and (consp x) {b}) 2 3)) (cons (consp x) {a}))"]
     env = _library()
     for shape, x, y in itertools.product(shapes, [-1, 0, 1, Symbol("a")], [0, T]):
         _matches_oracle(parse_term(shape), {"x": from_list([x]), "y": y}, env)
@@ -551,9 +558,15 @@ def _library() -> DefEnv:
                           (mrg nil ys))))))
         (defun size-sum (xs n) :trust
           (if (consp xs) (size-sum (rest xs) (+ n (size (first xs)))) n))
+        (defun clip (xs n) :trust
+          (if (consp xs) (clip (rest xs) (+ n (if (< 0 (first xs)) (first xs) 0))) n))
         (defun rebuild (xs n) :trust
           (if (consp xs)
-              (if (zp n) (cons (first xs) (rest xs)) (rebuild (rest xs) (1- n)))
+              (if (zp n)
+                  (if (consp (rest xs))
+                      (cons (first xs) (cons (first (rest xs)) (rest (rest xs))))
+                      (cons (first xs) (cons (first (rest xs)) (rest (rest xs)))))
+                  (rebuild (rest xs) (1- n)))
               (cons (first xs) (rest xs))))
         """
     )
@@ -582,19 +595,20 @@ def few_frames(monkeypatch):
 # head that may be a list, `tally` rebinds each of its two counters on only
 # one of two self-calls, `swap` exchanges its two operands every round, and
 # `rank` takes the `first` of an unchanged parameter only where it is known
-# to be a pair.  The rest probe guards tested one conjunct at a time:
-# `three` compares `(first xs)` three ways behind a repeated `(consp xs)`;
-# `skim` has later guards that repeat an earlier conjunct, once out of
-# order; `fx` reads `(first x)` of what may be a non-pair after
-# `(consp ys)` has held; `mrg` has two looping sites and rebuilds its
-# argument; `size-sum` has one looping site whose round calls `size`; and
-# `rebuild` rebuilds `(cons (first xs) (rest xs))` of a pair and of a
-# non-pair.
+# to be a pair.  Guards tested one conjunct at a time: `three` compares
+# `(first xs)` three ways behind a repeated `(consp xs)`; `skim` has later
+# guards that repeat an earlier conjunct, once out of order; `fx` reads
+# `(first x)` of what may be a non-pair after `(consp ys)` has held; `mrg`
+# has two looping sites and rebuilds its argument.  Rounds counted at one
+# looping site: `size-sum` calls `size` every round, and `clip` also pays
+# at another site, in an argument's `if`.  `rebuild` rebuilds a list two
+# cells deep, where the second cell is known to be a pair and where it is
+# not, and `(cons (first xs) (rest xs))` of a non-pair.
 _LOOPS = ["(sum-acc x 0)", "(app x x)", "(insert 0 x)", "(nth-down 3 x)", "(twins x)",
           "(sizes x)", "(insert (first x) (rest x))", "(tally 0 0 x)", "(swap (first x) 3 x)",
           "(rank (first x) x 0)", "(three 0 x)", "(three (first x) (rest x))", "(skim x 3)",
           "(fx (first x) x)", "(fx x x)", "(mrg x (rest x))", "(mrg (first x) x)",
-          "(size-sum x 0)", "(rebuild x 2)", "(rebuild (first x) 0)"]
+          "(size-sum x 0)", "(clip x 0)", "(rebuild x 2)", "(rebuild (first x) 0)"]
 # These stay recursive: a self-call in a `cons` head, in an `if` test, and
 # in an `if` under a `cons`.  `twice` has one as another self-call's
 # argument.
@@ -904,6 +918,21 @@ def test_dead_branches_of_decided_guards_are_still_translated():
         env.define(loop)
 
 
+@pytest.mark.parametrize("x", [5, from_list([-1, 2]), from_list([3])])
+def test_conjuncts_that_pay_or_call_still_run(x):
+    # `and` is strict: a conjunct that calls or pays runs even when an
+    # earlier one is nil, also where the guard is decided one conjunct at
+    # a time or the path has already decided an earlier conjunct.
+    env = _library()
+    for src in [
+        "(if (and (consp x) (app x x)) 1 (if (and (consp x) t) 2 3))",
+        "(if (and (consp x) (if (first x) 1 nil)) 1 (if (consp x) 2 3))",
+        "(if (and (consp x) (and (< 0 (first x)) (size x))) 1 (if (consp x) 2 3))",
+        "(if (and (consp x) (< 0 (first x))) 1 (if (and (consp x) (size x)) 2 3))",
+    ]:
+        _matches_oracle(parse_term(src), {"x": x}, env)
+
+
 def test_generated_code_is_named_after_its_operator():
     env = _library()
     assert env.defs["insert"].fn.__code__.co_filename == "<eqthink:insert>"
@@ -931,7 +960,8 @@ def test_rebuilt_pattern_is_the_argument_itself(corpus_env):
     assert evaluate(parse_term("(merge x nil)"), {"x": x}, corpus_env) is x
     env = _library()
     assert evaluate(parse_term("(rebuild x 0)"), {"x": x}, env) is x
-    # A rebuilt non-pair is a new pair of nils.
+    # Rebuilt from a non-pair, cells are new and their fields nil.
+    assert value_equal(evaluate(parse_term("(rebuild x 2)"), {"x": x}, env), from_list([3, NIL]))
     assert value_equal(evaluate(parse_term("(rebuild 5 0)"), {}, env), Pair(NIL, NIL))
 
 
