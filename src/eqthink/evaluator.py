@@ -117,11 +117,12 @@ A loop with exactly one looping payment site, of k steps, counts rounds
 instead of steps: a round does ``h += 1`` and tests ``h > cap`` only.
 ``total`` then holds what the other sites paid, the count is ``total + k *
 h``, and that is what the loop writes to the ``StepCount`` wherever it
-flushes.  ``cap = (fuel - total) // k`` is set at entry, after each call
-and after each payment at another site, so ``h > cap`` holds exactly when
-``total + k * h > fuel``, the old test, and totals, tallies and the fuel
-outcome are unchanged.  A loop with several looping sites keeps adding to
-``total``.
+flushes and what its other payments test against ``fuel``.  ``cap =
+(fuel - total) // k`` is set at entry, after each call and after each
+other payment on a path that may go round again, so ``h > cap`` holds
+exactly when ``total + k * h > fuel``, the old test, and totals, tallies
+and the fuel outcome are unchanged.  A loop with several looping sites
+keeps adding to ``total``.
 
 A ``(cons (first e) (rest e))`` of an ``e`` the path knows to be a pair is
 ``e`` itself: values are immutable and no primitive observes identity, so
@@ -564,14 +565,18 @@ class _Translator:
                 # A call: the callee pays into ``ctr``; read the total back.
                 parts = [*flush, *zero, what[0], "total = ctr.total", *cap]
             else:
-                site, steps, looping = what
+                site, steps, looping, ends = what
                 rounds = cap and looping
-                parts = [f"h{site} += 1"] if rounds else [f"total += {steps}", *cap]
-                parts.append(f"if {hits[0]} > cap:" if cap else "if total > fuel:")
+                if rounds:
+                    parts = [f"h{site} += 1", f"if h{site} > cap:"]
+                else:
+                    parts = [f"total += {steps}", f"if {counted} > fuel:"]
                 parts += [f"    {part}" for part in flush]
                 parts.append("    raise StepLimitExceeded('step limit exceeded')")
                 if not rounds:
                     parts.append(f"h{site} += 1" if looping else f"ctr.hits[{site}] += 1")
+                    # A path that may go round again needs ``cap`` anew.
+                    parts += [] if ends else cap
             for part in parts:
                 self.emit(depth, part)
         for part in flush:
@@ -600,12 +605,14 @@ class _Translator:
         if isinstance(t, App) and t.op == "if" and all(op in PRIMITIVE_ARITY for op in ops):
             self.result(t, depth, out, ops)
             return
-        self.pay(ops, depth, self.spine is not None and id(t) in self.spine)
+        looping = self.spine is not None and id(t) in self.spine
+        self.pay(ops, depth, looping, out is None and not looping)
         self.result(t, depth, out, Counter())
 
-    def pay(self, ops: Counter, depth: int, looping: bool = False) -> None:
+    def pay(self, ops: Counter, depth: int, looping: bool = False, ends: bool = False) -> None:
         """Pay for ``ops``; in a loop, ``looping`` says the path may go
-        round again, so the site's hits are counted in a local."""
+        round again, so the site's hits are counted in a local, and
+        ``ends`` that it leaves the loop."""
         steps = sum(ops.values())
         if not steps:
             return
@@ -626,7 +633,7 @@ class _Translator:
             self.loop_sites.append((site, steps))
         # How a loop pays, and what it writes to ``ctr`` before raising,
         # depend on its looping sites, known only once it is emitted.
-        self.lines.append((depth, site, steps, looping))
+        self.lines.append((depth, site, steps, looping, ends))
 
     def result(self, t: Term, depth: int, out: str | None, pending: Counter) -> None:
         if isinstance(t, App) and t.op == "if":
@@ -701,7 +708,7 @@ class _Translator:
         if depth <= _MAX_NESTING:
             self.region(t, depth, out, pending)
         else:
-            self.pay(pending, depth)
+            self.pay(pending, depth, ends=out is None)
             self.temps += 1
             name = f"{self.name}_{self.temps}"
             self.function(t, name)
