@@ -960,7 +960,7 @@ def test_rebuilt_pattern_is_the_argument_itself(corpus_env):
     assert evaluate(parse_term("(merge x nil)"), {"x": x}, corpus_env) is x
     env = _library()
     assert evaluate(parse_term("(rebuild x 0)"), {"x": x}, env) is x
-    # Rebuilt from a non-pair, cells are new and their fields nil.
+    # Where the part rebuilt is no pair, the cells are new: `(3 . (nil . nil))`.
     assert value_equal(evaluate(parse_term("(rebuild x 2)"), {"x": x}, env), from_list([3, NIL]))
     assert value_equal(evaluate(parse_term("(rebuild 5 0)"), {}, env), Pair(NIL, NIL))
 
