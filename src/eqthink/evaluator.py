@@ -145,10 +145,25 @@ functions only call Python functions, which CPython 3.11+ runs without
 growing the C stack.  Deep structural recursion over long lists therefore
 needs only a high recursion limit, which ``eval_counting`` raises before
 it translates or runs anything; a loop needs no frame per round at all.
+
+``eval_counting`` pauses CPython's cyclic garbage collector while the
+generated function runs.  Its gen-0 trigger counts allocations minus
+frees, so a run that keeps more than 700 new cells alive (insertion sort
+copying a long list, say) would start collections that walk every young
+cell and, in turn, full collections over the whole heap.  They could find
+nothing: the values generated code builds are acyclic, since pairs are
+immutable once returned and a loop's destination cells link only forward,
+so every cell a run drops is freed by reference counting.  The
+collector's state on entry is restored on every exit, a return or an
+exception alike, and one the caller disabled stays disabled.  Only the
+run is covered: translation, which builds the generated functions and
+their namespace (a reference cycle), runs with the collector as the
+caller left it.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 from collections import Counter
 
@@ -643,16 +658,18 @@ class _Translator:
         if out is None and self.spine is not None and id(t) in self.spine:
             self.recur(t, depth)
             return
-        self.finish(depth, out, self.expression(t, depth))
+        self.finish(depth, out, self.expression(t, depth, out))
 
     def finish(self, depth: int, out: str | None, value: str) -> None:
-        """Put ``value`` in ``out``, or end the call with it."""
-        if out is not None:
-            self.emit(depth, f"{out} = {value}")
-        elif self.spine is None:
+        """Put ``value`` in ``out``, or end the call with it; a loop ends
+        with its value in ``r``, where a call may have put it already."""
+        if out is None and self.spine is None:
             self.emit(depth, f"return {value}")
-        else:
-            self.emit(depth, f"r = {value}")
+            return
+        target = out or "r"
+        if value != target:
+            self.emit(depth, f"{target} = {value}")
+        if out is None:
             self.emit(depth, "break")
 
     def recur(self, t: App, depth: int) -> None:
@@ -692,13 +709,14 @@ class _Translator:
             return last[len(prefix):]
         return name
 
-    def call(self, expression: str, depth: int) -> str:
+    def call(self, expression: str, depth: int, out: str | None) -> str:
         """A call to another generated function.  A loop first writes its
         locals to ``ctr``, which the callee pays into, and reads the total
-        back afterwards."""
+        back afterwards; the call stores its value straight into ``out``,
+        or into ``r`` in tail position (see ``finish``)."""
         if self.spine is None:
             return expression
-        out = self.temp()
+        out = out or "r"
         self.lines.append((depth, f"{out} = {expression}"))
         return out
 
@@ -712,7 +730,7 @@ class _Translator:
             self.temps += 1
             name = f"{self.name}_{self.temps}"
             self.function(t, name)
-            self.finish(depth, out, self.call(f"{name}({self.signature})", depth))
+            self.finish(depth, out, self.call(f"{name}({self.signature})", depth, out))
         self.known = known
 
     def value(self, t: Term, depth: int) -> str:
@@ -955,8 +973,9 @@ class _Translator:
             table[key] = coerced
         return coerced
 
-    def expression(self, t: Term, depth: int) -> str:
-        """Emit the arguments of ``t`` and return an expression for it."""
+    def expression(self, t: Term, depth: int, out: str | None) -> str:
+        """Emit the arguments of ``t`` and return an expression for it; a
+        loop's call to a defined operator stores it in ``out`` (see ``call``)."""
         if not isinstance(t, App) or t.op in _CONDITIONS or self.folded(t) is not None:
             return self.value(t, depth)
         if t.op in _VALUES:
@@ -974,7 +993,7 @@ class _Translator:
         args = [self.value(a, depth) for a in t.args]
         name = f"d{record.index}"
         self.env._namespace[name] = record
-        return self.call(f"{name}.fn({', '.join(['ctr', *args])})", depth)
+        return self.call(f"{name}.fn({', '.join(['ctr', *args])})", depth, out)
 
     def check_arity(self, t: App) -> None:
         want = PRIMITIVE_ARITY[t.op]
@@ -1103,7 +1122,13 @@ def eval_counting(
     _raise_recursion_limit()
     fn = env._top_level(t, names)
     count = StepCount(fuel, env)
-    return fn(count, *[bindings[n] for n in names]), count
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return fn(count, *[bindings[n] for n in names]), count
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def evaluate(

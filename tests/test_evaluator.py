@@ -7,6 +7,8 @@ a call pays 1 plus its body), one step at a time against its fuel.  It
 shares no code with the compiled evaluator beyond the value types.
 """
 
+import dis
+import gc
 import itertools
 import sys
 import threading
@@ -640,6 +642,24 @@ def test_loop_shapes_need_no_frame_per_round(few_frames):
             evaluate(parse_term(call), long, env)
 
 
+def test_loops_store_a_calls_value_where_it_is_needed():
+    # `size-sum` and `sizes` call `size` every round; its value goes
+    # straight into the local that reads it, not through a copy.
+    env = _library()
+    for op in ("size-sum", "sizes"):
+        instructions = list(dis.get_instructions(env.defs[op].fn))
+        stored, called = set(), False
+        for one, two in zip(instructions, instructions[1:]):
+            if one.argval == "fn":
+                called = True
+            elif called and one.opname == "CALL" and two.opname == "STORE_FAST":
+                stored.add(two.argval)
+                called = False
+            elif one.opname == "LOAD_FAST" and one.argval in stored:
+                assert two.opname != "STORE_FAST", (op, one.argval, two.argval)
+        assert stored, op
+
+
 def test_corpus_loops_use_no_python_frames(corpus_env, few_frames):
     n = 50_000
     cases = [
@@ -788,6 +808,60 @@ def test_if_test_that_recurses_forever_meets_the_fuel():
     env = _library()
     with pytest.raises(StepLimitExceeded):
         eval_counting(parse_term("(stuck 0)"), {}, env, 1000)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_state_is_restored_on_every_exit(enabled):
+    # A caller that disabled the collector finds it still disabled.
+    env = _library()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert evaluate(parse_term("(count-down 3)"), {}, env) == 0
+        assert gc.isenabled() is enabled
+        with pytest.raises(StepLimitExceeded):
+            evaluate(parse_term("(forever 0)"), {}, env, fuel=1000)
+        assert gc.isenabled() is enabled
+        # Translation fails before the generated function runs.
+        with pytest.raises(UnknownOperator):
+            evaluate(parse_term("(mystery 1 2)"), {}, env)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_no_collection_starts_while_generated_code_runs(corpus_env):
+    # Worst-case insertion sort of 1024 cells keeps more new cells alive
+    # than the collector's gen-0 threshold of 700, which would otherwise
+    # start hundreds of collections.
+    term = parse_term("(insertion-sort input)")
+    evaluate(term, {"input": from_list([2, 1])}, corpus_env)
+    worst = {"input": from_list(range(1024, 0, -1))}
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info)
+
+    gc.callbacks.append(record)
+    try:
+        value = evaluate(term, worst, corpus_env)
+    finally:
+        gc.callbacks.remove(record)
+    assert to_list(value) == list(range(1, 1025))
+    assert starts == []
+
+
+def test_generated_code_leaves_no_cyclic_garbage(corpus_env):
+    # What the pause relies on: every value a run builds or drops is
+    # acyclic, so reference counting frees it and the collector finds
+    # nothing, also after a run that the fuel stops part way.
+    x = from_list(range(512, 0, -1))
+    gc.collect()
+    for call in ("(insertion-sort x)", "(merge-sort x)", "(build-avl x)"):
+        evaluate(parse_term(call), {"x": x}, corpus_env)
+    with pytest.raises(StepLimitExceeded):
+        evaluate(parse_term("(insertion-sort x)"), {"x": x}, corpus_env, fuel=10_000)
+    assert gc.collect() == 0
 
 
 def test_primitive_tests_deeper_than_one_function_match_oracle():
