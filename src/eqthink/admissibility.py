@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import reduce
 
 from . import circuits
@@ -78,6 +77,7 @@ from .errors import (
 )
 from .evaluator import DefEnv, evaluate
 from .properties import Stream, random_object
+from .records import Record, set_field
 from .syntax import (
     PRIMITIVE_ARITY,
     App,
@@ -110,11 +110,13 @@ _CHECK_TRIALS = 1000
 _MAX_ASSIGNMENTS = 4096
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    verdict: str
-    detail: str = ""
-    witness: str | None = None
+class CheckResult(Record):
+    __slots__ = _fields = ("verdict", "detail", "witness")
+
+    def __init__(self, verdict: str, detail: str = "", witness: str | None = None):
+        set_field(self, "verdict", verdict)
+        set_field(self, "detail", detail)
+        set_field(self, "witness", witness)
 
     def to_json(self):
         out = {"verdict": self.verdict}
@@ -125,16 +127,27 @@ class CheckResult:
         return out
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    name: str
-    consistent: CheckResult
-    comprehensive: CheckResult
-    constructive: CheckResult
-    compiled: RawDefun | None
-    # For an admitted definition, the environment the checks ran in: the
-    # given one plus the compiled defun and its size fact.  Never reported.
-    env: DefEnv | None = field(default=None, compare=False, repr=False)
+class AdmissibilityReport(Record):
+    __slots__ = ("name", "consistent", "comprehensive", "constructive", "compiled", "env")
+    _fields = ("name", "consistent", "comprehensive", "constructive", "compiled")
+
+    def __init__(
+        self,
+        name: str,
+        consistent: CheckResult,
+        comprehensive: CheckResult,
+        constructive: CheckResult,
+        compiled: RawDefun | None,
+        env: DefEnv | None = None,
+    ):
+        set_field(self, "name", name)
+        set_field(self, "consistent", consistent)
+        set_field(self, "comprehensive", comprehensive)
+        set_field(self, "constructive", constructive)
+        set_field(self, "compiled", compiled)
+        # For an admitted definition, the environment the checks ran in: the
+        # given one plus the compiled defun and its size fact.  Never reported.
+        set_field(self, "env", env)
 
     @property
     def admitted(self) -> bool:
@@ -455,16 +468,25 @@ def _describe_input(params, args) -> str:
 # Consistency
 
 
-@dataclass(frozen=True)
-class Overlap:
+class Overlap(Record):
     """Two equations whose patterns unify, at their most general common
     instance, with both guards instantiated there."""
 
-    eq1: Equation
-    eq2: Equation
-    patterns: tuple[Term, ...]
-    guard1: Term | None
-    guard2: Term | None
+    __slots__ = _fields = ("eq1", "eq2", "patterns", "guard1", "guard2")
+
+    def __init__(
+        self,
+        eq1: Equation,
+        eq2: Equation,
+        patterns: tuple[Term, ...],
+        guard1: Term | None,
+        guard2: Term | None,
+    ):
+        set_field(self, "eq1", eq1)
+        set_field(self, "eq2", eq2)
+        set_field(self, "patterns", patterns)
+        set_field(self, "guard1", guard1)
+        set_field(self, "guard2", guard2)
 
     @property
     def labels(self) -> str:

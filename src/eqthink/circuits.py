@@ -19,7 +19,6 @@ structurally equal gates, so a repeated subformula costs one gate.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import (
@@ -32,6 +31,7 @@ from .errors import (
     PortMismatch,
     TooManyInputs,
 )
+from .records import Record, set_field
 from .syntax import App, SymLit, Term, Var, parse_term, subterms
 
 GATE_ARITY = {
@@ -71,10 +71,12 @@ _GATE_FORMULA: dict[str, Term] = {
 } | {"CONST1": SymLit("t"), "CONST0": SymLit("nil")}
 
 
-@dataclass(frozen=True)
-class Gate:
-    kind: str
-    args: tuple[int, ...]
+class Gate(Record):
+    __slots__ = _fields = ("kind", "args")
+
+    def __init__(self, kind: str, args: tuple[int, ...]):
+        set_field(self, "kind", kind)
+        set_field(self, "args", args)
 
 
 class Netlist:
@@ -256,10 +258,12 @@ def truth_table(n: Netlist) -> Iterator[tuple[dict[str, int], list[int]]]:
         yield assignment, simulate(n, assignment)
 
 
-@dataclass(frozen=True)
-class EquivResult:
-    equivalent: bool
-    witness: dict[str, int] | None = None
+class EquivResult(Record):
+    __slots__ = _fields = ("equivalent", "witness")
+
+    def __init__(self, equivalent: bool, witness: dict[str, int] | None = None):
+        set_field(self, "equivalent", equivalent)
+        set_field(self, "witness", witness)
 
     def to_json(self):
         return {"equivalent": self.equivalent, "witness": self.witness}

@@ -244,12 +244,21 @@ def _file_report(name: str, results, session: Session) -> dict:
 
 def cmd_ci(args) -> CommandResult:
     root = Path(args.dir) if args.dir else corpus_root()
+    sources = {sub: sorted((root / sub).glob("*.lx")) for sub in ("defs", "proofs", "negative")}
+    if not any(sources.values()):
+        # A pass over nothing would claim evidence that was never gathered.
+        if root.is_dir():
+            message = f"ci: {root} has no .lx file under defs/, proofs/ or negative/"
+        else:
+            message = f"ci: no corpus directory {root}"
+        report = {"seed": args.seed, "files": [], "problems": [message], "golden_mismatches": []}
+        return EXIT_USAGE, report, [message]
     session = Session(seed=args.seed)
     file_reports: list[dict] = []
     problems: list[str] = []
 
     for sub in ("defs", "proofs"):
-        for path in sorted((root / sub).glob("*.lx")):
+        for path in sources[sub]:
             name = f"{sub}/{path.name}"
             results = session.load_file(path)
             file_reports.append(_file_report(name, results, session))
@@ -259,7 +268,7 @@ def cmd_ci(args) -> CommandResult:
                 if isinstance(r, ProofOutcome) and not r.accepted:
                     problems.append(f"{name}: proof {r.name} rejected")
 
-    for path in sorted((root / "negative").glob("*.lx")):
+    for path in sources["negative"]:
         name = f"negative/{path.name}"
         neg = Session(seed=args.seed)
         results = neg.load_file(path)
@@ -446,10 +455,12 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("input nested too deeply for the interpreter's recursion limit", file=sys.stderr)
         return EXIT_USAGE
+    # A usage error's text is a diagnostic; its JSON report is still output.
+    out = sys.stderr if code == EXIT_USAGE and not args.json else sys.stdout
     try:
         for line in lines:
-            print(line)
-        sys.stdout.flush()
+            print(line, file=out)
+        out.flush()
     except BrokenPipeError:
         # The reader stopped early (say, head): the output was still made,
         # so the code stands.  What is left in the buffer goes nowhere.

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .evaluator import DefEnv, eval_counting
 from .properties import Stream, trial_seed
+from .records import Record, set_field
 from .syntax import App, Var
 from .values import Value, from_list
 
@@ -63,15 +63,26 @@ def measure_steps(
     return out
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    sizes: list[int]
-    steps: dict[int, int]
-    candidate: str
-    window: float
-    c_lo: float
-    c_hi: float
-    verdict: str
+class BoundReport(Record):
+    __slots__ = _fields = ("sizes", "steps", "candidate", "window", "c_lo", "c_hi", "verdict")
+
+    def __init__(
+        self,
+        sizes: list[int],
+        steps: dict[int, int],
+        candidate: str,
+        window: float,
+        c_lo: float,
+        c_hi: float,
+        verdict: str,
+    ):
+        set_field(self, "sizes", sizes)
+        set_field(self, "steps", steps)
+        set_field(self, "candidate", candidate)
+        set_field(self, "window", window)
+        set_field(self, "c_lo", c_lo)
+        set_field(self, "c_hi", c_hi)
+        set_field(self, "verdict", verdict)
 
     @property
     def consistent(self) -> bool:

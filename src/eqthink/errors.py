@@ -6,14 +6,16 @@ editors and test harnesses can jump straight to the offending form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import Record, set_field
 
 
-@dataclass(frozen=True, slots=True)
-class SourceLocation:
-    file: str = "<string>"
-    line: int = 1
-    col: int = 1
+class SourceLocation(Record):
+    __slots__ = _fields = ("file", "line", "col")
+
+    def __init__(self, file: str = "<string>", line: int = 1, col: int = 1):
+        set_field(self, "file", file)
+        set_field(self, "line", line)
+        set_field(self, "col", col)
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.col}"

@@ -19,13 +19,12 @@ A rejected definition leaves ``Session.env`` as it was.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from .admissibility import AdmissibilityReport, admit
 from .errors import DuplicateDefinition, NotAdmitted
 from .evaluator import DefEnv
 from .prover import ProofOutcome, check_proof
 from .properties import DEFAULT_TRIALS, Property, PropertyReport, run_property
+from .records import Record
 from .rewriting import RuleDatabase
 from .syntax import (
     DefEquations,
@@ -41,17 +40,26 @@ from .syntax import (
 LoadResult = AdmissibilityReport | Property | ProofOutcome
 
 
-@dataclass
-class Session:
-    env: DefEnv = field(default_factory=DefEnv)
-    rules: RuleDatabase = None  # type: ignore[assignment]
-    seed: int = 0
-    sigs: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    measures: dict[str, Term] = field(default_factory=dict)
+class Session(Record):
+    # The one mutable record: loading replaces env.
+    __slots__ = _fields = ("env", "rules", "seed", "sigs", "measures")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
 
-    def __post_init__(self):
-        if self.rules is None:
-            self.rules = RuleDatabase.axioms()
+    def __init__(
+        self,
+        env: DefEnv | None = None,
+        rules: RuleDatabase | None = None,
+        seed: int = 0,
+        sigs: dict[str, tuple[str, ...]] | None = None,
+        measures: dict[str, Term] | None = None,
+    ):
+        self.env = DefEnv() if env is None else env
+        self.rules = RuleDatabase.axioms() if rules is None else rules
+        self.seed = seed
+        self.sigs = {} if sigs is None else sigs
+        self.measures = {} if measures is None else measures
 
     # -- loading ------------------------------------------------------------
 
@@ -102,7 +110,7 @@ class Session:
 
     def run_property(self, p: Property, trials: int | None = None) -> PropertyReport:
         if trials is not None:
-            p = replace(p, trials=trials)
+            p = Property(p.name, p.binders, p.claim, trials, p.loc)
         outcome = run_property(p, self.seed, self.env)
         ran = p.trials if p.trials is not None else DEFAULT_TRIALS
         return PropertyReport(p.name, outcome, self.seed, ran)

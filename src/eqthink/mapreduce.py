@@ -12,13 +12,13 @@ equality, not an approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import TypeVar
 
 from .errors import BadDamping, JobError, MapperArity, ReducerArity, UnknownOperator
 from .evaluator import DefEnv, evaluate
+from .records import Record, set_field
 from .syntax import App, Var
 from .values import Pair, Value, from_list, is_true_list, print_value, to_list, value_compare
 
@@ -27,10 +27,12 @@ KVPair = tuple  # (key: Value, value: Value)
 V = TypeVar("V")
 
 
-@dataclass(frozen=True)
-class Job:
-    mapper: str
-    reducer: str
+class Job(Record):
+    __slots__ = _fields = ("mapper", "reducer")
+
+    def __init__(self, mapper: str, reducer: str):
+        set_field(self, "mapper", mapper)
+        set_field(self, "reducer", reducer)
 
 
 _VALUE_ORDER = cmp_to_key(value_compare)

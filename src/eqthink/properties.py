@@ -13,10 +13,10 @@ as generated.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .errors import EqError, EvalError, UnexpectedToken
 from .evaluator import DefEnv, evaluate
+from .records import Record, set_field
 from .syntax import App, IntLit, Property, Term, Var
 from .values import NIL, Symbol, Value, from_list, print_value
 
@@ -121,21 +121,25 @@ def generator(t: Term) -> Draw:
 # Running properties
 
 
-class TestOutcome:
+class TestOutcome(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Pass(TestOutcome):
-    trials_run: int
-    vacuous: int = 0
+    __slots__ = _fields = ("trials_run", "vacuous")
+
+    def __init__(self, trials_run: int, vacuous: int = 0):
+        set_field(self, "trials_run", trials_run)
+        set_field(self, "vacuous", vacuous)
 
 
-@dataclass(frozen=True, slots=True)
 class Counterexample(TestOutcome):
-    bindings: dict[str, Value]
-    trial_index: int
-    seed: int
+    __slots__ = _fields = ("bindings", "trial_index", "seed")
+
+    def __init__(self, bindings: dict[str, Value], trial_index: int, seed: int):
+        set_field(self, "bindings", bindings)
+        set_field(self, "trial_index", trial_index)
+        set_field(self, "seed", seed)
 
 
 class TrialError(EqError):
@@ -150,12 +154,14 @@ class TrialError(EqError):
         self.cause = cause
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    name: str
-    outcome: TestOutcome
-    seed: int
-    trials: int
+class PropertyReport(Record):
+    __slots__ = _fields = ("name", "outcome", "seed", "trials")
+
+    def __init__(self, name: str, outcome: TestOutcome, seed: int, trials: int):
+        set_field(self, "name", name)
+        set_field(self, "outcome", outcome)
+        set_field(self, "seed", seed)
+        set_field(self, "trials", trials)
 
     @property
     def passed(self) -> bool:

@@ -15,8 +15,6 @@ checker turns it into the rejected ``ProofOutcome`` with its message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import circuits
 from .errors import (
     AmbiguousWithoutPosition,
@@ -26,6 +24,7 @@ from .errors import (
     ProofError,
 )
 from .evaluator import DefEnv, evaluate
+from .records import Record, set_field
 from .rewriting import (
     Path,
     RewriteRule,
@@ -43,13 +42,22 @@ _CLOSURE_CAP = 64
 _STEP_FUEL = 100_000
 
 
-@dataclass(frozen=True)
-class ProofOutcome:
-    name: str
-    accepted: bool
-    case: str | None = None
-    step_index: int | None = None
-    reason: str = ""
+class ProofOutcome(Record):
+    __slots__ = _fields = ("name", "accepted", "case", "step_index", "reason")
+
+    def __init__(
+        self,
+        name: str,
+        accepted: bool,
+        case: str | None = None,
+        step_index: int | None = None,
+        reason: str = "",
+    ):
+        set_field(self, "name", name)
+        set_field(self, "accepted", accepted)
+        set_field(self, "case", case)
+        set_field(self, "step_index", step_index)
+        set_field(self, "reason", reason)
 
     def to_json(self):
         out = {"name": self.name, "accepted": self.accepted}
@@ -210,13 +218,22 @@ def _fresh_var(taken: set[str]) -> str:
     return f"x{i}"
 
 
-@dataclass(frozen=True)
-class _Case:
-    name: str
-    start: Term
-    end: Term
-    hypotheses: frozenset[Term]
-    extra_rule: RewriteRule | None
+class _Case(Record):
+    __slots__ = _fields = ("name", "start", "end", "hypotheses", "extra_rule")
+
+    def __init__(
+        self,
+        name: str,
+        start: Term,
+        end: Term,
+        hypotheses: frozenset[Term],
+        extra_rule: RewriteRule | None,
+    ):
+        set_field(self, "name", name)
+        set_field(self, "start", start)
+        set_field(self, "end", end)
+        set_field(self, "hypotheses", hypotheses)
+        set_field(self, "extra_rule", extra_rule)
 
 
 def _check_chain(

@@ -9,9 +9,8 @@ accepted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import DuplicateDefinition, UnknownLabel
+from .records import Record, set_field
 from .syntax import (
     App,
     DefEquations,
@@ -93,13 +92,22 @@ def replace_at(t: Term, path: Path, new: Term) -> Term:
     return App(t.op, tuple(args), loc=t.loc)
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    label: str
-    lhs: Term
-    rhs: Term
-    condition: Term | None = None
-    rigid: frozenset[str] = field(default_factory=frozenset)
+class RewriteRule(Record):
+    __slots__ = _fields = ("label", "lhs", "rhs", "condition", "rigid")
+
+    def __init__(
+        self,
+        label: str,
+        lhs: Term,
+        rhs: Term,
+        condition: Term | None = None,
+        rigid: frozenset[str] = frozenset(),
+    ):
+        set_field(self, "label", label)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "condition", condition)
+        set_field(self, "rigid", rigid)
 
     def oriented(self, reverse: bool) -> tuple[Term, Term]:
         return (self.rhs, self.lhs) if reverse else (self.lhs, self.rhs)

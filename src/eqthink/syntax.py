@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 from .errors import (
     BadArity,
@@ -32,6 +31,7 @@ from .errors import (
     UnbalancedParens,
     UnexpectedToken,
 )
+from .records import Record, set_field
 
 # Arity of every primitive operator. `if` is a special form but its arity
 # is fixed here too so the parser can reject malformed applications early.
@@ -73,37 +73,48 @@ _TOKEN_RE = re.compile(r"""(?P<ws>\s+)|(?P<comment>;[^\n]*)|(?P<punct>[()'])|(?P
 # Terms
 
 
-class Term:
+class Term(Record):
     """Base class for term AST nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Term):
-    name: str
-    loc: SourceLocation = field(default=NOWHERE, compare=False, repr=False)
+    __slots__ = ("name", "loc")
+    _fields = ("name",)
+
+    def __init__(self, name: str, loc: SourceLocation = NOWHERE):
+        set_field(self, "name", name)
+        set_field(self, "loc", loc)
 
 
-@dataclass(frozen=True, slots=True)
 class IntLit(Term):
-    value: int
-    loc: SourceLocation = field(default=NOWHERE, compare=False, repr=False)
+    __slots__ = ("value", "loc")
+    _fields = ("value",)
+
+    def __init__(self, value: int, loc: SourceLocation = NOWHERE):
+        set_field(self, "value", value)
+        set_field(self, "loc", loc)
 
 
-@dataclass(frozen=True, slots=True)
 class SymLit(Term):
-    name: str
-    loc: SourceLocation = field(default=NOWHERE, compare=False, repr=False)
+    __slots__ = ("name", "loc")
+    _fields = ("name",)
+
+    def __init__(self, name: str, loc: SourceLocation = NOWHERE):
+        set_field(self, "name", name)
+        set_field(self, "loc", loc)
 
 
-@dataclass(frozen=True, slots=True)
 class App(Term):
-    op: str
-    args: tuple[Term, ...]
-    loc: SourceLocation = field(default=NOWHERE, compare=False, repr=False)
-    # The term as a flat tuple, kept by evaluator._shape on first use.
-    shape: tuple = field(init=False, compare=False, repr=False)
+    # shape is the term as a flat tuple, kept by evaluator._shape on first use.
+    __slots__ = ("op", "args", "loc", "shape")
+    _fields = ("op", "args")
+
+    def __init__(self, op: str, args: tuple[Term, ...], loc: SourceLocation = NOWHERE):
+        set_field(self, "op", op)
+        set_field(self, "args", args)
+        set_field(self, "loc", loc)
 
 
 NIL_LIT = SymLit("nil")
@@ -114,75 +125,154 @@ T_LIT = SymLit("t")
 # Top-level forms
 
 
-@dataclass(frozen=True, slots=True)
-class Equation:
-    label: str
-    patterns: tuple[Term, ...]
-    rhs: Term
-    guard: Term | None = None
-    loc: SourceLocation = field(default=NOWHERE, compare=False, repr=False)
+class Equation(Record):
+    __slots__ = ("label", "patterns", "rhs", "guard", "loc")
+    _fields = ("label", "patterns", "rhs", "guard")
+
+    def __init__(
+        self,
+        label: str,
+        patterns: tuple[Term, ...],
+        rhs: Term,
+        guard: Term | None = None,
+        loc: SourceLocation = NOWHERE,
+    ):
+        set_field(self, "label", label)
+        set_field(self, "patterns", patterns)
+        set_field(self, "rhs", rhs)
+        set_field(self, "guard", guard)
+        set_field(self, "loc", loc)
 
 
-@dataclass(frozen=True, slots=True)
-class DefEquations:
-    name: str
-    params: tuple[str, ...]
-    equations: tuple[Equation, ...]
-    loc: SourceLocation = field(default=NOWHERE, compare=False, repr=False)
+class DefEquations(Record):
+    __slots__ = ("name", "params", "equations", "loc")
+    _fields = ("name", "params", "equations")
+
+    def __init__(
+        self,
+        name: str,
+        params: tuple[str, ...],
+        equations: tuple[Equation, ...],
+        loc: SourceLocation = NOWHERE,
+    ):
+        set_field(self, "name", name)
+        set_field(self, "params", params)
+        set_field(self, "equations", equations)
+        set_field(self, "loc", loc)
 
 
-@dataclass(frozen=True, slots=True)
-class RawDefun:
-    name: str
-    params: tuple[str, ...]
-    body: Term
-    trusted: bool = False
-    loc: SourceLocation = field(default=NOWHERE, compare=False, repr=False)
+class RawDefun(Record):
+    __slots__ = ("name", "params", "body", "trusted", "loc")
+    _fields = ("name", "params", "body", "trusted")
+
+    def __init__(
+        self,
+        name: str,
+        params: tuple[str, ...],
+        body: Term,
+        trusted: bool = False,
+        loc: SourceLocation = NOWHERE,
+    ):
+        set_field(self, "name", name)
+        set_field(self, "params", params)
+        set_field(self, "body", body)
+        set_field(self, "trusted", trusted)
+        set_field(self, "loc", loc)
 
 
-@dataclass(frozen=True, slots=True)
-class Property:
-    name: str
-    binders: tuple[tuple[str, Term], ...]
-    claim: Term
-    trials: int | None = None
-    loc: SourceLocation = field(default=NOWHERE, compare=False, repr=False)
+class Property(Record):
+    __slots__ = ("name", "binders", "claim", "trials", "loc")
+    _fields = ("name", "binders", "claim", "trials")
+
+    def __init__(
+        self,
+        name: str,
+        binders: tuple[tuple[str, Term], ...],
+        claim: Term,
+        trials: int | None = None,
+        loc: SourceLocation = NOWHERE,
+    ):
+        set_field(self, "name", name)
+        set_field(self, "binders", binders)
+        set_field(self, "claim", claim)
+        set_field(self, "trials", trials)
+        set_field(self, "loc", loc)
 
 
-@dataclass(frozen=True, slots=True)
-class ProofStep:
-    term: Term
-    label: str
-    reverse: bool = False
-    position: tuple[int, ...] | None = None
-    loc: SourceLocation = field(default=NOWHERE, compare=False, repr=False)
+class ProofStep(Record):
+    __slots__ = ("term", "label", "reverse", "position", "loc")
+    _fields = ("term", "label", "reverse", "position")
+
+    def __init__(
+        self,
+        term: Term,
+        label: str,
+        reverse: bool = False,
+        position: tuple[int, ...] | None = None,
+        loc: SourceLocation = NOWHERE,
+    ):
+        set_field(self, "term", term)
+        set_field(self, "label", label)
+        set_field(self, "reverse", reverse)
+        set_field(self, "position", position)
+        set_field(self, "loc", loc)
 
 
-@dataclass(frozen=True, slots=True)
-class Chain:
-    kind: str  # "chain", "base", or "step"
-    first: Term
-    steps: tuple[ProofStep, ...]
-    loc: SourceLocation = field(default=NOWHERE, compare=False, repr=False)
+class Chain(Record):
+    __slots__ = ("kind", "first", "steps", "loc")
+    _fields = ("kind", "first", "steps")
+
+    def __init__(
+        self,
+        kind: str,  # "chain", "base", or "step"
+        first: Term,
+        steps: tuple[ProofStep, ...],
+        loc: SourceLocation = NOWHERE,
+    ):
+        set_field(self, "kind", kind)
+        set_field(self, "first", first)
+        set_field(self, "steps", steps)
+        set_field(self, "loc", loc)
 
 
-@dataclass(frozen=True, slots=True)
-class ProofScript:
-    name: str
-    hypothesis: Term | None
-    lhs: Term
-    rhs: Term
-    method: tuple  # ("equational",) or ("induction", "list"|"nat", var)
-    chains: tuple[Chain, ...]
-    loc: SourceLocation = field(default=NOWHERE, compare=False, repr=False)
+class ProofScript(Record):
+    __slots__ = ("name", "hypothesis", "lhs", "rhs", "method", "chains", "loc")
+    _fields = ("name", "hypothesis", "lhs", "rhs", "method", "chains")
+
+    def __init__(
+        self,
+        name: str,
+        hypothesis: Term | None,
+        lhs: Term,
+        rhs: Term,
+        method: tuple,  # ("equational",) or ("induction", "list"|"nat", var)
+        chains: tuple[Chain, ...],
+        loc: SourceLocation = NOWHERE,
+    ):
+        set_field(self, "name", name)
+        set_field(self, "hypothesis", hypothesis)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "method", method)
+        set_field(self, "chains", chains)
+        set_field(self, "loc", loc)
 
 
-@dataclass(frozen=True, slots=True)
-class Directive:
-    kind: str  # "sig" or "measure"
-    name: str
-    payload: object  # tuple of domain names, or a measure Term
-    loc: SourceLocation = field(default=NOWHERE, compare=False, repr=False)
+class Directive(Record):
+    __slots__ = ("kind", "name", "payload", "loc")
+    _fields = ("kind", "name", "payload")
+
+    def __init__(
+        self,
+        kind: str,  # "sig" or "measure"
+        name: str,
+        payload: object,  # tuple of domain names, or a measure Term
+        loc: SourceLocation = NOWHERE,
+    ):
+        set_field(self, "kind", kind)
+        set_field(self, "name", name)
+        set_field(self, "payload", payload)
+        set_field(self, "loc", loc)
 
 
 TopForm = DefEquations | RawDefun | Property | ProofScript | Directive
@@ -192,11 +282,13 @@ TopForm = DefEquations | RawDefun | Property | ProofScript | Directive
 # Tokenizer
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: str  # "(", ")", "'", "atom"
-    text: str
-    loc: SourceLocation
+class Token(Record):
+    __slots__ = _fields = ("kind", "text", "loc")
+
+    def __init__(self, kind: str, text: str, loc: SourceLocation):
+        set_field(self, "kind", kind)  # "(", ")", "'", "atom"
+        set_field(self, "text", text)
+        set_field(self, "loc", loc)
 
 
 def tokenize(text: str, file: str = "<string>") -> list[Token]:

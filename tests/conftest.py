@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 from hypothesis import HealthCheck, Phase, settings
 
@@ -24,6 +26,16 @@ def by_name(results: list, kind: type) -> dict:
     """The load results of one type (admissibility report, property or proof
     outcome), indexed by name."""
     return {r.name: r for r in results if isinstance(r, kind)}
+
+
+def rebuilt(record, **changes):
+    """A copy of ``record`` with ``changes`` applied, built through its
+    class's constructor from the constructor's parameters."""
+    params = inspect.signature(type(record)).parameters
+    unknown = changes.keys() - params.keys()
+    if unknown:
+        raise TypeError(f"{type(record).__name__} has no parameters {sorted(unknown)}")
+    return type(record)(**{name: changes.get(name, getattr(record, name)) for name in params})
 
 
 def load_corpus(seed: int = 0) -> tuple[Session, list]:

@@ -9,10 +9,9 @@ import json
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
-from conftest import by_name
+from conftest import by_name, rebuilt
 
 from eqthink.admissibility import AdmissibilityReport
 from eqthink.circuits import (
@@ -78,8 +77,8 @@ def test_absorption_proof_replays_and_rejects_mutants():
 
     def mutated(index, **changes):
         steps = list(chain.steps)
-        steps[index] = replace(steps[index], **changes)
-        return replace(script, chains=(replace(chain, steps=tuple(steps)),))
+        steps[index] = rebuilt(steps[index], **changes)
+        return rebuilt(script, chains=(rebuilt(chain, steps=tuple(steps)),))
 
     for i in range(len(chain.steps)):
         for changes in ({"term": SymLit("nil")}, {"label": "or-null"}):

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -594,6 +595,23 @@ def test_ci_detects_golden_drift(tmp_path, capsys):
     assert code == 1 and "differs from golden" in out
 
 
+@pytest.mark.parametrize("where", ["missing", "defs", "empty"])
+def test_ci_with_nothing_to_check_is_a_usage_error(tmp_path, capsys, where):
+    # The defs directory given in place of the corpus root holds .lx files,
+    # but none under defs/, proofs/ or negative/.
+    root = {"missing": tmp_path / "missing", "defs": CORPUS / "defs", "empty": tmp_path}[where]
+    if where == "missing":
+        message = f"ci: no corpus directory {root}"
+    else:
+        message = f"ci: {root} has no .lx file under defs/, proofs/ or negative/"
+    code, out, err = run(capsys, "ci", str(root))
+    assert (code, out, err) == (2, "", message + "\n")
+    code, out, err = run(capsys, "ci", str(root), "--json")
+    report = json.loads(out)
+    assert code == report["exit"] == 2 and err == ""
+    assert (report["files"], report["problems"]) == ([], [message])
+
+
 def test_ci_update_golden_round_trip(tmp_path, capsys):
     work = tmp_path / "corpus"
     shutil.copytree(CORPUS, work)
@@ -646,3 +664,17 @@ def test_console_script_installed():
         capture_output=True, text=True,
     )
     assert out.returncode == 0 and "eqthink" in out.stdout
+
+
+def test_cli_import_adds_no_introspection_modules():
+    # Start-up pays for none of these: nothing at import time needs them.
+    probe = (
+        "import sys; bare = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+        "import eqthink.cli; print(*sorted(set(sys.modules) - bare))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    added = set(out.stdout.split())
+    assert "eqthink.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "ast", "dis"}), sorted(added)

@@ -8,7 +8,9 @@ strings included, from ``check_proof`` with either step checker.
 """
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+from conftest import rebuilt
 
 from eqthink import prover
 from eqthink.cli import corpus_root
@@ -242,19 +244,19 @@ def _mutate(rng: random.Random, script: ProofScript, labels: list[str], n: int) 
     for _ in range(rng.choice((1, 1, 1, 2))):
         what = rng.randrange(4)
         if what == 0:
-            step = replace(step, label=rng.choice(rng.choice((labels, CITED_OFTEN))))
+            step = rebuilt(step, label=rng.choice(rng.choice((labels, CITED_OFTEN))))
         elif what == 1:
             valid = [p for p, _ in positions(before)]
-            step = replace(
+            step = rebuilt(
                 step, position=rng.choice([None, (5, 5), (0, 9), rng.choice(valid), rng.choice(valid)])
             )
         elif what == 2:
-            step = replace(step, reverse=not step.reverse)
+            step = rebuilt(step, reverse=not step.reverse)
         else:
-            step = replace(step, term=_mutate_term(rng, step.term, chain))
+            step = rebuilt(step, term=_mutate_term(rng, step.term, chain))
     steps = chain.steps[:s] + (step,) + chain.steps[s + 1 :]
-    chains = script.chains[:c] + (replace(chain, steps=steps),) + script.chains[c + 1 :]
-    return replace(script, name=f"{script.name}~{n}", chains=chains)
+    chains = script.chains[:c] + (rebuilt(chain, steps=steps),) + script.chains[c + 1 :]
+    return rebuilt(script, name=f"{script.name}~{n}", chains=chains)
 
 
 def _outcome(script: ProofScript, base: RuleDatabase, env: DefEnv) -> dict:
