@@ -29,7 +29,8 @@ class Record:
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        # _values(record) is the tuple of the compared fields.
+        # _values(record) is the tuple of the compared fields, a 1-tuple for
+        # one field, so that a record hashes as the tuple always did.
         names = cls._fields
         if len(names) == 1:
             one = attrgetter(names[0])
