@@ -1,44 +1,8 @@
 """Equation-defined programs: admissibility checks, random testing,
 equational and inductive proofs, step counting, circuits, and
 mapreduce jobs written in the same small language.
+
+The package re-exports nothing: import names from their modules
+(``from eqthink.syntax import parse_term``), so importing one module
+loads only what it uses.
 """
-
-from .admissibility import AdmissibilityReport, admit
-from .errors import EqError, EvalError, NotAdmitted, ParseError, ProofError
-from .evaluator import DefEnv, StepCount, eval_counting, evaluate
-from .loader import Session
-from .properties import PropertyReport, run_property
-from .prover import ProofOutcome, check_proof
-from .rewriting import RuleDatabase
-from .syntax import parse_file, parse_program, parse_term
-from .values import NIL, Pair, Symbol, T, from_list, print_value, to_list
-
-__all__ = [
-    "AdmissibilityReport",
-    "DefEnv",
-    "EqError",
-    "EvalError",
-    "NIL",
-    "NotAdmitted",
-    "Pair",
-    "ParseError",
-    "ProofError",
-    "ProofOutcome",
-    "PropertyReport",
-    "RuleDatabase",
-    "Session",
-    "StepCount",
-    "Symbol",
-    "T",
-    "admit",
-    "check_proof",
-    "eval_counting",
-    "evaluate",
-    "from_list",
-    "parse_file",
-    "parse_program",
-    "parse_term",
-    "print_value",
-    "run_property",
-    "to_list",
-]

@@ -63,7 +63,6 @@ equations with identical right-hand sides share a branch.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from functools import reduce
 
@@ -186,7 +185,10 @@ class AdmissibilityReport(Record):
 
 
 def _derive_seed(seed: int, tag: str) -> int:
-    # Any int seed works; seeds in [0, 2**64) keep their bytes.
+    # Any int seed works; seeds in [0, 2**64) keep their bytes.  Only the
+    # random-trial fallbacks get here, so start-up does not import hashlib.
+    import hashlib
+
     key = (seed % 2**64).to_bytes(8, "little")
     digest = hashlib.blake2b(tag.encode(), digest_size=8, key=key).digest()
     return int.from_bytes(digest, "little")

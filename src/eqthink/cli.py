@@ -22,13 +22,12 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from . import circuits, cost, mapreduce
+from . import circuits, cost
 from .admissibility import AdmissibilityReport
 from .errors import (
-    BadArity, BadDamping, BadWidth, EqError, ParseError, UnboundVariable, UnknownOperator,
+    BadArity, BadDamping, CircuitError, EqError, ParseError, UnboundVariable, UnknownOperator,
 )
 from .evaluator import eval_counting
 from .loader import Session
@@ -191,6 +190,10 @@ def cmd_circuit(args) -> CommandResult:
 
 
 def cmd_mr(args) -> CommandResult:
+    from fractions import Fraction
+
+    from . import mapreduce
+
     if args.job == "grep" and not args.pattern:
         raise ValueError("mr grep requires --pattern")
     with open(args.input) as fh:
@@ -442,8 +445,9 @@ def main(argv: list[str] | None = None) -> int:
             name = [args.command, getattr(args, "verb", None) or getattr(args, "job", None)]
             report.update(schema=SCHEMA, command=" ".join(filter(None, name)), exit=code)
             lines = [_dump(report)]
-    except (ParseError, BadWidth, BadDamping) as exc:
-        # BadWidth and BadDamping only ever judge a command's arguments.
+    except (ParseError, CircuitError, BadDamping) as exc:
+        # Loading a file raises neither: a circuit error or a bad damping
+        # only ever judges a command's arguments or the netlists it names.
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     except EqError as exc:

@@ -166,6 +166,7 @@ from __future__ import annotations
 import gc
 import sys
 from collections import Counter
+from functools import cache
 
 from .errors import (
     BadArity,
@@ -414,9 +415,10 @@ _ARITHMETIC = {"+", "-", "*", "1+", "1-"}
 _COMPLEMENTS = {"<": ">=", ">=": "<", "<=": ">", ">": "<="}
 
 
+@cache
 def _host_function(op: str):
     """Primitive ``op`` as a Python function on values, built from its
-    template, to fold ground applications at translation time."""
+    template the first time a ground application of it folds."""
     names = [f"a{k}" for k in range(PRIMITIVE_ARITY[op])]
     args = [f"({a} is not NIL)" for a in names] if op in _CONNECTIVES else names
     ints = {f"i{k}": f"({a} if isinstance({a}, int) else 0)" for k, a in enumerate(names)}
@@ -425,9 +427,6 @@ def _host_function(op: str):
     else:
         body = _VALUES[op].format(*args, **ints)
     return eval(f"lambda {', '.join(names)}: {body}", dict(_GLOBALS))
-
-
-_HOST = {op: _host_function(op) for op in (*_CONDITIONS, *_VALUES)}
 
 
 def _fold(t: Term) -> dict[int, Value]:
@@ -444,12 +443,12 @@ def _fold(t: Term) -> dict[int, Value]:
             stack.append((node, True))
             stack += ((a, False) for a in node.args)
             continue
-        host = _HOST.get(node.op)
-        if host is None or len(node.args) != PRIMITIVE_ARITY[node.op]:
+        foldable = node.op in _CONDITIONS or node.op in _VALUES
+        if not foldable or len(node.args) != PRIMITIVE_ARITY[node.op]:
             continue
         args = [_literal(a) if not isinstance(a, App) else ground.get(id(a)) for a in node.args]
         if None not in args:
-            ground[id(node)] = host(*args)
+            ground[id(node)] = _host_function(node.op)(*args)
     return ground
 
 
@@ -881,7 +880,7 @@ class _Translator:
             name = {"True": "False", "False": "True"}.get(complement, f"not {complement}")
             self.known[key] = name
         elif name is None and t.op in _CONNECTIVES and all(a in ("True", "False") for a in args):
-            decided = _HOST[t.op](*(T if a == "True" else NIL for a in args))
+            decided = _host_function(t.op)(*(T if a == "True" else NIL for a in args))
             name = "True" if decided is T else "False"
         elif name is None:
             if t.op == "cons":

@@ -269,12 +269,35 @@ def test_names_in_command_line_terms_are_usage_errors(capsys, monkeypatch, argv,
             ("mr", "pagerank", "{graph}", "--damping", "2"),
             "BadDamping: damping must lie strictly between 0 and 1, got 2",
         ),
+        (
+            ("circuit", "build", "(and x 1)"),
+            "<string>:1:8: NonBooleanOperator: integer literals are not boolean formulas",
+        ),
+        (
+            ("circuit", "equiv", "{xy}", "{xz}"),
+            "PortMismatch: port names differ: ['x', 'y'] vs ['x', 'z']",
+        ),
+        (("circuit", "equiv", "{wide}", "{wide}"), "TooManyInputs: 21 inputs exceed the 20-input limit"),
+        (
+            ("circuit", "basis", "{closed}", "--to", "nand"),
+            "CircuitError: nand basis needs at least one input to build constants",
+        ),
     ],
 )
 def test_out_of_range_command_arguments_are_usage_errors(tmp_path, capsys, argv, message):
-    graph = tmp_path / "graph.json"
-    graph.write_text(json.dumps([["a", ["b"]], ["b", ["a"]]]))
-    code, out, err = run(capsys, *(arg.format(graph=graph) for arg in argv))
+    # A circuit error or a bad damping only ever judges what the command
+    # line names, so no verdict failed.
+    files = {
+        "graph": [["a", ["b"]], ["b", ["a"]]],
+        "xy": circuits.formula_to_circuit(parse_term("(and x y)")).to_json(),
+        "xz": circuits.formula_to_circuit(parse_term("(and x z)")).to_json(),
+        "wide": circuits.Netlist([f"x{i}" for i in range(21)], [], [0]).to_json(),
+        "closed": circuits.formula_to_circuit(parse_term("t")).to_json(),
+    }
+    paths = {name: tmp_path / f"{name}.json" for name in files}
+    for name, data in files.items():
+        paths[name].write_text(json.dumps(data))
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2 and out == ""
     assert err.splitlines() == [message]
 
@@ -666,15 +689,32 @@ def test_console_script_installed():
     assert out.returncode == 0 and "eqthink" in out.stdout
 
 
-def test_cli_import_adds_no_introspection_modules():
-    # Start-up pays for none of these: nothing at import time needs them.
+def _modules_added_by(module: str) -> set[str]:
+    """The modules ``import <module>`` adds to a fresh interpreter."""
     probe = (
         "import sys; bare = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
-        "import eqthink.cli; print(*sorted(set(sys.modules) - bare))"
+        f"import {module}; print(*sorted(set(sys.modules) - bare))"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     added = set(out.stdout.split())
-    assert "eqthink.cli" in added
-    assert added.isdisjoint({"dataclasses", "inspect", "ast", "dis"}), sorted(added)
+    assert module in added
+    return added
+
+
+def test_cli_import_adds_no_introspection_modules():
+    # Start-up pays for none of these: nothing at import time needs them,
+    # and only mr needs mapreduce and fractions, only seed derivation hashlib.
+    added = _modules_added_by("eqthink.cli")
+    unused = {"dataclasses", "inspect", "ast", "dis", "hashlib", "_hashlib", "fractions"}
+    assert added.isdisjoint(unused | {"eqthink.mapreduce"}), sorted(added)
+
+
+@pytest.mark.parametrize("module", ["eqthink.circuits", "eqthink.syntax", "eqthink.values"])
+def test_lower_layers_import_no_admission_stack(module):
+    # The package re-exports nothing, so a lower layer loads only itself
+    # and what it imports.
+    stack = {"eqthink.evaluator", "eqthink.admissibility", "eqthink.loader", "eqthink.prover"}
+    added = _modules_added_by(module)
+    assert added.isdisjoint(stack), sorted(added & stack)
