@@ -107,7 +107,7 @@ def cmd_eval(args) -> CommandResult:
     try:
         value, count = eval_counting(parse_term(args.expr), {}, session.env)
     except (UnknownOperator, UnboundVariable) as exc:
-        # Raised while the term is translated, before any step runs.
+        # Raised by the check that runs before the term is translated.
         raise ValueError(str(exc)) from None
     shown = print_value(value)
     report = {
@@ -209,7 +209,11 @@ def cmd_mr(args) -> CommandResult:
         raise ValueError(f"{args.input}: mr invert values must be arrays of link targets")
     pairs = [(value_from_json(k), value_from_json(v)) for k, v in data]
     if args.job == "pagerank":
-        out = mapreduce.pagerank(pairs, args.iterations, Fraction(args.damping))
+        try:
+            damping = Fraction(args.damping)
+        except ZeroDivisionError:
+            raise ValueError(f"damping {args.damping} divides by zero") from None
+        out = mapreduce.pagerank(pairs, args.iterations, damping)
     else:
         session, _ = _load_session(
             [str(p) for p in sorted((corpus_root() / "defs").glob("*.lx"))], args.seed

@@ -3,8 +3,7 @@
 Semantics are total in the hosted language: ``first``/``rest`` of a
 non-pair give nil, arithmetic coerces non-integers to 0, ``zp n`` is t
 unless n is a positive integer, and any non-nil value is true in an
-``if`` test.  The only runtime errors are unbound variables, unknown
-operators, and running out of fuel.
+``if`` test.  The only runtime error is running out of fuel.
 
 Cost model: every application node visited costs one step (primitives,
 ``if``, and calls to defined operators alike).  ``if`` pays for its test
@@ -36,26 +35,30 @@ a ``DefEnv.copy()`` shares the functions already generated.  A branch
 nested deeper than ``_MAX_NESTING`` moves into a function of its own,
 which keeps the generated source within Python's indentation limit.
 
+A term is checked once, before it is translated (``_check``): the first
+unbound variable, unknown operator or wrong argument count in read order
+(left to right, an operator before its arguments) is raised, and a
+definition that fails its check leaves the environment as it was.  The
+translator therefore raises nothing, and it emits only code that some
+path runs: a branch the path decides against is not translated at all.
+
 A guard ``(and p q ...)`` is decided one conjunct at a time, as a decision
 tree that tests each constructor once (Maranget, "Compiling pattern
 matching to good decision trees", ML 2008).  A conjunct decided on the
 path emits no test, and a guard the path decides emits only the branch it
-takes; the other branch is still translated, so errors are raised in read
-order, but its code is dropped.  When the else-branch is an ``if`` whose
-guard repeats p, as every ``cons``-pattern equation after the first does,
-the ``if`` branches on p alone: q's code runs only once p has held, and
-the else-branch is emitted twice, once knowing p true and once knowing it
-false, so on each side its own guard's p is decided.  That needs q and
-the conjuncts after it to be pure (no ``if``, no call), since skipping
-them must skip no payment and no call.  Otherwise the undecided conjuncts
-are emitted first and tested with one Python ``and``.  Duplication is
-bounded: an ``if`` splits only when its else-branch's guard shares the
-conjunct, and only while the nodes translated twice in one generated
-function stay within twice the term's size, so its translation stays
-linear.  The second copy of an else-branch skips what the first already
-translated and dropped.  Payments are untouched: each copy pays the same
-regions at sites of its own, a path runs exactly one copy, and a pure
-conjunct that is skipped neither pays nor calls.
+takes.  When the else-branch is an ``if`` whose guard repeats p, as every
+``cons``-pattern equation after the first does, the ``if`` branches on p
+alone: q's code runs only once p has held, and the else-branch is emitted
+twice, once knowing p true and once knowing it false, so on each side its
+own guard's p is decided.  That needs q and the conjuncts after it to be
+pure (no ``if``, no call), since skipping them must skip no payment and no
+call.  Otherwise the undecided conjuncts are emitted first and tested with
+one Python ``and``.  Duplication is bounded: an ``if`` splits only when
+its else-branch's guard shares the conjunct, and only while the nodes
+translated twice in one generated function stay within twice the term's
+size, so its translation stays linear.  Payments are untouched: each copy
+pays the same regions at sites of its own, a path runs exactly one copy,
+and a pure conjunct that is skipped neither pays nor calls.
 
 Steps are paid once per path segment.  A region is the nodes that always
 run once a function is entered or an ``if`` branch is taken (an
@@ -175,7 +178,7 @@ from .errors import (
     UnboundVariable,
     UnknownOperator,
 )
-from .syntax import App, IntLit, PRIMITIVE_ARITY, RawDefun, SymLit, Term, Var
+from .syntax import App, IntLit, PRIMITIVE_ARITY, RawDefun, SymLit, Term, Var, subterms
 from .values import NIL, BlankPair, Pair, Symbol, T, Value, value_compare, value_equal
 
 DEFAULT_FUEL = 10**8
@@ -300,6 +303,7 @@ class DefEnv:
             raise DuplicateDefinition(f"{d.name} is a primitive", d.loc)
         if d.name in self.defs:
             raise DuplicateDefinition(f"{d.name} is already defined", d.loc)
+        _check(d.body, d.params, self, d)
         index = len(self.op_names)
         self.op_names.append(d.name)
         self.op_index[d.name] = index
@@ -335,9 +339,27 @@ class DefEnv:
         key = (_shape(t), names)
         fn = self._memo.get(key)
         if fn is None:
+            _check(t, names, self)
             fn = _Translator(self, names, f"t{len(self._memo)}").translate(t)
             self._memo[key] = fn
         return fn
+
+
+def _check(t: Term, names: tuple[str, ...], env: DefEnv, own: RawDefun | None = None) -> None:
+    """Raise the first fault of ``t`` in read order, left to right and an
+    operator before its arguments: a variable not in ``names``, an unknown
+    operator or a wrong argument count.  ``own``, a defun being defined,
+    may call itself."""
+    for node in subterms(t):
+        if isinstance(node, Var):
+            if node.name not in names:
+                raise UnboundVariable(f"variable {node.name} is not bound", node.loc)
+        elif isinstance(node, App):
+            want = len(own.params) if own is not None and node.op == own.name else env.arity(node.op)
+            if want is None:
+                raise UnknownOperator(f"unknown operator {node.op}", node.loc)
+            if len(node.args) != want:
+                raise BadArity(f"{node.op} takes {want} argument(s), got {len(node.args)}", node.loc)
 
 
 def _raise_recursion_limit() -> None:
@@ -431,8 +453,8 @@ def _host_function(op: str):
 
 def _fold(t: Term) -> dict[int, Value]:
     """The value of every ground primitive application in ``t``, keyed by
-    node id: applications of the right arity whose arguments are literals
-    or ground applications themselves.  One postorder pass, no recursion."""
+    node id: applications whose arguments are literals or ground
+    applications themselves.  One postorder pass, no recursion."""
     ground: dict[int, Value] = {}
     stack: list[tuple[Term, bool]] = [(t, False)]
     while stack:
@@ -443,8 +465,7 @@ def _fold(t: Term) -> dict[int, Value]:
             stack.append((node, True))
             stack += ((a, False) for a in node.args)
             continue
-        foldable = node.op in _CONDITIONS or node.op in _VALUES
-        if not foldable or len(node.args) != PRIMITIVE_ARITY[node.op]:
+        if node.op not in _CONDITIONS and node.op not in _VALUES:
             continue
         args = [_literal(a) if not isinstance(a, App) else ground.get(id(a)) for a in node.args]
         if None not in args:
@@ -469,8 +490,8 @@ class _Translator:
 
     No text of the term reaches the source: parameters, records and
     constants appear under generated names (``a0``, ``d25``, ``k3``).
-    Errors are raised in the order the term is read: left to right, an
-    operator before its arguments.
+    The term has passed ``_check``, so every variable is bound and every
+    application names a known operator with its arity.
 
     ``known`` is the table of what the path being emitted has computed: a
     primitive application's key (its operator and argument names, or
@@ -487,8 +508,7 @@ class _Translator:
     which no branch drops, and emitted in ``preamble``, before the loop.
 
     ``budget`` is how many more nodes of ``term`` guards may translate
-    twice (see ``split``), and ``checked`` is set while a second copy is
-    emitted.
+    twice (see ``split``).
     """
 
     def __init__(self, env: DefEnv, params, name: str, op: str | None = None):
@@ -508,7 +528,6 @@ class _Translator:
         self.cells = False
         self.term: Term | None = None
         self.budget: int | None = None
-        self.checked = False
         self.invariant: set[str] = set()
         self.hoisted: dict[tuple, str] = {}
         self.preamble: list[str] = []
@@ -516,7 +535,7 @@ class _Translator:
     def translate(self, t: Term):
         self.ground = _fold(t)
         self.term = t
-        spine = _loop_spine(t, self.op, len(self.params)) if self.op else None
+        spine = _loop_spine(t, self.op) if self.op else None
         if spine:
             self.loop_function(t, spine)
         else:
@@ -631,10 +650,7 @@ class _Translator:
         if not steps:
             return
         sites = self.env.sites
-        # An unknown operator has no index; translating it raises.
-        sites.append(tuple(
-            (self.env.op_index[op], count) for op, count in ops.items() if op in self.env.op_index
-        ))
+        sites.append(tuple((self.env.op_index[op], count) for op, count in ops.items()))
         self.env.owners.append(self.op or TERM_OWNER)
         site = len(sites) - 1
         if self.spine is None:
@@ -651,7 +667,6 @@ class _Translator:
 
     def result(self, t: Term, depth: int, out: str | None, pending: Counter) -> None:
         if isinstance(t, App) and t.op == "if":
-            self.check_arity(t)
             self.decide([t.args[0]], t.args[1], t.args[2], depth, out, pending)
             return
         if out is None and self.spine is not None and id(t) in self.spine:
@@ -735,10 +750,7 @@ class _Translator:
     def value(self, t: Term, depth: int) -> str:
         """Emit ``t`` and return the local or global name holding its value."""
         if isinstance(t, Var):
-            local = self.locals.get(t.name)
-            if local is None:
-                raise UnboundVariable(f"variable {t.name} is not bound", t.loc)
-            return local
+            return self.locals[t.name]
         ground = self.folded(t)
         if ground is not None:
             return self.constant(ground)
@@ -774,20 +786,16 @@ class _Translator:
         while todo:
             c = todo.pop(0)
             if isinstance(c, App) and c.op == "and" and self.folded(c) is None:
-                self.check_arity(c)
                 todo[:0] = c.args
                 continue
             test, more = self.test(c, depth)
             if test == "True":
                 continue
             if test == "False":
-                # Later conjuncts that pay or call still run.
-                if all(map(_pure, todo)):
-                    self.dead(lambda: [self.test(a, depth) for a in todo])
-                else:
-                    for a in todo:
+                # ``and`` is strict: later conjuncts that pay or call still run.
+                for a in todo:
+                    if not _pure(a):
                         self.test(a, depth)
-                self.dead(lambda: self.branch(then, depth, out, pending, {}))
                 self.branch(other, depth, out, pending, {})
                 return
             if not parts and depth < _MAX_NESTING and self.split(c, todo, other):
@@ -796,18 +804,14 @@ class _Translator:
                 known = self.known
                 self.known = {**known, **dict.fromkeys(more, "True")}
                 self.decide(todo, then, other, depth + 1, out, pending)
-                self.known, checked = known, self.checked
+                self.known = known
                 self.emit(depth, "else:")
-                # The first copy translated all of ``other``, dead code too.
-                self.checked = True
                 self.branch(other, depth + 1, out, pending, dict.fromkeys(more, "False"))
-                self.checked = checked
                 return
             parts.append(test)
             keys += more
         if not parts:
             self.branch(then, depth, out, pending, {})
-            self.dead(lambda: self.branch(other, depth, out, pending, {}))
             return
         if out is None and len(parts) == 1:
             parts = [self.take(parts[0], depth)]
@@ -823,12 +827,12 @@ class _Translator:
         whose guard has ``c`` as a conjunct too, the conjuncts after ``c``
         are ``_pure``, and the budget of nodes translated twice still holds
         ``other``, which the split spends."""
-        if not (isinstance(other, App) and other.op == "if" and len(other.args) == 3):
+        if not (isinstance(other, App) and other.op == "if"):
             return False
         shape, stack = _shape(c), [other.args[0]]
         while stack:
             g = stack.pop()
-            if isinstance(g, App) and g.op == "and" and len(g.args) == 2:
+            if isinstance(g, App) and g.op == "and":
                 stack += g.args
             elif _shape(g) == shape:
                 if self.budget is None:
@@ -839,19 +843,6 @@ class _Translator:
                 self.budget -= size
                 return True
         return False
-
-    def dead(self, emit) -> None:
-        """Translate what ``emit`` emits, so that its errors are raised in
-        read order, and drop the code: no path runs it.  In a code path
-        already ``checked`` it is not translated again."""
-        if self.checked:
-            return
-        lines, known, functions = self.lines, self.known, len(self.functions)
-        sites, cells = len(self.loop_sites), self.cells
-        self.lines, self.known = [], dict(known)
-        emit()
-        self.lines, self.known, self.cells = lines, known, cells
-        del self.functions[functions:], self.loop_sites[sites:]
 
     def test(self, t: Term, depth: int) -> tuple[str, list[tuple]]:
         """Emit ``t`` and return a Python condition atom true when it is not
@@ -899,7 +890,6 @@ class _Translator:
         and no primitive observes identity, so ``t`` is ``e`` itself.  The
         tail may itself be such a ``cons`` that rebuilds ``(rest e)``.  Only
         a pure ``e`` is emitted here, since emitting it again is free."""
-        self.check_arity(t)
         head, tail = t.args
         e = _field(head, "first")
         if e is None or not _pure(e):
@@ -910,7 +900,7 @@ class _Translator:
         rest = _field(tail, "rest")
         if rest is not None and _shape(rest) == _shape(e):
             return pair
-        if isinstance(tail, App) and tail.op == "cons" and len(tail.args) == 2:
+        if isinstance(tail, App) and tail.op == "cons":
             inner = _field(tail.args[0], "first")
             if (inner is not None and _shape(inner) == (App, "rest", 1, *_shape(e))
                     and self.rebuilt(tail, depth) is not None):
@@ -918,7 +908,6 @@ class _Translator:
         return None
 
     def arguments(self, t: App, depth: int) -> tuple[tuple, list[str]]:
-        self.check_arity(t)
         if t.op in _CONNECTIVES:
             args = [self.test(a, depth)[0] for a in t.args]
         else:
@@ -983,21 +972,11 @@ class _Translator:
                 return pair
             key, args = self.arguments(t, depth)
             return self.known.get(key) or self.primitive(t, args, depth)
-        record = self.env.defs.get(t.op)
-        if record is None:
-            raise UnknownOperator(f"unknown operator {t.op}", t.loc)
-        want = len(record.defun.params)
-        if len(t.args) != want:
-            raise BadArity(f"{t.op} takes {want} argument(s), got {len(t.args)}", t.loc)
+        record = self.env.defs[t.op]
         args = [self.value(a, depth) for a in t.args]
         name = f"d{record.index}"
         self.env._namespace[name] = record
         return self.call(f"{name}.fn({', '.join(['ctr', *args])})", depth, out)
-
-    def check_arity(self, t: App) -> None:
-        want = PRIMITIVE_ARITY[t.op]
-        if len(t.args) != want:
-            raise BadArity(f"{t.op} takes {want} argument(s), got {len(t.args)}", t.loc)
 
     def constant(self, v: Value) -> str:
         if v is NIL or v is T:
@@ -1012,7 +991,7 @@ class _Translator:
         return name
 
 
-def _loop_spine(body: Term, op: str, arity: int) -> set[int] | None:
+def _loop_spine(body: Term, op: str) -> set[int] | None:
     """The ids of the nodes in tail position of ``body`` that lead, through
     tail positions, to a self-call of ``op``, when every self-call is one
     of them; else None, and the operator is emitted as plain recursion.
@@ -1032,14 +1011,14 @@ def _loop_spine(body: Term, op: str, arity: int) -> set[int] | None:
         if not isinstance(t, App):
             continue
         if t.op == op:
-            if not tail or depth > _MAX_NESTING or len(t.args) != arity:
+            if not tail or depth > _MAX_NESTING:
                 return None
             spine.add(id(t))
         order.append((t, tail))
-        if t.op == "if" and len(t.args) == 3:
+        if t.op == "if":
             inner = depth + _width(t.args[0])
             stack += [(t.args[0], False, depth), (t.args[1], tail, inner), (t.args[2], tail, inner)]
-        elif t.op == "cons" and len(t.args) == 2:
+        elif t.op == "cons":
             last = t.args[1]
             chained = tail and isinstance(last, App) and last.op in ("cons", op)
             stack += [(t.args[0], False, depth), (last, chained, depth)]
@@ -1056,7 +1035,7 @@ def _loop_spine(body: Term, op: str, arity: int) -> set[int] | None:
 
 def _field(t: Term, op: str) -> Term | None:
     """The argument of ``t`` if ``t`` is ``(op e)``."""
-    return t.args[0] if isinstance(t, App) and t.op == op and len(t.args) == 1 else None
+    return t.args[0] if isinstance(t, App) and t.op == op else None
 
 
 def _size(t: Term, limit: int | None = None) -> int:
@@ -1089,7 +1068,7 @@ def _width(test: Term) -> int:
     width, stack = 0, [test]
     while stack:
         t = stack.pop()
-        if isinstance(t, App) and t.op == "and" and len(t.args) == 2:
+        if isinstance(t, App) and t.op == "and":
             stack += t.args
         else:
             width += 1

@@ -163,31 +163,23 @@ def print_value(v: Value) -> str:
     lists that hold one anywhere inside, fall back to explicit (cons ...)
     applications.
     """
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, Symbol):
-        return v.name if v in (T, NIL) else "'" + v.name
-    datum = _datum(v)
-    if datum is not None:
-        return "'" + datum
-    heads, end = _spine(v)
-    opens = "".join(f"(cons {print_value(h)} " for h in heads)
-    return opens + print_value(end) + ")" * len(heads)
+    return _printed(v)[1]
 
 
-def _datum(v: Value) -> str | None:
-    """The value inside a quoted literal, or None if it holds an improper pair."""
+def _printed(v: Value) -> tuple[str | None, str]:
+    """The value inside a quoted literal (None if it holds an improper
+    pair) and the printed value, visiting each pair once."""
     if isinstance(v, int):
-        return str(v)
+        return str(v), str(v)
     if isinstance(v, Symbol):
-        return v.name
+        return v.name, v.name if v in (T, NIL) else "'" + v.name
     heads, end = _spine(v)
-    if end is not NIL:
-        return None
-    items = [_datum(x) for x in heads]
-    if None in items:
-        return None
-    return "(" + " ".join(items) + ")"
+    items = [_printed(h) for h in heads]
+    if end is NIL and all(datum is not None for datum, _ in items):
+        datum = "(" + " ".join(datum for datum, _ in items) + ")"
+        return datum, "'" + datum
+    opens = "".join(f"(cons {printed} " for _, printed in items)
+    return None, opens + _printed(end)[1] + ")" * len(heads)
 
 
 def to_json(v: Value):

@@ -269,6 +269,7 @@ def test_names_in_command_line_terms_are_usage_errors(capsys, monkeypatch, argv,
             ("mr", "pagerank", "{graph}", "--damping", "2"),
             "BadDamping: damping must lie strictly between 0 and 1, got 2",
         ),
+        (("mr", "pagerank", "{graph}", "--damping", "1/0"), "damping 1/0 divides by zero"),
         (
             ("circuit", "build", "(and x 1)"),
             "<string>:1:8: NonBooleanOperator: integer literals are not boolean formulas",

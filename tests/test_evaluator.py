@@ -28,6 +28,7 @@ from eqthink.errors import (
 )
 from eqthink import evaluator
 from eqthink.evaluator import _MAX_NESTING, DEFAULT_FUEL, DefEnv, eval_counting, evaluate
+from eqthink.loader import Session
 from eqthink.properties import Pass, run_property
 from eqthink.syntax import (
     NIL_LIT,
@@ -35,6 +36,7 @@ from eqthink.syntax import (
     T_LIT,
     App,
     IntLit,
+    RawDefun,
     SymLit,
     Var,
     parse_program,
@@ -959,7 +961,7 @@ def test_unbound_and_unknown_errors():
         evaluate(parse_term("(mystery 1 2)"), {}, DefEnv())
 
 
-def test_branches_decided_by_the_path_are_still_translated():
+def test_errors_in_branches_decided_by_the_path_still_raise():
     env = _library()
     with pytest.raises(UnknownOperator):
         evaluate(parse_term("(if (consp x) (if (consp x) 1 (mystery 2)) 3)"), {"x": 1}, env)
@@ -969,7 +971,7 @@ def test_branches_decided_by_the_path_are_still_translated():
         evaluate(parse_term("(if (consp '(1)) 1 w)"), {}, env)
 
 
-def test_dead_branches_of_decided_guards_are_still_translated():
+def test_errors_in_untaken_branches_of_decided_guards_still_raise():
     # Each guard below is decided on its path, in a split-off copy of a
     # shared else-branch or by a repeated conjunct, so one of its branches
     # is never emitted; the unknown operator in it must still raise.
@@ -990,6 +992,55 @@ def test_dead_branches_of_decided_guards_are_still_translated():
     )
     with pytest.raises(UnknownOperator):
         env.define(loop)
+
+
+def _env_state(env, name):
+    return (env.arity(name), list(env.op_names), dict(env.op_index), dict(env.defs),
+            list(env.sites), list(env.owners))
+
+
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        ("(if (consp x) (nosuch x) x)", UnknownOperator),
+        ("(if (consp x) (app x) x)", BadArity),
+        ("(if (consp x) (bad x x) x)", BadArity),
+        ("(if (consp x) (cons y x) x)", UnboundVariable),
+    ],
+)
+def test_a_failed_definition_changes_nothing(body, error):
+    env = _library()
+    before = _env_state(env, "bad")
+    # Built directly: the parser refuses a defun with a loose variable.
+    bad = RawDefun("bad", ("x",), parse_term(body), True)
+    with pytest.raises(error):
+        env.define(bad)
+    assert _env_state(env, "bad") == before
+    [good] = parse_program("(defun bad (x) :trust (if (consp x) (bad (rest x)) x))")
+    env.define(good)
+    assert evaluate(parse_term("(bad (cons 1 (cons 2 3)))"), {}, env) == 3
+
+
+def test_a_trusted_defun_that_failed_to_load_stays_unknown(tmp_path):
+    first, second = tmp_path / "first.lx", tmp_path / "second.lx"
+    first.write_text("(defun bad (x) :trust (nosuch x))\n")
+    second.write_text("(defun use (x) :trust (bad x))\n")
+    session = Session()
+    with pytest.raises(UnknownOperator):
+        session.load_file(first)
+    with pytest.raises(UnknownOperator, match="unknown operator bad"):
+        session.load_file(second)
+    with pytest.raises(UnknownOperator, match="unknown operator bad"):
+        evaluate(parse_term("(bad 1)"), {}, session.env)
+
+
+def test_a_guard_that_folds_pays_only_in_the_branch_taken():
+    env = DefEnv()
+    [g] = parse_program("(defun g (x) :trust (if (consp '(1)) 1 (+ x (+ x x))))")
+    env.define(g)
+    sites = [{env.op_names[i]: n for i, n in site} for site in env.sites]
+    assert sites == [{"if": 1, "consp": 1, "cons": 1}] and env.owners == ["g"]
+    assert eval_counting(parse_term("(g 5)"), {}, env)[1].total == 4
 
 
 @pytest.mark.parametrize("x", [5, from_list([-1, 2]), from_list([3])])

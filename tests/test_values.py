@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eqthink import values as values_module
 from eqthink.evaluator import evaluate
 from eqthink.syntax import parse_term
 from eqthink.values import (
@@ -11,6 +12,7 @@ from eqthink.values import (
     Pair,
     Symbol,
     T,
+    _spine,
     from_json,
     from_list,
     is_true_list,
@@ -87,6 +89,61 @@ nested = st.recursive(
 @given(nested)
 def test_printed_values_read_back(v):
     assert value_equal(evaluate(parse_term(print_value(v))), v)
+
+
+def _old_print_value(v):
+    """``print_value`` as it was before it visited each pair once, kept
+    verbatim as the reference."""
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, Symbol):
+        return v.name if v in (T, NIL) else "'" + v.name
+    datum = _old_datum(v)
+    if datum is not None:
+        return "'" + datum
+    heads, end = _spine(v)
+    opens = "".join(f"(cons {_old_print_value(h)} " for h in heads)
+    return opens + _old_print_value(end) + ")" * len(heads)
+
+
+def _old_datum(v):
+    """The value inside a quoted literal, or None if it holds an improper pair."""
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, Symbol):
+        return v.name
+    heads, end = _spine(v)
+    if end is not NIL:
+        return None
+    items = [_old_datum(x) for x in heads]
+    if None in items:
+        return None
+    return "(" + " ".join(items) + ")"
+
+
+@given(nested)
+def test_print_value_matches_the_old_printer(v):
+    assert print_value(v) == _old_print_value(v)
+
+
+def test_print_value_walks_each_pair_once():
+    # A list whose one element is such a list, down to an improper pair:
+    # a printer that looks for a quoted datum again at every level walks
+    # the nest once per level.
+    depth = 200
+    v = Pair(1, 2)
+    for _ in range(depth):
+        v = Pair(v, NIL)
+    walks = []
+
+    def counting(x):
+        walks.append(x)
+        return _spine(x)
+
+    with mock.patch.object(values_module, "_spine", counting):
+        printed = print_value(v)
+    assert printed == "(cons " * depth + "(cons 1 2)" + " nil)" * depth
+    assert len(walks) <= depth + 1 + 2
 
 
 @given(values, values)
