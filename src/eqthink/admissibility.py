@@ -17,12 +17,14 @@ TestedOnly.
 * comprehensive -- the equations cover the declared parameter domains
   (from a ``sig`` directive; domains are nat, list, or any).  Coverage is
   judged by case analysis on the domain constructors: nat splits into
-  zero/successor exactly, list into nil/cons, any into nil/cons/other
-  atoms, and a cons pattern is taken at face value for the cons case (its
-  sub-patterns are the definition's own business; inputs outside every
-  equation fall back to nil at run time).  A case that only guarded
-  equations reach is covered when their guards, instantiated at the case,
-  form a tautology; otherwise coverage is probed with random trials.
+  zero/successor while a (1+ ...) pattern is left, then each numeral and
+  the least other number is a point and all other numbers one case, list
+  into nil/cons, any into nil/cons/other atoms, and a cons pattern is
+  taken at face value for the cons case (its sub-patterns are the
+  definition's own business; inputs outside every equation fall back to
+  nil at run time).  A case that only guarded equations reach is covered
+  when their guards, instantiated at the case, form a tautology;
+  otherwise coverage is probed with random trials.
 * constructive -- every self-call, in a right-hand side or a guard, must
   shrink.  Size counts cons cells plus the value of a positive integer,
   and a size bound of a term is a constant plus a multiset of variables:
@@ -678,6 +680,20 @@ def _uncovered(
         return prepend(_DEFAULT_WITNESS[dom], w)
 
     if dom == "nat":
+        firsts = [pats[0] for pats, _, _ in rows]
+        if not any(isinstance(p, App) and p.op == "1+" for p in firsts):
+            # Only numerals and the column are left.  Each numeral is a point,
+            # and so is the least other n below the tail, one past the largest
+            # numeral; every other n is one case, the column left unknown.
+            numerals = {p.value for p in firsts if isinstance(p, IntLit) and p.value >= 0}
+            tail = max(numerals, default=0) + 1
+            least = min(set(range(len(numerals) + 1)) - numerals)
+            for n in sorted(numerals | {least} if least < tail else numerals):
+                w = _uncovered(split(IntLit(n), lambda p: p == IntLit(n)), doms[1:], cols[1:], prov, atoms)
+                if w is not None:
+                    return prepend(n, w)
+            rest = [(pats[1:], g, lab) for pats, g, lab in rows if pats[0] == col]
+            return prepend(tail, _uncovered(rest, doms[1:], cols[1:], prov, atoms))
         w = _uncovered(split(IntLit(0), lambda p: p == IntLit(0)), doms[1:], cols[1:], prov, atoms)
         if w is not None:
             return prepend(0, w)

@@ -439,6 +439,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Integers have any length and print in full: lift CPython's limit on
+    # int-text conversion for the command, restoring the caller's on exit.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -457,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
     except EqError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VERDICT
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

@@ -170,6 +170,7 @@ import gc
 import sys
 from collections import Counter
 from functools import cache
+from itertools import islice
 
 from .errors import (
     BadArity,
@@ -454,22 +455,14 @@ def _host_function(op: str):
 def _fold(t: Term) -> dict[int, Value]:
     """The value of every ground primitive application in ``t``, keyed by
     node id: applications whose arguments are literals or ground
-    applications themselves.  One postorder pass, no recursion."""
+    applications themselves.  It walks ``t``'s preorder reversed, which
+    visits every node after the nodes below it."""
     ground: dict[int, Value] = {}
-    stack: list[tuple[Term, bool]] = [(t, False)]
-    while stack:
-        node, done = stack.pop()
-        if not isinstance(node, App):
-            continue
-        if not done:
-            stack.append((node, True))
-            stack += ((a, False) for a in node.args)
-            continue
-        if node.op not in _CONDITIONS and node.op not in _VALUES:
-            continue
-        args = [_literal(a) if not isinstance(a, App) else ground.get(id(a)) for a in node.args]
-        if None not in args:
-            ground[id(node)] = _host_function(node.op)(*args)
+    for node in reversed(list(subterms(t))):
+        if isinstance(node, App) and (node.op in _CONDITIONS or node.op in _VALUES):
+            args = [_literal(a) if not isinstance(a, App) else ground.get(id(a)) for a in node.args]
+            if None not in args:
+                ground[id(node)] = _host_function(node.op)(*args)
     return ground
 
 
@@ -507,8 +500,8 @@ class _Translator:
     coercions of its ``invariant`` parameters are kept in ``hoisted``,
     which no branch drops, and emitted in ``preamble``, before the loop.
 
-    ``budget`` is how many more nodes of ``term`` guards may translate
-    twice (see ``split``).
+    ``budget`` is how many more nodes guards may translate twice, at first
+    twice the term's size (see ``split``).
     """
 
     def __init__(self, env: DefEnv, params, name: str, op: str | None = None):
@@ -526,15 +519,14 @@ class _Translator:
         self.spine: set[int] | None = None
         self.loop_sites: list[tuple[int, int]] = []
         self.cells = False
-        self.term: Term | None = None
-        self.budget: int | None = None
+        self.budget = 0
         self.invariant: set[str] = set()
         self.hoisted: dict[tuple, str] = {}
         self.preamble: list[str] = []
 
     def translate(self, t: Term):
         self.ground = _fold(t)
-        self.term = t
+        self.budget = 2 * _size(t)
         spine = _loop_spine(t, self.op) if self.op else None
         if spine:
             self.loop_function(t, spine)
@@ -565,13 +557,10 @@ class _Translator:
         end; a round that ends puts its value in ``r``."""
         self.spine = spine
         self.invariant = set(self.params)
-        stack = [t]
-        while stack:
-            node = stack.pop()
-            if node.op == self.op:
+        for node in subterms(t):
+            if id(node) in spine and node.op == self.op:
                 self.invariant -= {p for p, a in zip(self.params, node.args)
                                    if not isinstance(a, Var) or self.locals.get(a.name) != p}
-            stack += (a for a in node.args if id(a) in spine)
         self.region(t, 2, None, Counter())
         body, self.lines = self.lines, []
         hits = [f"h{site}" for site, _ in self.loop_sites]
@@ -827,22 +816,14 @@ class _Translator:
         whose guard has ``c`` as a conjunct too, the conjuncts after ``c``
         are ``_pure``, and the budget of nodes translated twice still holds
         ``other``, which the split spends."""
-        if not (isinstance(other, App) and other.op == "if"):
+        if not (isinstance(other, App) and other.op == "if"
+                and _shape(c) in map(_shape, _conjuncts(other.args[0]))):
             return False
-        shape, stack = _shape(c), [other.args[0]]
-        while stack:
-            g = stack.pop()
-            if isinstance(g, App) and g.op == "and":
-                stack += g.args
-            elif _shape(g) == shape:
-                if self.budget is None:
-                    self.budget = 2 * _size(self.term)
-                size = _size(other, self.budget)
-                if size > self.budget or not all(map(_pure, todo)):
-                    return False
-                self.budget -= size
-                return True
-        return False
+        size = _size(other, self.budget)
+        if size > self.budget or not all(map(_pure, todo)):
+            return False
+        self.budget -= size
+        return True
 
     def test(self, t: Term, depth: int) -> tuple[str, list[tuple]]:
         """Emit ``t`` and return a Python condition atom true when it is not
@@ -1002,7 +983,7 @@ def _loop_spine(body: Term, op: str) -> set[int] | None:
     ends in the next round, never in an ``if``.  A self-call also must not
     sit in a branch split off into a function of its own; the loop's body
     starts at nesting depth 2, and an ``if``'s branches nest at most one
-    level deeper per conjunct of its test (see ``_width``)."""
+    level deeper per conjunct of its test (see ``_conjuncts``)."""
     order: list[tuple[App, bool]] = []
     spine: set[int] = set()
     stack: list[tuple[Term, bool, int]] = [(body, True, 2)]
@@ -1016,7 +997,9 @@ def _loop_spine(body: Term, op: str) -> set[int] | None:
             spine.add(id(t))
         order.append((t, tail))
         if t.op == "if":
-            inner = depth + _width(t.args[0])
+            # ``decide`` opens at most one Python ``if`` per conjunct of the
+            # test, so the branches nest at most that many levels deeper.
+            inner = depth + sum(1 for _ in _conjuncts(t.args[0]))
             stack += [(t.args[0], False, depth), (t.args[1], tail, inner), (t.args[2], tail, inner)]
         elif t.op == "cons":
             last = t.args[1]
@@ -1040,39 +1023,25 @@ def _field(t: Term, op: str) -> Term | None:
 
 def _size(t: Term, limit: int | None = None) -> int:
     """The number of nodes of ``t``, counting no further than past ``limit``."""
-    size, stack = 0, [t]
-    while stack and (limit is None or size <= limit):
-        node = stack.pop()
-        size += 1
-        if isinstance(node, App):
-            stack += node.args
-    return size
+    return sum(1 for _ in islice(subterms(t), None if limit is None else limit + 1))
 
 
 def _pure(t: Term) -> bool:
     """Whether ``t`` applies primitives other than ``if`` only: its code
     pays nothing and calls nothing, so a path may skip it."""
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, App):
-            if node.op not in _CONDITIONS and node.op not in _VALUES:
-                return False
-            stack += node.args
-    return True
+    return all(not isinstance(node, App) or node.op in _CONDITIONS or node.op in _VALUES
+               for node in subterms(t))
 
 
-def _width(test: Term) -> int:
-    """How many conjuncts ``test`` has, as ``_Translator.decide`` reads it:
-    an ``if`` with this test nests its branches at most this much deeper."""
-    width, stack = 0, [test]
+def _conjuncts(test: Term):
+    """The conjuncts of ``test``, nested ``and``s read as one conjunction."""
+    stack = [test]
     while stack:
         t = stack.pop()
         if isinstance(t, App) and t.op == "and":
-            stack += t.args
+            stack += reversed(t.args)
         else:
-            width += 1
-    return width
+            yield t
 
 
 def _tally(t: Term, ops: Counter) -> None:

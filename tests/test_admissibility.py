@@ -904,3 +904,28 @@ def test_merge_sort_split_through_growing_helper_is_not_proved(split, verdict):
         assert "dsort" not in report.env.size_bounds
     else:
         assert report.env is None
+
+
+def test_coverage_checks_each_numeral_once_not_every_number_below_it(monkeypatch):
+    # A nat column used to split into zero and successor once per unit of
+    # its largest numeral, one call of _uncovered each; here a call past
+    # the thousandth fails the test before memory runs out.
+    calls = 0
+    uncovered = admissibility._uncovered
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        assert calls <= 1000, "coverage counted up to a numeral"
+        return uncovered(*args)
+
+    monkeypatch.setattr(admissibility, "_uncovered", counted)
+    big = 10**23
+    report, _ = _admit(
+        f"(sig f (nat)) (defeqs f (x) (f0 (f {big}) 2)"
+        " (f1 (f x) 1 :when (< x 5)) (f2 (f x) 2 :when (>= x 5)))"
+    )
+    assert report.verdicts() == {"consistent": "Proved", "comprehensive": "Proved",
+                                 "constructive": "Proved"}
+    report, _ = _admit(f"(sig f (nat)) (defeqs f (x) (f0 (f 0) 1) (f1 (f {big}) 2))")
+    assert report.comprehensive.verdict == "Failed" and report.comprehensive.witness == "x = 1"

@@ -165,6 +165,26 @@ def test_large_literal_folds_to_one_constant(tmp_path):
     assert maxrss_mb < 240
 
 
+def test_integers_longer_than_the_conversion_limit_print_in_full(tmp_path, capsys):
+    # CPython refuses to convert an int of more than 4300 digits to or from
+    # text unless the limit is lifted; main lifts it for the command only.
+    src = tmp_path / "pow2.lx"
+    src.write_text("(defun pow2 (n acc) :trust (if (zp n) acc (pow2 (- n 1) (* 2 acc))))")
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "eval", str(src), "-e", "(pow2 15000 1)")
+    assert (code, err) == (0, "")
+    # The test runs under the limit, so it reads the digits as text.
+    assert len(out) == 4517 and out[:-1].isdigit()
+    assert int(out[-21:-1]) == pow(2, 15000, 10**20)
+    code, out, err = run(capsys, "eval", str(src), "-e", "(pow2 15000 1)", "--json")
+    report = json.loads(out, parse_int=str)
+    assert (code, err) == (0, "")
+    assert report["value"] == report["json_value"] and len(report["value"]) == 4516
+    literal = "9" * 5000
+    assert run(capsys, "eval", "-e", literal) == (0, f"{literal}\n", "")
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_missing_file_exits_two(capsys):
     assert run(capsys, "check", "no-such-file.lx")[0] == 2
 
