@@ -16,10 +16,10 @@ TestedOnly.
   that runs out of fuel.
 * comprehensive -- the equations cover the declared parameter domains
   (from a ``sig`` directive; domains are nat, list, or any).  Coverage is
-  judged by case analysis on the domain constructors: nat splits into
-  zero/successor while a (1+ ...) pattern is left, then each numeral and
-  the least other number is a point and all other numbers one case, list
-  into nil/cons, any into nil/cons/other atoms, and a cons pattern is
+  judged by case analysis on the domain constructors: nat into points
+  (every number below the deepest (1+ ...) wrap, each numeral, and the
+  least other number) and one case for all other numbers, list into
+  nil/cons, any into nil/cons/other atoms, and a cons pattern is
   taken at face value for the cons case (its sub-patterns are the
   definition's own business; inputs outside every equation fall back to
   nil at run time).  A case that only guarded equations reach is covered
@@ -69,14 +69,8 @@ from collections import Counter
 from functools import reduce
 
 from . import circuits
-from .errors import (
-    BadArity,
-    EvalError,
-    MissingSignature,
-    StepLimitExceeded,
-    UnknownOperator,
-)
-from .evaluator import DefEnv, evaluate
+from .errors import BadArity, EvalError, MissingSignature, StepLimitExceeded
+from .evaluator import DefEnv, _check, _host_function, evaluate
 from .properties import Stream, random_object
 from .records import Record, set_field
 from .syntax import (
@@ -97,7 +91,7 @@ from .syntax import (
     subterms,
     term_vars,
 )
-from .values import NIL, Pair, Symbol, Value, from_list, print_value, value_equal
+from .values import NIL, T, Pair, Symbol, Value, from_list, print_value, value_equal
 
 PROVED = "Proved"
 TESTED = "TestedOnly"
@@ -357,9 +351,8 @@ def _simplify(
     if op == "consp" and shapes[0] is not None:
         return T_LIT if shapes[0] == "cons" else NIL_LIT
     if op in circuits.CONNECTIVES and None not in shapes:
-        closed = App(op, tuple(NIL_LIT if s == "nil" else T_LIT for s in shapes))
-        (bit,) = circuits.simulate(circuits.formula_to_circuit(closed), {})
-        return T_LIT if bit else NIL_LIT
+        value = _host_function(op)(*(NIL if s == "nil" else T for s in shapes))
+        return NIL_LIT if value is NIL else T_LIT
     if op == "equal":
         if args[0] == args[1]:
             return T_LIT
@@ -633,6 +626,14 @@ def _int_marks(p: Term, depth: int = 0) -> set[int]:
     return set()
 
 
+def _peel(p: Term) -> tuple[int, Term]:
+    """The number of (1+ ...) wraps around a pattern, and what they wrap."""
+    wraps = 0
+    while isinstance(p, App) and p.op == "1+":
+        p, wraps = p.args[0], wraps + 1
+    return wraps, p
+
+
 def _uncovered(
     rows: list[_Row],
     doms: list[str],
@@ -680,41 +681,39 @@ def _uncovered(
         return prepend(_DEFAULT_WITNESS[dom], w)
 
     if dom == "nat":
-        firsts = [pats[0] for pats, _, _ in rows]
-        if not any(isinstance(p, App) and p.op == "1+" for p in firsts):
-            # Only numerals and the column are left.  Each numeral is a point,
-            # and so is the least other n below the tail, one past the largest
-            # numeral; every other n is one case, the column left unknown.
-            numerals = {p.value for p in firsts if isinstance(p, IntLit) and p.value >= 0}
-            tail = max(numerals, default=0) + 1
-            least = min(set(range(len(numerals) + 1)) - numerals)
-            for n in sorted(numerals | {least} if least < tail else numerals):
-                w = _uncovered(split(IntLit(n), lambda p: p == IntLit(n)), doms[1:], cols[1:], prov, atoms)
-                if w is not None:
-                    return prepend(n, w)
-            rest = [(pats[1:], g, lab) for pats, g, lab in rows if pats[0] == col]
-            return prepend(tail, _uncovered(rest, doms[1:], cols[1:], prov, atoms))
-        w = _uncovered(split(IntLit(0), lambda p: p == IntLit(0)), doms[1:], cols[1:], prov, atoms)
-        if w is not None:
-            return prepend(0, w)
-        pred = Var(col.name + "'")
-        succ = App("1+", (pred,))
-        succ_rows = []
-        for pats, guard, label in rows:
-            p = pats[0]
-            if p == col:
-                p = pred
-            elif isinstance(p, App) and p.op == "1+":
-                p = p.args[0]
-            elif isinstance(p, IntLit) and p.value >= 1:
-                p = IntLit(p.value - 1)
-            else:
-                continue
-            succ_rows.append(([p, *pats[1:]], _subst(guard, {col.name: succ}), label))
-        w = _uncovered(succ_rows, doms, [pred, *cols[1:]], prov, atoms)
-        if w is not None:
-            return [w[0][0] + 1] + w[0][1:], w[1]
-        return None
+        # Points: every number below the deepest (1+ ...) wrap, each numeral,
+        # and the least other number below the tail.  The tail is one past
+        # the last number a pattern that is no variable reaches (one that
+        # matches no number reaches its wrap count).  Every other number is
+        # one case, the column wrapped that deep around an unknown v.
+        peeled = [_peel(pats[0]) for pats, _, _ in rows]
+        depth = max(wraps for wraps, _ in peeled)
+        numerals = {wraps + q.value for wraps, q in peeled if isinstance(q, IntLit) and q.value >= 0}
+        ends = [
+            wraps + max(q.value, 0) if isinstance(q, IntLit) else wraps
+            for wraps, q in peeled
+            if not isinstance(q, Var)
+        ]
+        tail = max([depth - 1, *ends]) + 1
+        least = min(set(range(depth, depth + len(numerals) + 1)) - numerals)
+        for n in sorted(n for n in {*range(depth), *numerals, least} if n < tail):
+            at = []
+            for pats, guard, label in rows:
+                bound: dict[str, Value] = {}
+                if match_value(pats[0], n, bound):
+                    at.append((pats[1:], _subst(guard, {k: IntLit(v) for k, v in bound.items()}), label))
+            w = _uncovered(at, doms[1:], cols[1:], prov, atoms)
+            if w is not None:
+                return prepend(n, w)
+        wrapped = [Var(col.name + "'")]
+        for _ in range(depth):
+            wrapped.append(App("1+", (wrapped[-1],)))
+        rest = [
+            (pats[1:], _subst(guard, {q.name: wrapped[depth - wraps]}), label)
+            for (pats, guard, label), (wraps, q) in zip(rows, peeled)
+            if isinstance(q, Var)
+        ]
+        return prepend(tail, _uncovered(rest, doms[1:], cols[1:], prov, atoms))
 
     w = _uncovered(split(NIL_LIT, lambda p: p == NIL_LIT), doms[1:], cols[1:], prov, atoms)
     if w is not None:
@@ -1057,20 +1056,6 @@ def _translate(d: DefEquations) -> RawDefun:
 # Entry point
 
 
-def _validate_operators(d: DefEquations, env: DefEnv, measure: Term | None) -> None:
-    """Every operator in the right-hand sides, guards and measure exists and
-    gets its arity."""
-    equation_terms = [t for eq in d.equations for t in (eq.rhs, eq.guard)]
-    for t in subterms(*equation_terms, measure):
-        if not isinstance(t, App):
-            continue
-        arity = len(d.params) if t.op == d.name else env.arity(t.op)
-        if arity is None:
-            raise UnknownOperator(f"{t.op} is not defined (definitions must come before use)", t.loc)
-        if len(t.args) != arity:
-            raise BadArity(f"{t.op} takes {arity} argument(s), got {len(t.args)}", t.loc)
-
-
 def admit(
     d: DefEquations,
     env: DefEnv,
@@ -1084,19 +1069,15 @@ def admit(
     ``env`` itself is never changed.  A caller that installs the definition
     continues in ``report.env`` (see loader.Session.load_form).
     """
-    _validate_operators(d, env, measure)
-    if measure is not None:
-        loose = term_vars(measure) - set(d.params)
-        if loose:
-            raise UnknownOperator(
-                f"measure for {d.name} uses unbound variable(s) {', '.join(sorted(loose))}",
-                d.loc,
-            )
     # The checks evaluate d's equations in a copy of env where d's compiled
-    # defun is provisionally defined; env itself is left unchanged.
+    # defun is provisionally defined; env itself is left unchanged.  Defining
+    # it checks every operator and argument count in the equations, and the
+    # measure, over d's parameters, is checked in the same environment.
     compiled = _translate(d)
     prov = env.copy()
     prov.define(compiled)
+    if measure is not None:
+        _check(measure, d.params, prov)
     consistent = check_consistent(d, prov, seed)
     comprehensive = check_comprehensive(d, prov, domains, seed)
     constructive = check_constructive(d, prov, measure, domains, seed)

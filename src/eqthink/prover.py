@@ -272,51 +272,32 @@ def _check_chain(
 
 
 def check_proof(script: ProofScript, db: RuleDatabase, env: DefEnv | None = None) -> ProofOutcome:
-    """Check a proof; an accepted goal joins the database as a lemma."""
-    env = env if env is not None else DefEnv()
-    goal_vars = term_vars(script.lhs) | term_vars(script.rhs)
-    if script.hypothesis is not None:
-        goal_vars |= term_vars(script.hypothesis)
+    """Check a proof; an accepted goal joins the database as a lemma.
 
-    cases: list[tuple[_Case, Chain]] = []
+    A method is its list of cases, one per chain: a name, the substitution
+    that gives the case's goal and hypothesis, and the one rule the case may
+    cite beyond the database.  An equational proof is the one case
+    ``chain``; an induction on v is ``base``, with v nil or 0, and ``step``,
+    with v (cons x v) for a fresh x or (1+ v), which may cite the goal as
+    ``ind-hyp`` with v held fixed.
+    """
+    env = env if env is not None else DefEnv()
     if script.method[0] == "equational":
-        hyp = hypothesis_closure(script.hypothesis, db)
-        cases.append(
-            (_Case("chain", script.lhs, script.rhs, hyp, None), script.chains[0])
-        )
+        cases = [("chain", {}, None)]
     else:
         _, scheme, var = script.method
         if scheme == "list":
-            fresh = _fresh_var(goal_vars)
-            base_subst: dict[str, Term] = {var: NIL_LIT}
-            step_subst: dict[str, Term] = {var: App("cons", (Var(fresh), Var(var)))}
+            taken = {t.name for t in subterms(script.lhs, script.rhs, script.hypothesis) if isinstance(t, Var)}
+            base, step = NIL_LIT, App("cons", (Var(_fresh_var(taken)), Var(var)))
         else:
-            base_subst = {var: IntLit(0)}
-            step_subst = {var: App("1+", (Var(var),))}
-        ih = RewriteRule(
-            "ind-hyp",
-            script.lhs,
-            script.rhs,
-            script.hypothesis,
-            rigid=frozenset({var}),
-        )
-        for case_name, subst, extra in (
-            ("base", base_subst, None),
-            ("step", step_subst, ih),
-        ):
-            start = substitute(script.lhs, subst)
-            end = substitute(script.rhs, subst)
-            hyp_term = (
-                substitute(script.hypothesis, subst)
-                if script.hypothesis is not None
-                else None
-            )
-            chain = script.chains[0 if case_name == "base" else 1]
-            cases.append(
-                (_Case(case_name, start, end, hypothesis_closure(hyp_term, db), extra), chain)
-            )
+            base, step = IntLit(0), App("1+", (Var(var),))
+        ih = RewriteRule("ind-hyp", script.lhs, script.rhs, script.hypothesis, rigid=frozenset({var}))
+        cases = [("base", {var: base}, None), ("step", {var: step}, ih)]
 
-    for case, chain in cases:
+    for (name, subst, extra), chain in zip(cases, script.chains):
+        hyp = None if script.hypothesis is None else substitute(script.hypothesis, subst)
+        start, end = substitute(script.lhs, subst), substitute(script.rhs, subst)
+        case = _Case(name, start, end, hypothesis_closure(hyp, db), extra)
         failure = _check_chain(case, chain, db, env, script.name)
         if failure is not None:
             return failure

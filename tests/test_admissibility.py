@@ -7,6 +7,7 @@ checked by replaying equations directly against the compiled defun.
 
 import itertools
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from eqthink.admissibility import (
     unify_vectors,
 )
 from eqthink.cli import corpus_root
-from eqthink.errors import DuplicateDefinition, NotAdmitted, UnknownOperator
+from eqthink.errors import BadArity, DuplicateDefinition, NotAdmitted, UnboundVariable, UnknownOperator
 from eqthink.evaluator import DefEnv, evaluate
 from eqthink.loader import Session
 from eqthink.syntax import (
@@ -381,7 +382,7 @@ def test_measure_fallback_through_recursive_helper_rejects_constant_measure():
 
 
 def test_measure_with_unbound_variable_rejected():
-    with pytest.raises(UnknownOperator, match="unbound variable"):
+    with pytest.raises(UnboundVariable, match="variable q is not bound"):
         _admit(
             """
             (sig f (nat))
@@ -407,8 +408,30 @@ def test_unknown_operator_in_rhs_rejected():
         _admit("(sig f (nat))\n(defeqs f (n) (f0 (f n) (mystery n)))")
 
 
+@pytest.mark.parametrize(
+    "equation, error, message",
+    [
+        ("(f0 (f n) 0 :when (mystery n))", UnknownOperator, "unknown operator mystery"),
+        ("(f0 (f n) (twice n n))", BadArity, "twice takes 1 argument(s), got 2"),
+        ("(f0 (f n) 0 :when (f n n))", BadArity, "f takes 1 argument(s), got 2"),
+    ],
+)
+def test_scope_faults_in_equations_leave_the_session_unchanged(equation, error, message):
+    # Defining the compiled defun checks every operator and argument count
+    # in the guards and right-hand sides before anything is registered.
+    session = Session()
+    session.load_forms(parse_program("(defun twice (x) :trust (+ x x)) (sig f (nat))"))
+    env, rules = session.env, dict(session.rules.rules)
+    defs, names = dict(env.defs), list(env.op_names)
+    [form] = parse_program(f"(defeqs f (n) {equation})")
+    with pytest.raises(error, match=re.escape(message)):
+        session.load_form(form)
+    assert session.env is env and env.defs == defs and env.op_names == names
+    assert session.rules.rules == rules
+
+
 def test_unknown_operator_in_measure_rejected():
-    with pytest.raises(UnknownOperator, match="mystery is not defined"):
+    with pytest.raises(UnknownOperator, match="unknown operator mystery"):
         _admit(
             """
             (sig spin (nat))

@@ -1,10 +1,14 @@
-"""The proof checker against the two-channel step checker it replaced.
+"""The proof checker against the two versions of its parts it replaced.
 
-``StepReport``, ``rewrite_step``, ``_builtin_step`` and ``_check_chain``
-are kept here verbatim: a failed step came back either as a report or as
-a raised ``ProofError``.  Seeded mutations of the corpus proofs (step
-label, position hint, direction, target) must get the same outcome, reason
-strings included, from ``check_proof`` with either step checker.
+Both are kept here verbatim but for their names.  ``StepReport``,
+``rewrite_step``, ``_builtin_step`` and ``_check_chain_two_channel`` are
+the two-channel step checker: a failed step came back either as a report
+or as a raised ``ProofError``.  ``_check_proof_two_branches`` wrote
+equational and induction proofs as two branches, where ``check_proof``
+loops over a method's cases.  Seeded mutations of the corpus proofs (step
+label, position hint, direction, target) must get the same outcome,
+reason strings included, from ``check_proof`` with either step checker,
+and the same outcome and rule database from either ``check_proof``.
 """
 
 import random
@@ -26,9 +30,12 @@ from eqthink.prover import (
     _STEP_FUEL,
     ProofOutcome,
     _Case,
+    _check_chain,
     _condition_holds,
     _diff_position,
+    _fresh_var,
     _ground_arith,
+    hypothesis_closure,
 )
 from eqthink.rewriting import (
     Path,
@@ -39,10 +46,23 @@ from eqthink.rewriting import (
     replace_at,
     subterm_at,
 )
-from eqthink.syntax import Chain, IntLit, ProofScript, SymLit, Term, Var, parse_program, print_term, substitute
+from eqthink.syntax import (
+    NIL_LIT,
+    App,
+    Chain,
+    IntLit,
+    ProofScript,
+    SymLit,
+    Term,
+    Var,
+    parse_program,
+    print_term,
+    substitute,
+    term_vars,
+)
 from eqthink.values import print_value, value_equal
 
-# -- the replaced code, verbatim ----------------------------------------------
+# -- the replaced code, verbatim but for the names ----------------------------
 
 
 @dataclass(frozen=True)
@@ -148,7 +168,7 @@ def _builtin_step(label: str, current: Term, target: Term, env: DefEnv) -> StepR
     return StepReport(True, position=diff)
 
 
-def _check_chain(
+def _check_chain_two_channel(
     case: _Case, chain: Chain, db: RuleDatabase, env: DefEnv, name: str
 ) -> ProofOutcome | None:
     if chain.first != case.start:
@@ -188,10 +208,67 @@ def _check_chain(
     return None
 
 
+def _check_proof_two_branches(script: ProofScript, db: RuleDatabase, env: DefEnv | None = None) -> ProofOutcome:
+    """Check a proof; an accepted goal joins the database as a lemma."""
+    env = env if env is not None else DefEnv()
+    goal_vars = term_vars(script.lhs) | term_vars(script.rhs)
+    if script.hypothesis is not None:
+        goal_vars |= term_vars(script.hypothesis)
+
+    cases: list[tuple[_Case, Chain]] = []
+    if script.method[0] == "equational":
+        hyp = hypothesis_closure(script.hypothesis, db)
+        cases.append(
+            (_Case("chain", script.lhs, script.rhs, hyp, None), script.chains[0])
+        )
+    else:
+        _, scheme, var = script.method
+        if scheme == "list":
+            fresh = _fresh_var(goal_vars)
+            base_subst: dict[str, Term] = {var: NIL_LIT}
+            step_subst: dict[str, Term] = {var: App("cons", (Var(fresh), Var(var)))}
+        else:
+            base_subst = {var: IntLit(0)}
+            step_subst = {var: App("1+", (Var(var),))}
+        ih = RewriteRule(
+            "ind-hyp",
+            script.lhs,
+            script.rhs,
+            script.hypothesis,
+            rigid=frozenset({var}),
+        )
+        for case_name, subst, extra in (
+            ("base", base_subst, None),
+            ("step", step_subst, ih),
+        ):
+            start = substitute(script.lhs, subst)
+            end = substitute(script.rhs, subst)
+            hyp_term = (
+                substitute(script.hypothesis, subst)
+                if script.hypothesis is not None
+                else None
+            )
+            chain = script.chains[0 if case_name == "base" else 1]
+            cases.append(
+                (_Case(case_name, start, end, hypothesis_closure(hyp_term, db), extra), chain)
+            )
+
+    for case, chain in cases:
+        failure = _check_chain(case, chain, db, env, script.name)
+        if failure is not None:
+            return failure
+
+    db.add_lemma(
+        RewriteRule(script.name, script.lhs, script.rhs, script.hypothesis)
+    )
+    return ProofOutcome(script.name, True)
+
+
 # -- mutations ------------------------------------------------------------------
 
 
-# Proofs by arith and by conditional rules, which the corpus proofs do not cite.
+# Proofs by arith and by conditional rules, which the corpus proofs do not
+# cite, and inductions on a number and around a goal that names x0.
 EXTRA_PROOFS = """
 (defproof sum-fold
   :goal (equal (+ (+ 1 2) 3) 6)
@@ -207,6 +284,16 @@ EXTRA_PROOFS = """
   :goal (implies (>= a b) (equal (max2 a b) a))
   :method equational
   (:chain (max2 a b) (a :by mx0)))
+(defproof max-of-larger
+  :goal (implies (>= n m) (equal (max2 n m) n))
+  :method (induction nat n)
+  (:base (max2 0 m) (0 :by mx0))
+  (:step (max2 (1+ n) m) ((1+ n) :by mx0)))
+(defproof append-cons
+  :goal (equal (append (cons x0 xs) ys) (cons x0 (append xs ys)))
+  :method (induction list xs)
+  (:base (append (cons x0 nil) ys) ((cons x0 (append nil ys)) :by app1))
+  (:step (append (cons x0 (cons x1 xs)) ys) ((cons x0 (append (cons x1 xs) ys)) :by app1)))
 """
 CITED_OFTEN = ["cons", "arith", "ind-hyp", "no-such-rule", "ins<=", "ins>", "mx0", "mx1"]
 
@@ -282,15 +369,19 @@ STEP_FAILURES = (
 )
 
 
-def test_check_proof_matches_two_channel_step_checker(corpus, monkeypatch):
-    session, _ = corpus
+def _mutants(session) -> list[ProofScript]:
     scripts = _proofs()
     labels = sorted(session.rules.rules)
     rng = random.Random(16)
-    mutants = [_mutate(rng, rng.choice(scripts), labels, n) for n in range(600)]
+    return [_mutate(rng, rng.choice(scripts), labels, n) for n in range(600)]
+
+
+def test_check_proof_matches_two_channel_step_checker(corpus, monkeypatch):
+    session, _ = corpus
+    mutants = _mutants(session)
 
     new = [_outcome(m, session.rules, session.env) for m in mutants]
-    monkeypatch.setattr(prover, "_check_chain", _check_chain)
+    monkeypatch.setattr(prover, "_check_chain", _check_chain_two_channel)
     old = [_outcome(m, session.rules, session.env) for m in mutants]
 
     for mutant, got, want in zip(mutants, new, old):
@@ -298,3 +389,27 @@ def test_check_proof_matches_two_channel_step_checker(corpus, monkeypatch):
     reasons = [o["reason"] for o in old if not o["accepted"]]
     assert len(reasons) >= 400
     assert all(any(part in r for r in reasons) for part in STEP_FAILURES)
+
+
+def _checked(check, script: ProofScript, base: RuleDatabase, env: DefEnv) -> tuple[dict, list]:
+    db = RuleDatabase()
+    db.rules = dict(base.rules)
+    return check(script, db, env).to_json(), list(db.rules.items())
+
+
+def test_check_proof_matches_two_branch_checker(corpus):
+    session, _ = corpus
+    extra = [form for form in parse_program(EXTRA_PROOFS) if isinstance(form, ProofScript)]
+    failed, accepted = set(), set()
+    for script in _mutants(session) + extra:
+        got = _checked(prover.check_proof, script, session.rules, session.env)
+        want = _checked(_check_proof_two_branches, script, session.rules, session.env)
+        assert got == want, script
+        if got[0]["accepted"]:
+            accepted.add(script.name)
+        else:
+            failed.add(got[0]["case"])
+    # Each case of both methods fails somewhere, and every extra proof, of
+    # either method, is accepted.
+    assert failed == {"chain", "base", "step"}
+    assert {s.name for s in extra} <= accepted
