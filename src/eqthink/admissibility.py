@@ -86,6 +86,7 @@ from .syntax import (
     Term,
     Var,
     parse_term,
+    pattern_vars,
     print_term,
     substitute,
     subterms,
@@ -1070,12 +1071,18 @@ def admit(
     continues in ``report.env`` (see loader.Session.load_form).
     """
     # The checks evaluate d's equations in a copy of env where d's compiled
-    # defun is provisionally defined; env itself is left unchanged.  Defining
-    # it checks every operator and argument count in the equations, and the
-    # measure, over d's parameters, is checked in the same environment.
+    # defun is provisionally defined; env itself is left unchanged.  Every
+    # guard and right-hand side is checked there, not only those that reach
+    # the compiled body (equations after a catch-all do not), and so is the
+    # measure, over d's parameters.
     compiled = _translate(d)
     prov = env.copy()
     prov.define(compiled)
+    for eq in d.equations:
+        names = tuple(v for p in eq.patterns for v in pattern_vars(p))
+        for t in (eq.guard, eq.rhs):
+            if t is not None:
+                _check(t, names, prov)
     if measure is not None:
         _check(measure, d.params, prov)
     consistent = check_consistent(d, prov, seed)

@@ -294,7 +294,7 @@ def check_proof(script: ProofScript, db: RuleDatabase, env: DefEnv | None = None
         ih = RewriteRule("ind-hyp", script.lhs, script.rhs, script.hypothesis, rigid=frozenset({var}))
         cases = [("base", {var: base}, None), ("step", {var: step}, ih)]
 
-    for (name, subst, extra), chain in zip(cases, script.chains):
+    for (name, subst, extra), chain in zip(cases, script.chains, strict=True):
         hyp = None if script.hypothesis is None else substitute(script.hypothesis, subst)
         start, end = substitute(script.lhs, subst), substitute(script.rhs, subst)
         case = _Case(name, start, end, hypothesis_closure(hyp, db), extra)

@@ -414,11 +414,15 @@ def test_unknown_operator_in_rhs_rejected():
         ("(f0 (f n) 0 :when (mystery n))", UnknownOperator, "unknown operator mystery"),
         ("(f0 (f n) (twice n n))", BadArity, "twice takes 1 argument(s), got 2"),
         ("(f0 (f n) 0 :when (f n n))", BadArity, "f takes 1 argument(s), got 2"),
+        # Equations after a catch-all never reach the compiled body.
+        ("(f0 (f n) 0) (f1 (f n) (mystery n))", UnknownOperator, "unknown operator mystery"),
+        ("(f0 (f n) 0) (f1 (f 0) (twice 0 0))", BadArity, "twice takes 1 argument(s), got 2"),
+        ("(f0 (f n) 0) (f1 (f 0) 1 :when (f 0 0))", BadArity, "f takes 1 argument(s), got 2"),
     ],
 )
 def test_scope_faults_in_equations_leave_the_session_unchanged(equation, error, message):
-    # Defining the compiled defun checks every operator and argument count
-    # in the guards and right-hand sides before anything is registered.
+    # Every operator and argument count in the guards and right-hand sides
+    # is checked before anything is registered.
     session = Session()
     session.load_forms(parse_program("(defun twice (x) :trust (+ x x)) (sig f (nat))"))
     env, rules = session.env, dict(session.rules.rules)

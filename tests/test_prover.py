@@ -10,9 +10,9 @@ from eqthink.errors import (
     TooManyInputs,
 )
 from eqthink.loader import Session
-from eqthink.prover import ProofOutcome, derive_truth_table, rewrite_step
+from eqthink.prover import ProofOutcome, check_proof, derive_truth_table, rewrite_step
 from eqthink.rewriting import RewriteRule, RuleDatabase
-from eqthink.syntax import App, Var, parse_program, parse_term
+from eqthink.syntax import App, ProofScript, Var, parse_program, parse_term
 
 
 def _load(src):
@@ -220,6 +220,25 @@ def test_nat_induction_accepted():
         """
     )
     assert by_name(results, ProofOutcome)["plus-zero"].accepted
+
+
+def test_induction_script_without_a_step_chain_is_refused():
+    # The parser asks for both chains; a script built without one must not
+    # become a lemma with its step case unchecked.
+    session, _ = _load(PLUS)
+    [proof] = parse_program(
+        """
+        (defproof plus-zero
+          :goal (equal (plus n 0) n)
+          :method (induction nat n)
+          (:base (plus 0 0) (0 :by pl0))
+          (:step (plus (1+ n) 0) ((1+ n) :by pl1)))
+        """
+    )
+    short = ProofScript(proof.name, proof.hypothesis, proof.lhs, proof.rhs, proof.method, proof.chains[:1])
+    with pytest.raises(ValueError):
+        check_proof(short, session.rules, session.env)
+    assert "plus-zero" not in session.rules.rules
 
 
 def test_induction_hypothesis_variable_is_rigid():
