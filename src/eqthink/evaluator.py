@@ -13,6 +13,10 @@ Each defined operator is translated to one generated Python function, and
 so is each top-level term (memoized per ``DefEnv``, keyed by the term's
 flat shape, computed once per term object and kept on it, and its sorted
 binding names, so a term is translated once however often it runs).
+Defining an operator only checks it; it is translated when an evaluation
+first reaches it (``DefEnv._top_level``), so loading a corpus translates
+nothing and an evaluation translates only the operators it can reach,
+once each.
 Parameters and bindings become Python locals, and the primitives are
 inlined as Python expressions over locals.  Each primitive is computed
 once per path: the translator keeps a table from a primitive application
@@ -31,7 +35,8 @@ primitives to constants only (a quoted list, say) folds to one constant
 at translation time.  Sharing is safe because primitives are pure and
 total; calls to defined operators are never shared or skipped.  A call
 goes through its ``_DefRecord`` at call time, so self-recursion works and
-a ``DefEnv.copy()`` shares the functions already generated.  A branch
+a ``DefEnv.copy()`` shares the records: a function generated in one
+member of the family serves every member.  A branch
 nested deeper than ``_MAX_NESTING`` moves into a function of its own,
 which keeps the generated source within Python's indentation limit.
 
@@ -252,7 +257,8 @@ class StepCount:
 
 
 class _DefRecord:
-    """A defined operator: its defun, operator index and generated function."""
+    """A defined operator: its defun, operator index and generated function
+    (None until an evaluation first reaches the operator)."""
 
     __slots__ = ("defun", "index", "fn")
 
@@ -288,6 +294,7 @@ class DefEnv:
         # The payment sites of the generated code: each one's (operator
         # index, count) pairs, indexed like ``StepCount.hits``, and the
         # operator whose body it pays in (``TERM_OWNER`` for a term's).
+        # Shared by every copy (see ``copy``).
         self.sites: list[tuple[tuple[int, int], ...]] = []
         self.owners: list[str] = []
         # Generated functions' globals: the records and constants they use
@@ -300,6 +307,13 @@ class DefEnv:
         self.size_bounds: dict[str, int] = {}
 
     def define(self, d: RawDefun) -> None:
+        """Install ``d`` once ``_check`` passes.  Its function is generated
+        when an evaluation first reaches it (see ``_top_level``).
+
+        The recursion limit is still raised here, process-wide: what
+        follows a definition walks its terms recursively (printing it in
+        an admission report, for one), and a deep quoted list in it would
+        overflow the default limit."""
         if d.name in PRIMITIVE_ARITY:
             raise DuplicateDefinition(f"{d.name} is a primitive", d.loc)
         if d.name in self.defs:
@@ -311,7 +325,6 @@ class DefEnv:
         record = _DefRecord(d, index)
         self.defs[d.name] = record
         _raise_recursion_limit()
-        record.fn = _Translator(self, d.params, f"f{index}", d.name).translate(d.body)
 
     def arity(self, name: str) -> int | None:
         if name in PRIMITIVE_ARITY:
@@ -324,23 +337,39 @@ class DefEnv:
 
         Definitions added to the copy are invisible to the original, so it
         is safe for provisional what-if checks.  The copy translates its
-        own top-level terms into its own namespace.
+        own top-level terms, and the shared records it reaches first, into
+        its own namespace.  A record translated in one member of the family
+        may run in another, so the payment sites (``sites``, ``owners``)
+        are one append-only registry that the copy shares, not copies: a
+        site's index means the same in every member.
         """
         child = DefEnv()
         child.defs = dict(self.defs)
         child.op_names = list(self.op_names)
         child.op_index = dict(self.op_index)
-        child.sites = list(self.sites)
-        child.owners = list(self.owners)
+        child.sites = self.sites
+        child.owners = self.owners
         child.size_bounds = dict(self.size_bounds)
         return child
 
     def _top_level(self, t: Term, names: tuple[str, ...]):
-        """The generated function for a top-level term over ``names``."""
+        """The generated function for a top-level term over ``names``.
+
+        A new term first has each operator it may reach translated, unless
+        it has a function already, so a run adds no payment site: the
+        ``hits`` of its ``StepCount`` are sized before it starts."""
         key = (_shape(t), names)
         fn = self._memo.get(key)
         if fn is None:
             _check(t, names, self)
+            todo = [t]
+            while todo:
+                for node in subterms(todo.pop()):
+                    record = self.defs.get(node.op) if isinstance(node, App) else None
+                    if record is not None and record.fn is None:
+                        d = record.defun
+                        record.fn = _Translator(self, d.params, f"f{record.index}", d.name).translate(d.body)
+                        todo.append(d.body)
             fn = _Translator(self, names, f"t{len(self._memo)}").translate(t)
             self._memo[key] = fn
         return fn

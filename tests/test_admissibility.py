@@ -16,7 +16,7 @@ from conftest import by_name
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqthink import admissibility, evaluator
+from eqthink import admissibility, cli, evaluator
 from eqthink.admissibility import (
     AdmissibilityReport,
     admit,
@@ -104,20 +104,53 @@ def test_every_corpus_definition_admitted(corpus):
         assert report.admitted, name
 
 
-def test_each_admitted_operator_is_translated_once(monkeypatch):
-    translated = Counter()
+def _reachable(env, op) -> set[str]:
+    """The defined operators a call of ``op`` may reach, ``op`` included."""
+    seen, todo = set(), [op]
+    while todo:
+        name = todo.pop()
+        if name in env.defs and name not in seen:
+            seen.add(name)
+            todo += [n.op for n in subterms(env.defs[name].defun.body) if isinstance(n, App)]
+    return seen
+
+
+def test_each_operator_is_translated_once_when_an_evaluation_first_reaches_it(monkeypatch, capsys):
+    # Each operator translated, by name and record: a record is one
+    # definition, shared by every copy of the environment it was made in.
+    translated = []
     translate = evaluator._Translator.translate
 
     def spy(self, t):
         if self.op is not None:
-            translated[self.op] += 1
+            translated.append((self.op, self.env.defs[self.op]))
         return translate(self, t)
 
     monkeypatch.setattr(evaluator._Translator, "translate", spy)
     session = Session()
     for path in sorted((corpus_root() / "defs").glob("*.lx")):
         session.load_file(path)
-    assert session.env.defs and translated == Counter(session.env.defs.keys())
+    env = session.env
+    # Admission evaluates nothing on the corpus, so loading translates nothing.
+    assert len(env.defs) > 40 and translated == []
+    xs = {"xs": from_list([5, 3, 8, 1, 4])}
+    evaluate(parse_term("(build-avl xs)"), xs, env)
+    names = [name for name, _ in translated]
+    reachable = _reachable(env, "build-avl")
+    assert sorted(names) == sorted(reachable) and len(reachable) < len(env.defs)
+    assert all(env.defs[name].fn is not None for name in reachable)
+    assert all(record.fn is None for name, record in env.defs.items() if name not in reachable)
+    # A second evaluation, of the same term or another over the same
+    # operators, translates no operator.
+    translated.clear()
+    evaluate(parse_term("(build-avl xs)"), xs, env)
+    evaluate(parse_term("(avl-insert 2 (build-avl xs))"), xs, env)
+    assert translated == []
+    # A whole ci pass translates no definition twice.
+    assert cli.main(["ci", "--json", "--seed", "0"]) == 0
+    capsys.readouterr()
+    records = Counter(id(record) for _, record in translated)
+    assert translated and max(records.values()) == 1
 
 
 def test_admission_hands_back_the_environment_it_checked_in():

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqthink.admissibility import admit
+from eqthink.cli import corpus_root
 from eqthink.errors import (
     BadArity,
     SourceLocation,
@@ -648,7 +649,9 @@ def test_loops_store_a_calls_value_where_it_is_needed():
     # `size-sum` and `sizes` call `size` every round; its value goes
     # straight into the local that reads it, not through a copy.
     env = _library()
-    for op in ("size-sum", "sizes"):
+    for op, call in (("size-sum", "(size-sum x 0)"), ("sizes", "(sizes x)")):
+        # An operator is translated when an evaluation first reaches it.
+        evaluate(parse_term(call), {"x": NIL}, env)
         instructions = list(dis.get_instructions(env.defs[op].fn))
         stored, called = set(), False
         for one, two in zip(instructions, instructions[1:]):
@@ -924,6 +927,8 @@ def test_evaluated_term_keeps_equality_hash_and_repr():
 
 def test_equal_terms_share_one_translation(monkeypatch):
     env = _library()
+    # Translates `count-down`, which the terms below reach.
+    evaluate(parse_term("(count-down 0)"), {}, env)
     translations = []
     translate = evaluator._Translator.translate
 
@@ -1021,6 +1026,82 @@ def test_a_failed_definition_changes_nothing(body, error):
     assert evaluate(parse_term("(bad (cons 1 (cons 2 3)))"), {}, env) == 3
 
 
+def _corpus_defs() -> Session:
+    session = Session()
+    for path in sorted((corpus_root() / "defs").glob("*.lx")):
+        session.load_file(path)
+    return session
+
+
+def _outcome(term, bindings, env, fuel):
+    """What one evaluation shows: its value and counts, or that it ran out."""
+    try:
+        value, count = eval_counting(parse_term(term), bindings, env, fuel)
+    except StepLimitExceeded:
+        return "out of fuel"
+    return print_value(value), count.total, count.per_operator, count.self_steps
+
+
+def test_a_family_of_environments_counts_as_fresh_ones_do():
+    # Records are shared down a family of environments, and each is
+    # translated once, by whichever member first reaches it, into that
+    # member's namespace and the family's one registry of payment sites.
+    # A parent and a copy made before either evaluates take turns, and a
+    # failed admission evaluates in a third member between them; every
+    # outcome must be the one a fresh environment gives.
+    parent = _corpus_defs().env
+    copy = parent.copy()
+    # Each side defines an operator of its own at the same index.
+    [mine] = parse_program("(defun twice-len (xs) :trust (+ (len xs) (len xs)))")
+    [theirs] = parse_program("(defun sorted-len (xs) :trust (len (merge-sort xs)))")
+    copy.define(mine)
+    parent.define(theirs)
+    assert copy.op_index["twice-len"] == parent.op_index["sorted-len"]
+    fresh = {"copy": _corpus_defs().env, "parent": _corpus_defs().env}
+    fresh["copy"].define(mine)
+    fresh["parent"].define(theirs)
+    envs = {"copy": copy, "parent": parent}
+    [sig, bad] = parse_program(
+        """
+        (sig bad (list))
+        (defeqs bad (xs)
+          (b0 (bad xs) (len xs) :when (sortedp xs))
+          (b1 (bad xs) 0 :when (consp (insertion-sort xs))))
+        """
+    )
+    xs = {"xs": from_list([5, 3, 8, 1, 4, 9, 2])}
+    steps = [
+        ("copy", "(merge-sort xs)", DEFAULT_FUEL),
+        "admit",
+        ("parent", "(merge-sort xs)", DEFAULT_FUEL),
+        ("parent", "(sortedp (insertion-sort xs))", DEFAULT_FUEL),
+        ("copy", "(twice-len (insertion-sort xs))", DEFAULT_FUEL),
+        ("parent", "(inorder (build-avl xs))", DEFAULT_FUEL),
+        ("copy", "(balancedp (build-avl xs))", DEFAULT_FUEL),
+        ("copy", "(inorder (build-avl xs))", 200),
+        ("parent", "(sorted-len xs)", DEFAULT_FUEL),
+        ("parent", "(inv-reduce 1 xs)", 50),
+        ("copy", "(inv-reduce 1 xs)", DEFAULT_FUEL),
+        ("parent", "(inv-reduce 1 xs)", DEFAULT_FUEL),
+    ]
+    ran_out = set()
+    for step in steps:
+        if step == "admit":
+            assert parent.defs["sortedp"].fn is None
+            assert not admit(bad, parent, domains=sig.payload).admitted
+            # Its trials translated shared records that neither side has run.
+            assert parent.defs["sortedp"].fn is not None
+            continue
+        side, term, fuel = step
+        got = _outcome(term, xs, envs[side], fuel)
+        assert got == _outcome(term, xs, fresh[side], fuel), step
+        ran_out.add(got == "out of fuel")
+    assert ran_out == {True, False}
+    # `merge-sort` was translated in the copy and then run by the parent.
+    assert parent.defs["merge-sort"].fn.__globals__ is copy._namespace
+    assert parent.sites is copy.sites and parent.owners is copy.owners
+
+
 def test_a_trusted_defun_that_failed_to_load_stays_unknown(tmp_path):
     first, second = tmp_path / "first.lx", tmp_path / "second.lx"
     first.write_text("(defun bad (x) :trust (nosuch x))\n")
@@ -1038,9 +1119,12 @@ def test_a_guard_that_folds_pays_only_in_the_branch_taken():
     env = DefEnv()
     [g] = parse_program("(defun g (x) :trust (if (consp '(1)) 1 (+ x (+ x x))))")
     env.define(g)
+    total = eval_counting(parse_term("(g 5)"), {}, env)[1].total
+    # The sites of `g`, then those of the term, which is translated after it.
     sites = [{env.op_names[i]: n for i, n in site} for site in env.sites]
-    assert sites == [{"if": 1, "consp": 1, "cons": 1}] and env.owners == ["g"]
-    assert eval_counting(parse_term("(g 5)"), {}, env)[1].total == 4
+    assert sites == [{"if": 1, "consp": 1, "cons": 1}, {"g": 1}]
+    assert env.owners == ["g", evaluator.TERM_OWNER]
+    assert total == 4
 
 
 @pytest.mark.parametrize("x", [5, from_list([-1, 2]), from_list([3])])
@@ -1060,12 +1144,14 @@ def test_conjuncts_that_pay_or_call_still_run(x):
 
 def test_generated_code_is_named_after_its_operator():
     env = _library()
-    assert env.defs["insert"].fn.__code__.co_filename == "<eqthink:insert>"
-    assert env.defs["app"].fn.__code__.co_filename == "<eqthink:app>"
     term = parse_term("(app x x)")
     evaluate(term, {"x": NIL}, env)
     [fn] = env._memo.values()
     assert fn.__code__.co_filename == "<eqthink:term>"
+    # An operator is translated when an evaluation first reaches it.
+    evaluate(parse_term("(insert 1 nil)"), {}, env)
+    assert env.defs["insert"].fn.__code__.co_filename == "<eqthink:insert>"
+    assert env.defs["app"].fn.__code__.co_filename == "<eqthink:app>"
 
 
 def test_self_steps_are_paid_in_each_operators_own_body():
