@@ -33,7 +33,13 @@ from .evaluator import eval_counting
 from .loader import Session
 from .prover import ProofOutcome
 from .syntax import Property, parse_term
-from .values import Symbol, from_json as value_from_json, print_value, to_json as value_to_json
+from .values import (
+    Symbol,
+    from_json as value_from_json,
+    print_value,
+    to_json as value_to_json,
+    without_digit_limit,
+)
 
 SCHEMA = 1
 
@@ -439,14 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Integers have any length and print in full: lift CPython's limit on
-    # int-text conversion for the command, restoring the caller's on exit.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return _main(argv)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    # Integers have any length and print in full, in JSON too: lift
+    # CPython's limit on int-text conversion for the whole command.
+    return without_digit_limit(_main, argv)
 
 
 def _main(argv: list[str] | None) -> int:

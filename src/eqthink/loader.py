@@ -12,6 +12,10 @@ the ``AdmissibilityReport`` of an equation group, the ``Property`` itself
 Directives and trusted defuns return ``None``, and ``load_forms`` and
 ``load_file`` keep only the results that are not ``None``.
 
+Properties run through ``Session.run_property`` share the session's memo
+of drawn trial inputs, so an input that several properties draw at the
+same trial is drawn once (see ``properties``).
+
 ``Session.env`` is replaced at each admission by the environment the
 checks ran in, which already holds the compiled defun and its size fact.
 A rejected definition leaves ``Session.env`` as it was.
@@ -23,7 +27,7 @@ from .admissibility import AdmissibilityReport, admit
 from .errors import DuplicateDefinition, NotAdmitted
 from .evaluator import DefEnv
 from .prover import ProofOutcome, check_proof
-from .properties import DEFAULT_TRIALS, Property, PropertyReport, run_property
+from .properties import DEFAULT_TRIALS, Drawn, Property, PropertyReport, run_property
 from .records import Record
 from .rewriting import RuleDatabase
 from .syntax import (
@@ -41,8 +45,10 @@ LoadResult = AdmissibilityReport | Property | ProofOutcome
 
 
 class Session(Record):
-    # The one mutable record: loading replaces env.
-    __slots__ = _fields = ("env", "rules", "seed", "sigs", "measures")
+    # The one mutable record: loading replaces env.  drawn, the memo of the
+    # trial inputs its properties have drawn, is carried but not compared.
+    _fields = ("env", "rules", "seed", "sigs", "measures")
+    __slots__ = (*_fields, "drawn")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None  # type: ignore[assignment]
@@ -60,6 +66,7 @@ class Session(Record):
         self.seed = seed
         self.sigs = {} if sigs is None else sigs
         self.measures = {} if measures is None else measures
+        self.drawn: Drawn = {}
 
     # -- loading ------------------------------------------------------------
 
@@ -111,6 +118,6 @@ class Session(Record):
     def run_property(self, p: Property, trials: int | None = None) -> PropertyReport:
         if trials is not None:
             p = Property(p.name, p.binders, p.claim, trials, p.loc)
-        outcome = run_property(p, self.seed, self.env)
+        outcome = run_property(p, self.seed, self.env, self.drawn)
         ran = p.trials if p.trials is not None else DEFAULT_TRIALS
         return PropertyReport(p.name, outcome, self.seed, ran)

@@ -6,6 +6,16 @@ Trials are reproducible: the PRNG is splitmix64 and trial ``i`` runs on a
 fresh stream seeded with ``master_seed XOR (i * 0x9E3779B97F4A7C15)``, so
 any single trial can be replayed without rerunning the ones before it.
 
+A trial's inputs therefore depend only on the seed, the trial index and
+the binder forms, never on the property's name or claim.  A binder's
+value, and the stream state after its draw, are functions of its form and
+the state the draw starts from, so a session draws each input once:
+``run_property`` keeps the draws of trials below ``DEFAULT_TRIALS`` in a
+memo keyed by the form's printed text and the starting state, and on a
+hit reuses the value (values are immutable and no primitive observes
+identity) and the end state the next binder draws from.  Later trials
+draw afresh, so the memo does not grow with ``--trials``.
+
 There is no shrinking; a counterexample reports the first failing binding
 as generated.
 """
@@ -17,7 +27,7 @@ from collections.abc import Callable
 from .errors import EqError, EvalError, UnexpectedToken
 from .evaluator import DefEnv, evaluate
 from .records import Record, set_field
-from .syntax import App, IntLit, Property, Term, Var
+from .syntax import App, IntLit, Property, Term, Var, print_term
 from .values import NIL, Symbol, Value, from_list, print_value
 
 _MASK64 = (1 << 64) - 1
@@ -190,20 +200,46 @@ class PropertyReport(Record):
         return out
 
 
+# What run_property keeps of the draws it makes: for each generator form's
+# printed text, the stream states that a draw of that form started from,
+# each with the value drawn and the state after the draw.
+Drawn = dict[str, dict[int, tuple[Value, int]]]
+
+
 def run_property(
     p: Property,
     seed: int,
     defs: DefEnv | None = None,
+    drawn: Drawn | None = None,
 ) -> TestOutcome:
-    """Run a property's trials; deterministic given (property, seed, defs)."""
-    draws = [(var, generator(form)) for var, form in p.binders]
+    """Run a property's trials; deterministic given (property, seed, defs).
+
+    Trial ``i``'s inputs depend only on ``seed``, ``i`` and the binder
+    forms up to each binder.  ``drawn`` is the memo of draws to replay and
+    extend (a ``Session`` passes its own); each draw of a trial below
+    ``DEFAULT_TRIALS`` is drawn once per memo, and later trials draw
+    afresh.  The outcome is the same with any memo or none.
+    """
+    if drawn is None:
+        drawn = {}
+    draws = [
+        (var, drawn.setdefault(print_term(form), {}), generator(form)) for var, form in p.binders
+    ]
     trials = p.trials if p.trials is not None else DEFAULT_TRIALS
     claim = p.claim
     hyp = claim.args[0] if isinstance(claim, App) and claim.op == "implies" else None
     vacuous = 0
     for i in range(trials):
-        stream = Stream(trial_seed(seed, i))
-        bindings = {var: draw(stream) for var, draw in draws}
+        state = trial_seed(seed, i)
+        bindings = {}
+        for var, memo, draw in draws:
+            hit = memo.get(state)
+            if hit is None:
+                stream = Stream(state)
+                hit = (draw(stream), stream.state)
+                if i < DEFAULT_TRIALS:
+                    memo[state] = hit
+            bindings[var], state = hit
         try:
             if hyp is not None and evaluate(hyp, bindings, defs) is NIL:
                 vacuous += 1

@@ -32,6 +32,7 @@ from .errors import (
     UnexpectedToken,
 )
 from .records import Record, set_field
+from .values import numeral, numeral_value
 
 # Arity of every primitive operator. `if` is a special form but its arity
 # is fixed here too so the parser can reject malformed applications early.
@@ -361,7 +362,7 @@ class _Reader:
     def _atom_term(self, tok: Token) -> Term:
         text = tok.text
         if _INT_RE.match(text):
-            return IntLit(int(text), loc=tok.loc)
+            return IntLit(numeral_value(text), loc=tok.loc)
         if text.startswith(":"):
             raise UnexpectedToken(f"keyword {text} is not a term", tok.loc)
         if text == "t":
@@ -374,7 +375,7 @@ class _Reader:
         tok = self.next()
         if tok.kind == "atom":
             if _INT_RE.match(tok.text):
-                return IntLit(int(tok.text), loc=tok.loc)
+                return IntLit(numeral_value(tok.text), loc=tok.loc)
             if tok.text.startswith(":"):
                 raise UnexpectedToken(f"cannot quote keyword {tok.text}", tok.loc)
             return SymLit(tok.text, loc=tok.loc)
@@ -512,7 +513,7 @@ def _print_term(t: Term, parts: list[str]) -> None:
     if isinstance(t, Var):
         parts.append(t.name)
     elif isinstance(t, IntLit):
-        parts.append(str(t.value))
+        parts.append(numeral(t.value))
     elif isinstance(t, SymLit):
         parts.append(t.name if t.name in ("t", "nil") else "'" + t.name)
     else:

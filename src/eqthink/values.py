@@ -8,6 +8,8 @@ elements, which would overflow Python's recursion limit.
 
 from __future__ import annotations
 
+import sys
+
 
 class Symbol:
     """An interned symbol. `t` and `nil` are the boolean constants."""
@@ -150,6 +152,33 @@ def to_list(v: Value) -> list[Value]:
     return out
 
 
+def numeral(n: int) -> str:
+    """The decimal text of ``n``, however many digits it has."""
+    try:
+        return str(n)
+    except ValueError:  # past CPython's limit on int-text conversion
+        return without_digit_limit(str, n)
+
+
+def numeral_value(text: str) -> int:
+    """The integer a decimal numeral denotes, however many digits it has."""
+    try:
+        return int(text)
+    except ValueError:  # past CPython's limit on int-text conversion
+        return without_digit_limit(int, text)
+
+
+def without_digit_limit(convert, x):
+    """``convert(x)`` with CPython's int-text digit limit lifted, restoring
+    the caller's limit afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return convert(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def is_true_list(v: Value) -> bool:
     while isinstance(v, Pair):
         v = v.tail
@@ -170,7 +199,8 @@ def _printed(v: Value) -> tuple[str | None, str]:
     """The value inside a quoted literal (None if it holds an improper
     pair) and the printed value, visiting each pair once."""
     if isinstance(v, int):
-        return str(v), str(v)
+        text = numeral(v)
+        return text, text
     if isinstance(v, Symbol):
         return v.name, v.name if v in (T, NIL) else "'" + v.name
     heads, end = _spine(v)

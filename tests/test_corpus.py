@@ -6,11 +6,13 @@ numbers must denote the integers they claim to.
 """
 
 import math
+import random
 
 from conftest import by_name
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eqthink.circuits import big_add, from_bits, ripple_carry, simulate, to_bits
 from eqthink.properties import Counterexample, Pass
 from eqthink.prover import ProofOutcome
 from eqthink.syntax import App, Property, Var
@@ -152,6 +154,30 @@ def test_badd_bmul_denote_arithmetic(corpus_env, xs, ys):
     assert _call(corpus_env, "bval", total) == _denote(xs) + _denote(ys)
     product = _call(corpus_env, "bmul", from_list(xs), from_list(ys))
     assert _call(corpus_env, "bval", product) == _denote(xs) * _denote(ys)
+
+
+def _three_sums(env, width, x, y):
+    """x + y by the gate-level adder, the corpus badd and the host bignum."""
+    bits = {f"x{i}": (x >> i) & 1 for i in range(width)}
+    bits |= {f"y{i}": (y >> i) & 1 for i in range(width)} | {"cin": 0}
+    gates = _denote(simulate(ripple_carry(width), bits))
+    xs, ys = ([(n >> i) & 1 for i in range(width)] for n in (x, y))
+    listed = _denote(to_list(_call(env, "badd", from_list(xs), from_list(ys))))
+    host = from_bits(big_add(to_bits(x), to_bits(y)))
+    return gates, listed, host
+
+
+def test_one_adder_three_ways(corpus_env):
+    # The course's adder as gates, as equations over bit lists and as host
+    # arithmetic: every pair up to 4 bits, and seeded 8-bit pairs.
+    for width in (1, 2, 3, 4):
+        for x in range(2**width):
+            for y in range(2**width):
+                assert _three_sums(corpus_env, width, x, y) == (x + y,) * 3, (width, x, y)
+    rng = random.Random(8)
+    for _ in range(500):
+        x, y = rng.randrange(256), rng.randrange(256)
+        assert _three_sums(corpus_env, 8, x, y) == (x + y,) * 3, (x, y)
 
 
 # -- word/link helpers ----------------------------------------------------------

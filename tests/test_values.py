@@ -1,3 +1,4 @@
+import sys
 from unittest import mock
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from eqthink import values as values_module
 from eqthink.evaluator import evaluate
-from eqthink.syntax import parse_term
+from eqthink.syntax import IntLit, parse_term, print_term
 from eqthink.values import (
     NIL,
     Pair,
@@ -225,3 +226,24 @@ def test_long_improper_list_prints_and_converts_in_one_walk():
         assert node["cons"][0] == i
         node = node["cons"][1]
     assert node == "end"
+
+
+@pytest.mark.parametrize("limit", [4300, 640])
+def test_integers_past_the_conversion_limit_read_and_print_in_full(limit):
+    # CPython refuses int-text conversion past a digit limit (4300 by
+    # default, at least 640 when set).  Reading and printing lift it for
+    # the one conversion it refuses and leave the caller's limit in place.
+    caller = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    power = str(2**15000)
+    try:
+        sys.set_int_max_str_digits(limit)
+        literal = "9" * 5000
+        assert parse_term(literal) == IntLit(10**5000 - 1)
+        assert parse_term(f"'({literal})").args[0].value == 10**5000 - 1
+        assert print_term(parse_term(f"(f -{literal})")) == f"(f -{literal})"
+        assert print_value(2**15000) == power and len(power) == 4516
+        assert print_value(from_list([-(2**15000)])) == f"'(-{power})"
+        assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(caller)
