@@ -1,10 +1,12 @@
 """Admissibility checking for equation-defined operators.
 
 A definition earns its way into the evaluation environment by passing
-three checks.  Each check first decides its question statically; seeded
-random trials probe only what the static step leaves open.  Trials can
-still refute a definition with a concrete witness, but they earn at most
-TestedOnly.
+three checks.  Each check first decides its question statically; trials
+probe only what the static step leaves open, on the _CHECK_TRIALS
+smallest inputs in the order of ``_inputs``, as SmallCheck does (Runciman,
+Naylor and Lindblad, 2008).  Trials can still refute a definition with
+its smallest witness, but they earn at most TestedOnly, and no verdict
+depends on a seed.
 
 * consistent -- no two equations can disagree on a shared input.  Pattern
   vectors that cannot unify are disjoint.  A unifiable pair is disjoint
@@ -12,8 +14,8 @@ TestedOnly.
   the unifier, cannot both hold.  A ground overlap is evaluated once:
   Proved when both sides agree, Failed when they disagree, TestedOnly
   without trials when the evaluation raises.  Any other overlap is probed
-  with random instances of the unified patterns, up to the first instance
-  that runs out of fuel.
+  with the smallest instances of the unified patterns, up to the first
+  instance that runs out of fuel.
 * comprehensive -- the equations cover the declared parameter domains
   (from a ``sig`` directive; domains are nat, list, or any).  Coverage is
   judged by case analysis on the domain constructors: nat into points
@@ -24,7 +26,7 @@ TestedOnly.
   definition's own business; inputs outside every equation fall back to
   nil at run time).  A case that only guarded equations reach is covered
   when their guards, instantiated at the case, form a tautology;
-  otherwise coverage is probed with random trials.
+  otherwise coverage is probed with trials.
 * constructive -- every self-call, in a right-hand side or a guard, must
   shrink.  Size counts cons cells plus the value of a positive integer,
   and a size bound of a term is a constant plus a multiset of variables:
@@ -35,7 +37,7 @@ TestedOnly.
   its pattern's size, and at least one must have a smaller constant, so
   the total size of the arguments falls at every call.  Only when that
   fails is a ``measure`` directive consulted: its strict decrease is
-  tested on random inputs (verdict TestedOnly).  A definition proved
+  tested on the smallest inputs (verdict TestedOnly).  A definition proved
   constructive statically may earn a size fact: a parameter i with
   size(f(args)) <= size(args[i]) on every input, proved by induction over
   the equations (each right-hand side's bound is at most pattern i's
@@ -66,12 +68,13 @@ equations with identical right-hand sides share a branch.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from functools import reduce
+from itertools import chain, count, islice, product
 
 from . import circuits
 from .errors import BadArity, EvalError, MissingSignature, StepLimitExceeded
 from .evaluator import DefEnv, _check, _host_function, evaluate
-from .properties import Stream, random_object
 from .records import Record, set_field
 from .syntax import (
     PRIMITIVE_ARITY,
@@ -87,6 +90,7 @@ from .syntax import (
     Var,
     parse_term,
     pattern_vars,
+    print_defun,
     print_term,
     substitute,
     subterms,
@@ -99,7 +103,7 @@ TESTED = "TestedOnly"
 FAILED = "Failed"
 
 _CHECK_FUEL = 200_000
-# Random trials a check runs when the static step leaves it open.
+# Inputs a check tries when the static step leaves it open.
 _CHECK_TRIALS = 1000
 # The guard decision gives up (and leaves the question to trials) beyond
 # this many truth assignments.
@@ -157,8 +161,6 @@ class AdmissibilityReport(Record):
         }
 
     def to_json(self):
-        from .syntax import print_defun
-
         return {
             "name": self.name,
             "admitted": self.admitted,
@@ -179,16 +181,6 @@ class AdmissibilityReport(Record):
                 witness = f" [witness: {res.witness}]" if res.witness else ""
                 lines.append(f"  {key}: {res.detail}{witness}")
         return lines
-
-
-def _derive_seed(seed: int, tag: str) -> int:
-    # Any int seed works; seeds in [0, 2**64) keep their bytes.  Only the
-    # random-trial fallbacks get here, so start-up does not import hashlib.
-    import hashlib
-
-    key = (seed % 2**64).to_bytes(8, "little")
-    digest = hashlib.blake2b(tag.encode(), digest_size=8, key=key).digest()
-    return int.from_bytes(digest, "little")
 
 
 # ---------------------------------------------------------------------------
@@ -261,33 +253,27 @@ def _subst(t: Term | None, mapping: dict[str, Term]) -> Term | None:
     return None if t is None else substitute(t, mapping)
 
 
-def _nat_vars(patterns) -> set[str]:
-    return {
-        a.name
-        for p in subterms(*patterns)
-        if isinstance(p, App) and p.op == "1+"
-        for a in p.args
-        if isinstance(a, Var)
+def _columns(patterns) -> dict[str, str]:
+    """Each variable of the patterns, in order, with its domain: nat under
+    (1+ ...), any elsewhere."""
+    nats = {
+        a.name for p in subterms(*patterns) if isinstance(p, App) and p.op == "1+"
+        for a in p.args if isinstance(a, Var)
     }
+    return {v: "nat" if v in nats else "any" for p in patterns for v in pattern_vars(p)}
 
 
-def _instantiate(p: Term, assign: dict[str, Value], nats: set[str], stream: Stream | None) -> Value:
-    """A value matching p; its variables draw from stream (unused when p is ground)."""
+def _instantiate(p: Term, assign: dict[str, Value]) -> Value:
+    """The value of pattern p with its variables bound by ``assign``."""
     if isinstance(p, Var):
-        if p.name not in assign:
-            if p.name in nats:
-                assign[p.name] = stream.int_between(0, 40)
-            else:
-                assign[p.name] = random_object(stream)
         return assign[p.name]
     if isinstance(p, IntLit):
         return p.value
     if not isinstance(p, App):
         return NIL
     if p.op == "cons":
-        head = _instantiate(p.args[0], assign, nats, stream)
-        return Pair(head, _instantiate(p.args[1], assign, nats, stream))
-    inner = _instantiate(p.args[0], assign, nats, stream)
+        return Pair(_instantiate(p.args[0], assign), _instantiate(p.args[1], assign))
+    inner = _instantiate(p.args[0], assign)
     return (inner if isinstance(inner, int) else 0) + 1
 
 
@@ -450,8 +436,8 @@ def _equation_bindings(
 def _trial_bindings(
     eq: Equation, args: list[Value], env: DefEnv
 ) -> dict[str, Value] | None:
-    """``_equation_bindings`` for a random trial, where a guard that raises
-    counts as not matching."""
+    """``_equation_bindings`` for a trial, where a guard that raises counts
+    as not matching."""
     try:
         return _equation_bindings(eq, args, env)
     except EvalError:
@@ -460,6 +446,48 @@ def _trial_bindings(
 
 def _describe_input(params, args) -> str:
     return ", ".join(f"{p} = {print_value(v)}" for p, v in zip(params, args))
+
+
+def _atoms(d: DefEquations) -> list[Value]:
+    """nil, t, -1, 0, 1, each numeral d names and its neighbours, and one
+    symbol d does not name."""
+    nodes = list(subterms(*(t for eq in d.equations for t in (*eq.patterns, eq.guard, eq.rhs))))
+    near = {t.value + k for t in nodes if isinstance(t, IntLit) for k in (-1, 0, 1)}
+    names = {t.name for t in nodes if isinstance(t, SymLit)}
+    fresh = next("a" * n for n in count(1) if "a" * n not in names)
+    return [NIL, T, -1, 0, 1, *sorted(near - {-1, 0, 1}, key=lambda n: (abs(n), n)), Symbol(fresh)]
+
+
+def _values(dom: str, atoms: list[Value]) -> Iterator[Value]:
+    """A domain's values in rank order.  nat is 0, 1, 2, ...; list is the
+    lists over the atoms by length; any is the atoms, then the other
+    integers (2, -2, 3, ...) interleaved with the non-empty lists."""
+    if dom == "nat":
+        return count()
+    lists = (from_list(xs) for n in count() for xs in product(atoms, repeat=n))
+    if dom == "list":
+        return lists
+    next(lists)  # nil, an atom already
+    ints = (i for n in count(1) for i in (n, -n) if i not in atoms)
+    return chain(atoms, (v for pair in zip(ints, lists) for v in pair))
+
+
+def _inputs(domains, atoms: list[Value]) -> Iterator[list[Value]]:
+    """Every input vector over the domains, in rounds: round n yields, in
+    lexicographic order, each vector whose largest rank (index in
+    ``_values``) is n.  With no domains, the one empty vector."""
+    if not domains:
+        yield []
+        return
+    streams = [_values(dom, atoms) for dom in domains]
+    seen: list[list[Value]] = [[] for _ in domains]
+    for n in count():
+        for col, stream in zip(seen, streams):
+            col.append(next(stream))
+        # The last rank is n unless an earlier one is: no vector is skipped.
+        for head in product(range(n + 1), repeat=len(domains) - 1):
+            for last in range(n + 1) if n in head else (n,):
+                yield [col[r] for col, r in zip(seen, (*head, last))]
 
 
 # ---------------------------------------------------------------------------
@@ -534,41 +562,38 @@ def _disagreement(d: DefEquations, o: Overlap, args: list[Value], v1: Value, v2:
     )
 
 
-def consistent_trials(
-    d: DefEquations, prov: DefEnv, pairs: list[Overlap], seed: int = 0
-) -> CheckResult:
-    """Probe each overlap with random instances of its unified patterns.
+def consistent_trials(d: DefEquations, prov: DefEnv, pairs: list[Overlap]) -> CheckResult:
+    """Probe each overlap on the smallest instances of its unified patterns.
 
     The first instance that runs out of fuel ends that overlap's trials: a
     guard or side that diverges there would cost the full fuel in every
     trial that reaches it.
     """
-    stream = Stream(_derive_seed(seed, f"consistent:{d.name}"))
+    atoms = _atoms(d)
     reached = []
     for o in pairs:
-        nats = _nat_vars(o.patterns)
-        count = run = 0
-        out_of_fuel = ""
-        for run in range(1, _CHECK_TRIALS + 1):
-            assign: dict[str, Value] = {}
-            args = [_instantiate(p, assign, nats, stream) for p in o.patterns]
+        columns = _columns(o.patterns)
+        hits = 0
+        end = "up to"
+        for run, vector in enumerate(islice(_inputs(columns.values(), atoms), _CHECK_TRIALS), 1):
+            args = [_instantiate(p, dict(zip(columns, vector))) for p in o.patterns]
             try:
                 sides = _both_sides(o, args, prov)
             except StepLimitExceeded:
-                out_of_fuel = f" (out of fuel at {_describe_input(d.params, args)})"
+                end = "out of fuel at"
                 break
             except EvalError:
                 continue
             if sides is None:
                 continue
-            count += 1
+            hits += 1
             if not value_equal(*sides):
                 return _disagreement(d, o, args, *sides)
-        reached.append(f"{o.labels} {count} of {run}{out_of_fuel}")
-    return CheckResult(TESTED, f"random trials reaching both equations: {', '.join(reached)}")
+        reached.append(f"{o.labels} {hits} of {run}, {end} {_describe_input(d.params, args)}")
+    return CheckResult(TESTED, f"smallest inputs reaching both equations: {', '.join(reached)}")
 
 
-def check_consistent(d: DefEquations, prov: DefEnv, seed: int = 0) -> CheckResult:
+def check_consistent(d: DefEquations, prov: DefEnv) -> CheckResult:
     undecided: list[tuple[Overlap, str]] = []
     # Overlaps with variables; a ground overlap has one instance, and
     # evaluating it once already says all that trials could.
@@ -581,7 +606,7 @@ def check_consistent(d: DefEquations, prov: DefEnv, seed: int = 0) -> CheckResul
             undecided.append((o, "guards may both hold"))
             to_probe.append(o)
             continue
-        args = [_instantiate(p, {}, set(), None) for p in o.patterns]
+        args = [_instantiate(p, {}) for p in o.patterns]
         try:
             sides = _both_sides(o, args, prov)
         except EvalError as e:
@@ -598,7 +623,7 @@ def check_consistent(d: DefEquations, prov: DefEnv, seed: int = 0) -> CheckResul
     why = "; ".join(f"{o.labels}: {reason}" for o, reason in undecided)
     detail = f"not decided statically ({why})"
     if to_probe:
-        probed = consistent_trials(d, prov, to_probe, seed)
+        probed = consistent_trials(d, prov, to_probe)
         if probed.verdict == FAILED:
             return probed
         detail += f"; {probed.detail}"
@@ -752,34 +777,19 @@ def _uncovered(
     return None
 
 
-def _random_domain_value(dom: str, stream: Stream) -> Value:
-    if dom == "nat":
-        return stream.int_between(0, 60)
-    if dom == "list":
-        length = stream.int_between(0, 10)
-        return from_list([random_object(stream) for _ in range(length)])
-    return random_object(stream)
-
-
-def coverage_trials(
-    d: DefEquations, prov: DefEnv, domains: tuple[str, ...], seed: int = 0
-) -> CheckResult:
-    """Probe coverage with random values of the declared domains."""
-    stream = Stream(_derive_seed(seed, f"comprehensive:{d.name}"))
-    for _ in range(_CHECK_TRIALS):
-        args = [_random_domain_value(dom, stream) for dom in domains]
+def coverage_trials(d: DefEquations, prov: DefEnv, domains: tuple[str, ...]) -> CheckResult:
+    """Probe coverage on the smallest values of the declared domains."""
+    for run, args in enumerate(islice(_inputs(domains, _atoms(d)), _CHECK_TRIALS), 1):
         if not any(_trial_bindings(eq, args, prov) is not None for eq in d.equations):
             return CheckResult(
                 FAILED, "no equation matched a sampled input", _describe_input(d.params, args)
             )
-    return CheckResult(TESTED, f"guarded coverage probed with {_CHECK_TRIALS} random trials")
+    where = _describe_input(d.params, args)
+    return CheckResult(TESTED, f"guarded coverage held on the {run} smallest inputs, up to {where}")
 
 
 def check_comprehensive(
-    d: DefEquations,
-    prov: DefEnv,
-    domains: tuple[str, ...] | None,
-    seed: int = 0,
+    d: DefEquations, prov: DefEnv, domains: tuple[str, ...] | None
 ) -> CheckResult:
     if domains is None:
         if all(isinstance(p, Var) for eq in d.equations for p in eq.patterns):
@@ -805,7 +815,7 @@ def check_comprehensive(
     where = _describe_input(d.params, witness)
     if not guarded:
         return CheckResult(FAILED, "patterns leave the declared domains uncovered", where)
-    probed = coverage_trials(d, prov, domains, seed)
+    probed = coverage_trials(d, prov, domains)
     if probed.verdict == FAILED:
         return probed
     return CheckResult(
@@ -912,19 +922,14 @@ def _size_fact(d: DefEquations, facts: dict[str, int]) -> int | None:
 
 
 def measure_trials(
-    d: DefEquations,
-    prov: DefEnv,
-    measure: Term,
-    domains: tuple[str, ...] | None = None,
-    seed: int = 0,
+    d: DefEquations, prov: DefEnv, measure: Term, domains: tuple[str, ...] | None = None
 ) -> CheckResult:
-    """Test the measure's strict decrease across self-calls on random inputs."""
+    """Test the measure's strict decrease across self-calls on the smallest
+    inputs."""
     calls_by_eq = _calls_by_equation(d)
-    stream = Stream(_derive_seed(seed, f"constructive:{d.name}"))
     doms = domains if domains is not None else tuple("any" for _ in d.params)
     checked = 0
-    for _ in range(_CHECK_TRIALS):
-        args = [_random_domain_value(dom, stream) for dom in doms]
+    for run, args in enumerate(islice(_inputs(doms, _atoms(d)), _CHECK_TRIALS), 1):
         for eq, calls in calls_by_eq:
             bindings = _trial_bindings(eq, args, prov)
             if bindings is None:
@@ -947,7 +952,10 @@ def measure_trials(
             except EvalError:
                 pass
             break
-    return CheckResult(TESTED, f"measure decrease held on {checked} matched random trials")
+    where = _describe_input(d.params, args)
+    return CheckResult(
+        TESTED, f"measure decrease held on {checked} matched of the {run} smallest inputs, up to {where}"
+    )
 
 
 def _calls_by_equation(d: DefEquations) -> list[tuple[Equation, list[App]]]:
@@ -965,7 +973,6 @@ def check_constructive(
     prov: DefEnv,
     measure: Term | None = None,
     domains: tuple[str, ...] | None = None,
-    seed: int = 0,
 ) -> CheckResult:
     calls_by_eq = _calls_by_equation(d)
     if not calls_by_eq:
@@ -992,7 +999,7 @@ def check_constructive(
     if measure is None:
         return CheckResult(FAILED, detail, witness)
     # admit has already rejected a measure with variables outside the params.
-    probed = measure_trials(d, prov, measure, domains, seed)
+    probed = measure_trials(d, prov, measure, domains)
     if probed.verdict == FAILED:
         return probed
     return CheckResult(TESTED, f"{detail}; {probed.detail}")
@@ -1062,7 +1069,6 @@ def admit(
     env: DefEnv,
     domains: tuple[str, ...] | None = None,
     measure: Term | None = None,
-    seed: int = 0,
 ) -> AdmissibilityReport:
     """Run all three checks; on success the report carries the compiled
     defun and the environment that holds it.
@@ -1085,9 +1091,9 @@ def admit(
                 _check(t, names, prov)
     if measure is not None:
         _check(measure, d.params, prov)
-    consistent = check_consistent(d, prov, seed)
-    comprehensive = check_comprehensive(d, prov, domains, seed)
-    constructive = check_constructive(d, prov, measure, domains, seed)
+    consistent = check_consistent(d, prov)
+    comprehensive = check_comprehensive(d, prov, domains)
+    constructive = check_constructive(d, prov, measure, domains)
     if FAILED in (consistent.verdict, comprehensive.verdict, constructive.verdict):
         return AdmissibilityReport(d.name, consistent, comprehensive, constructive, None)
     fact = _size_fact(d, env.size_bounds) if constructive.verdict == PROVED else None

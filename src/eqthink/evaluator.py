@@ -308,12 +308,7 @@ class DefEnv:
 
     def define(self, d: RawDefun) -> None:
         """Install ``d`` once ``_check`` passes.  Its function is generated
-        when an evaluation first reaches it (see ``_top_level``).
-
-        The recursion limit is still raised here, process-wide: what
-        follows a definition walks its terms recursively (printing it in
-        an admission report, for one), and a deep quoted list in it would
-        overflow the default limit."""
+        when an evaluation first reaches it (see ``_top_level``)."""
         if d.name in PRIMITIVE_ARITY:
             raise DuplicateDefinition(f"{d.name} is a primitive", d.loc)
         if d.name in self.defs:
@@ -324,7 +319,6 @@ class DefEnv:
         self.op_index[d.name] = index
         record = _DefRecord(d, index)
         self.defs[d.name] = record
-        _raise_recursion_limit()
 
     def arity(self, name: str) -> int | None:
         if name in PRIMITIVE_ARITY:

@@ -85,7 +85,6 @@ class Session(Record):
                 self.env,
                 domains=self.sigs.get(form.name),
                 measure=self.measures.get(form.name),
-                seed=self.seed,
             )
             if report.admitted:
                 self.env = report.env

@@ -505,23 +505,24 @@ def substitute(t: Term, mapping: dict[str, Term]) -> Term:
 
 def print_term(t: Term) -> str:
     parts: list[str] = []
-    _print_term(t, parts)
-    return "".join(parts)
-
-
-def _print_term(t: Term, parts: list[str]) -> None:
-    if isinstance(t, Var):
-        parts.append(t.name)
-    elif isinstance(t, IntLit):
-        parts.append(numeral(t.value))
-    elif isinstance(t, SymLit):
-        parts.append(t.name if t.name in ("t", "nil") else "'" + t.name)
-    else:
-        parts.append("(" + t.op)
-        for a in t.args:
-            parts.append(" ")
-            _print_term(a, parts)
-        parts.append(")")
+    # The argument iterators of the applications still open, innermost last.
+    open_args: list[Iterator[Term]] = []
+    while True:
+        if isinstance(t, App):
+            parts.append("(" + t.op)
+            open_args.append(iter(t.args))
+        elif isinstance(t, Var):
+            parts.append(t.name)
+        elif isinstance(t, IntLit):
+            parts.append(numeral(t.value))
+        else:
+            parts.append(t.name if t.name in ("t", "nil") else "'" + t.name)
+        while open_args and (t := next(open_args[-1], None)) is None:
+            open_args.pop()
+            parts.append(")")
+        if not open_args:
+            return "".join(parts)
+        parts.append(" ")
 
 
 def print_defun(d: RawDefun) -> str:

@@ -45,7 +45,7 @@ from eqthink.syntax import (
     subterms,
     term_vars,
 )
-from eqthink.values import NIL, Pair, Symbol, from_list, to_list, value_equal
+from eqthink.values import NIL, T, Pair, Symbol, from_list, to_list, value_equal
 
 
 def _admit(src, **kw):
@@ -210,7 +210,9 @@ def test_undecided_overlaps_report_the_trials_that_reached_them(monkeypatch):
     )
     detail = admit(d, DefEnv(), domains=("any",)).consistent.detail
     assert detail.startswith("not decided statically (s1/s2: guards may both hold)")
-    assert "random trials reaching both equations: s1/s2 319 of 1000" in detail
+    assert detail.endswith(
+        "smallest inputs reaching both equations: s1/s2 497 of 1000, up to x = '(t nil 0 1)"
+    )
 
     # The ground overlap (loopy 0) runs out of fuel; it has one instance,
     # so no trial probes it again.
@@ -275,7 +277,7 @@ def test_overlap_trials_stop_where_the_fuel_runs_out(monkeypatch):
     report = admit(_DIVERGING_GUARD, DefEnv(), domains=("any",))
     assert calls[0] <= 20
     detail = report.consistent.detail
-    assert "random trials reaching both equations: g0/g1 0 of 1 (out of fuel at x = " in detail
+    assert detail.endswith("smallest inputs reaching both equations: g0/g1 0 of 1, out of fuel at x = nil")
 
 
 def test_self_call_in_a_guard_must_shrink():
@@ -402,7 +404,9 @@ def test_measure_fallback_through_recursive_helper_earns_tested_only():
     detail = report.constructive.detail
     assert "argument 1 of (flip (rev xs))" in detail
     assert "(rev has no size bound)" in detail
-    assert "measure decrease held on" in detail and "matched random trials" in detail
+    assert detail.endswith(
+        "measure decrease held on 999 matched of the 1000 smallest inputs, up to xs = '(0 -1 0 -1)"
+    )
 
 
 def test_measure_fallback_through_recursive_helper_rejects_constant_measure():
@@ -602,8 +606,7 @@ _NEWLY_PROVED = [
 ]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7, 11])
-def test_newly_proved_verdicts_survive_the_trials(corpus, seed):
+def test_newly_proved_verdicts_survive_the_trials(corpus):
     """The trials that earned these verdicts TestedOnly find no counterexample."""
     session, results = corpus
     admissibility = by_name(results, AdmissibilityReport)
@@ -618,28 +621,72 @@ def test_newly_proved_verdicts_survive_the_trials(corpus, seed):
         d = forms[name]
         assert admissibility[name].verdicts()[check] == "Proved", (check, name)
         if check == "consistent":
-            result = consistent_trials(d, env, overlaps(d), seed)
+            result = consistent_trials(d, env, overlaps(d))
         elif check == "comprehensive":
-            result = coverage_trials(d, env, session.sigs[name], seed)
+            result = coverage_trials(d, env, session.sigs[name])
         else:
-            result = measure_trials(d, env, session.measures[name], session.sigs[name], seed)
-        assert result.verdict != "Failed", (check, name, seed, result)
+            result = measure_trials(d, env, session.measures[name], session.sigs[name])
+        assert result.verdict != "Failed", (check, name, result)
 
 
-UNDECIDED_GUARDS = Path(__file__).parent / "fixtures" / "undecided_guards.lx"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
-def test_seeds_outside_64_bits_wrap(seed):
-    """Admission takes the seed mod 2**64, as the property trials do."""
+def test_admission_ignores_the_seed():
+    """Trials enumerate inputs, so the session's seed reaches no report."""
 
     def reports(seed):
-        results = Session(seed=seed).load_file(UNDECIDED_GUARDS)
-        return [r.to_json() for r in results if isinstance(r, AdmissibilityReport)]
+        return [
+            r.to_json()
+            for name in ("undecided_guards.lx", "nat_coverage.lx")
+            for r in Session(seed=seed).load_file(FIXTURES / name)
+            if isinstance(r, AdmissibilityReport)
+        ]
 
-    (report,) = reports(seed)
-    assert report["consistent"]["verdict"] == "TestedOnly"
-    assert reports(seed) == reports(seed % 2**64)
+    first = reports(0)
+    assert [r["consistent"]["verdict"] for r in first] == ["TestedOnly", "TestedOnly", "Proved"]
+    for seed in (1, 7, -1, 2**64):
+        assert reports(seed) == first, seed
+
+
+def test_merge_without_its_last_equation_fails_at_the_smallest_input():
+    sorting = (corpus_root() / "defs" / "10_sorting.lx").read_text()
+    merge = sorting[sorting.index("(sig merge ") : sorting.index("  (mrg> ")] + ")"
+    report, _ = _admit(merge)
+    assert report.comprehensive.verdict == "Failed"
+    assert report.comprehensive.witness == "xs = '(nil), ys = '(-1)"
+
+
+def test_inputs_come_in_rounds_of_their_largest_rank():
+    for k in range(4):
+        want = sorted(itertools.product(range(10), repeat=k), key=lambda v: (max(v, default=0), v))
+        want = [list(v) for v in want[:100]]
+        assert list(itertools.islice(admissibility._inputs(["nat"] * k, []), len(want))) == want
+
+
+def test_trial_values_start_from_the_definitions_atoms():
+    [d] = parse_program("(defeqs f (x) (f0 (f 5) 'a) (f1 (f x) 0))")
+    atoms = admissibility._atoms(d)
+    assert atoms == [NIL, T, -1, 0, 1, 4, 5, 6, Symbol("aa")]
+    lists = [from_list([]), *(from_list([a]) for a in atoms)]
+    assert list(itertools.islice(admissibility._values("list", atoms), 10)) == lists
+    anything = [*atoms, 2, lists[1], -2, lists[2], 3, lists[3], -3]
+    assert list(itertools.islice(admissibility._values("any", atoms), 16)) == anything
+
+
+def test_no_columns_try_the_empty_input_once(monkeypatch):
+    calls = _count_evaluate_calls(monkeypatch)
+    report, _ = _admit(
+        """
+        (defun spin (n) :trust (spin (+ n 1)))
+        (sig f ())
+        (defeqs f () (f1 (f) 1 :when (spin 0)))
+        """
+    )
+    assert report.comprehensive.verdict == "Failed"
+    assert report.comprehensive.detail == "no equation matched a sampled input"
+    # The guard is evaluated once by the simplifier and once by the trial.
+    assert calls[0] <= 2
 
 
 def test_admitting_defs_leaves_few_trials(monkeypatch):

@@ -14,23 +14,56 @@ leave open says they may all fail.
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import chain
+from pathlib import Path
+
+from conftest import rebuilt
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqthink import admissibility
 from eqthink.admissibility import (
+    _CHECK_FUEL,
+    _CHECK_TRIALS,
     _DEFAULT_WITNESS,
+    FAILED,
+    TESTED,
+    CheckResult,
+    Overlap,
+    _both_sides,
+    _calls_by_equation,
+    _describe_input,
+    _disagreement,
     _int_marks,
     _Row,
     _subst,
     _translate,
+    _trial_bindings,
+    admit,
     check_comprehensive,
     guards_exhaustive,
     match_value,
 )
-from eqthink.evaluator import DefEnv
-from eqthink.syntax import NIL_LIT, App, DefEquations, IntLit, Term, Var, parse_program
-from eqthink.values import NIL, Pair, Symbol, Value
+from eqthink.cli import corpus_root
+from eqthink.errors import EvalError, StepLimitExceeded
+from eqthink.evaluator import DefEnv, evaluate
+from eqthink.loader import Session
+from eqthink.properties import Stream, random_object
+from eqthink.syntax import (
+    NIL_LIT,
+    App,
+    DefEquations,
+    IntLit,
+    Term,
+    Var,
+    parse_file,
+    parse_program,
+    subterms,
+)
+from eqthink.values import NIL, Pair, Symbol, Value, from_list, value_equal
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 # -- the replaced code, verbatim but for the names --------------------------
 
@@ -402,3 +435,238 @@ def test_one_pass_nat_columns_cover_exactly_as_the_points_did(case):
     prov.define(_translate(d))
     new = _comprehensive(d, prov, domains, admissibility._uncovered)
     assert new == _comprehensive(d, prov, domains, _uncovered_points), text
+
+
+# -- admission trials against the random samplers they replaced -------------
+#
+# The three trial functions below drew seeded random inputs.  They are kept
+# verbatim but for their names, with the samplers they used.  Every mutant of
+# a corpus or fixture definition that they refute at seeds 0, 1 or 7 must be
+# refuted by the enumerated trials too.
+
+
+def _derive_seed(seed: int, tag: str) -> int:
+    # Any int seed works; seeds in [0, 2**64) keep their bytes.  Only the
+    # random-trial fallbacks get here, so start-up does not import hashlib.
+    import hashlib
+
+    key = (seed % 2**64).to_bytes(8, "little")
+    digest = hashlib.blake2b(tag.encode(), digest_size=8, key=key).digest()
+    return int.from_bytes(digest, "little")
+
+
+def _nat_vars(patterns) -> set[str]:
+    return {
+        a.name
+        for p in subterms(*patterns)
+        if isinstance(p, App) and p.op == "1+"
+        for a in p.args
+        if isinstance(a, Var)
+    }
+
+
+def _instantiate(p: Term, assign: dict[str, Value], nats: set[str], stream: Stream | None) -> Value:
+    """A value matching p; its variables draw from stream (unused when p is ground)."""
+    if isinstance(p, Var):
+        if p.name not in assign:
+            if p.name in nats:
+                assign[p.name] = stream.int_between(0, 40)
+            else:
+                assign[p.name] = random_object(stream)
+        return assign[p.name]
+    if isinstance(p, IntLit):
+        return p.value
+    if not isinstance(p, App):
+        return NIL
+    if p.op == "cons":
+        head = _instantiate(p.args[0], assign, nats, stream)
+        return Pair(head, _instantiate(p.args[1], assign, nats, stream))
+    inner = _instantiate(p.args[0], assign, nats, stream)
+    return (inner if isinstance(inner, int) else 0) + 1
+
+
+def random_consistent_trials(
+    d: DefEquations, prov: DefEnv, pairs: list[Overlap], seed: int = 0
+) -> CheckResult:
+    """Probe each overlap with random instances of its unified patterns.
+
+    The first instance that runs out of fuel ends that overlap's trials: a
+    guard or side that diverges there would cost the full fuel in every
+    trial that reaches it.
+    """
+    stream = Stream(_derive_seed(seed, f"consistent:{d.name}"))
+    reached = []
+    for o in pairs:
+        nats = _nat_vars(o.patterns)
+        count = run = 0
+        out_of_fuel = ""
+        for run in range(1, _CHECK_TRIALS + 1):
+            assign: dict[str, Value] = {}
+            args = [_instantiate(p, assign, nats, stream) for p in o.patterns]
+            try:
+                sides = _both_sides(o, args, prov)
+            except StepLimitExceeded:
+                out_of_fuel = f" (out of fuel at {_describe_input(d.params, args)})"
+                break
+            except EvalError:
+                continue
+            if sides is None:
+                continue
+            count += 1
+            if not value_equal(*sides):
+                return _disagreement(d, o, args, *sides)
+        reached.append(f"{o.labels} {count} of {run}{out_of_fuel}")
+    return CheckResult(TESTED, f"random trials reaching both equations: {', '.join(reached)}")
+
+
+def _random_domain_value(dom: str, stream: Stream) -> Value:
+    if dom == "nat":
+        return stream.int_between(0, 60)
+    if dom == "list":
+        length = stream.int_between(0, 10)
+        return from_list([random_object(stream) for _ in range(length)])
+    return random_object(stream)
+
+
+def random_coverage_trials(
+    d: DefEquations, prov: DefEnv, domains: tuple[str, ...], seed: int = 0
+) -> CheckResult:
+    """Probe coverage with random values of the declared domains."""
+    stream = Stream(_derive_seed(seed, f"comprehensive:{d.name}"))
+    for _ in range(_CHECK_TRIALS):
+        args = [_random_domain_value(dom, stream) for dom in domains]
+        if not any(_trial_bindings(eq, args, prov) is not None for eq in d.equations):
+            return CheckResult(
+                FAILED, "no equation matched a sampled input", _describe_input(d.params, args)
+            )
+    return CheckResult(TESTED, f"guarded coverage probed with {_CHECK_TRIALS} random trials")
+
+
+def random_measure_trials(
+    d: DefEquations,
+    prov: DefEnv,
+    measure: Term,
+    domains: tuple[str, ...] | None = None,
+    seed: int = 0,
+) -> CheckResult:
+    """Test the measure's strict decrease across self-calls on random inputs."""
+    calls_by_eq = _calls_by_equation(d)
+    stream = Stream(_derive_seed(seed, f"constructive:{d.name}"))
+    doms = domains if domains is not None else tuple("any" for _ in d.params)
+    checked = 0
+    for _ in range(_CHECK_TRIALS):
+        args = [_random_domain_value(dom, stream) for dom in doms]
+        for eq, calls in calls_by_eq:
+            bindings = _trial_bindings(eq, args, prov)
+            if bindings is None:
+                continue
+            try:
+                m_in = evaluate(measure, dict(zip(d.params, args)), prov, fuel=_CHECK_FUEL)
+                for call in calls:
+                    inner = [evaluate(a, bindings, prov, fuel=_CHECK_FUEL) for a in call.args]
+                    m_out = evaluate(measure, dict(zip(d.params, inner)), prov, fuel=_CHECK_FUEL)
+                    lo = m_out if isinstance(m_out, int) else 0
+                    hi = m_in if isinstance(m_in, int) else 0
+                    if not lo < hi:
+                        return CheckResult(
+                            FAILED,
+                            f"{eq.label}: measure does not decrease at {print_term(call)} "
+                            f"({print_term(measure)} goes {hi} -> {lo})",
+                            _describe_input(d.params, args),
+                        )
+                checked += 1
+            except EvalError:
+                pass
+            break
+    return CheckResult(TESTED, f"measure decrease held on {checked} matched random trials")
+
+
+# -- the mutants --------------------------------------------------------------
+
+_FLIPPED = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "=": "<"}
+# A guard may also have its and/or swapped.
+_IN_GUARDS = {**_FLIPPED, "and": "or", "or": "and"}
+
+
+def _variants(t: Term, change):
+    """Copies of t with one node n replaced by change(n), wherever that is
+    not None, in preorder."""
+    new = change(t)
+    if new is not None:
+        yield new
+    if isinstance(t, App):
+        for i, a in enumerate(t.args):
+            for v in _variants(a, change):
+                yield App(t.op, (*t.args[:i], v, *t.args[i + 1 :]), t.loc)
+
+
+def _renamed(table):
+    return lambda n: App(table[n.op], n.args, n.loc) if isinstance(n, App) and n.op in table else None
+
+
+def _successor(n: Term) -> Term | None:
+    return IntLit(n.value + 1) if isinstance(n, IntLit) else None
+
+
+def _mutants(d: DefEquations):
+    """d without one equation; with one relation flipped in a guard or a
+    right-hand side; with one connective swapped in a guard; with one
+    integer of a right-hand side raised by 1; with one right-hand side nil."""
+    eqs = d.equations
+    if len(eqs) > 1:
+        for i in range(len(eqs)):
+            yield rebuilt(d, equations=eqs[:i] + eqs[i + 1 :])
+    for i, eq in enumerate(eqs):
+        changed = []
+        if eq.guard is not None:
+            changed += [rebuilt(eq, guard=g) for g in _variants(eq.guard, _renamed(_IN_GUARDS))]
+        rhss = chain(_variants(eq.rhs, _renamed(_FLIPPED)), _variants(eq.rhs, _successor))
+        changed += [rebuilt(eq, rhs=r) for r in rhss]
+        if eq.rhs != NIL_LIT:
+            changed.append(rebuilt(eq, rhs=NIL_LIT))
+        for new in changed:
+            yield rebuilt(d, equations=(*eqs[:i], new, *eqs[i + 1 :]))
+
+
+def _mutant_cases() -> list[tuple[DefEquations, DefEnv, tuple | None, Term | None]]:
+    """Each mutant with the environment, domains and measure that its
+    definition is admitted with."""
+    sets = [sorted((corpus_root() / "defs").glob("*.lx"))]
+    sets += [[FIXTURES / "undecided_guards.lx"], [FIXTURES / "nat_coverage.lx"]]
+    cases = []
+    for paths in sets:
+        session = Session()
+        for form in (form for path in paths for form in parse_file(path)):
+            if isinstance(form, DefEquations):
+                context = (session.env, session.sigs.get(form.name), session.measures.get(form.name))
+                cases += [(m, *context) for m in _mutants(form)]
+            session.load_form(form)
+    return cases
+
+
+def _refuted(case) -> bool:
+    d, env, domains, measure = case
+    return not admit(d, env, domains=domains, measure=measure).admitted
+
+
+def _trials(monkeypatch, consistent, coverage, measure):
+    monkeypatch.setattr(admissibility, "consistent_trials", consistent)
+    monkeypatch.setattr(admissibility, "coverage_trials", coverage)
+    monkeypatch.setattr(admissibility, "measure_trials", measure)
+
+
+def test_enumerated_trials_refute_every_mutant_the_random_trials_refuted(monkeypatch):
+    cases = _mutant_cases()
+    enumerated = [_refuted(case) for case in cases]
+    randomly = [False] * len(cases)
+    reference = (random_consistent_trials, random_coverage_trials, random_measure_trials)
+    for seed in (0, 1, 7):
+        _trials(monkeypatch, *(partial(f, seed=seed) for f in reference))
+        randomly = [r or _refuted(case) for r, case in zip(randomly, cases)]
+    missed = [case[0] for case, r, e in zip(cases, randomly, enumerated) if r and not e]
+    assert missed == []
+    # Without trials, a mutant is refuted only by the static decisions.
+    _trials(monkeypatch, *[lambda *args, **kwargs: CheckResult(TESTED)] * 3)
+    by_trials = [r and not _refuted(case) for r, case in zip(randomly, cases)]
+    assert (len(cases), sum(randomly)) == (235, 116)
+    assert any(by_trials)

@@ -113,6 +113,25 @@ def test_deeply_nested_input_exits_two_without_traceback(tmp_path):
     assert len(out.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("depth", [5000, 20000])
+def test_deep_file_exits_two_after_a_definition_too(tmp_path, depth):
+    # Defining an operator leaves the recursion limit as it was, so a deep
+    # file is refused after another file's defun as it is alone.
+    first = tmp_path / "id.lx"
+    first.write_text("(defun id (x) :trust x)")
+    deep = tmp_path / "deep.lx"
+    nest = "'" + "(" * depth + ")" * depth
+    deep.write_text(f"(sig g (nat)) (defeqs g (n) (g0 (g 0) {nest}) (g1 (g n) {nest}))")
+    for files in ([deep], [first, deep]):
+        out = subprocess.run(
+            [sys.executable, "-m", "eqthink.cli", "check", *map(str, files)],
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 2, (files, out.stderr)
+        assert "Traceback" not in out.stderr
+        assert len(out.stderr.splitlines()) == 1
+
+
 def test_long_quoted_list_in_defeqs_is_admitted_and_evaluates(tmp_path):
     # Each command runs in a fresh interpreter, at the default recursion
     # limit until evaluation raises it.
@@ -726,7 +745,7 @@ def _modules_added_by(module: str) -> set[str]:
 
 def test_cli_import_adds_no_introspection_modules():
     # Start-up pays for none of these: nothing at import time needs them,
-    # and only mr needs mapreduce and fractions, only seed derivation hashlib.
+    # only mr needs mapreduce and fractions, and no command needs hashlib.
     added = _modules_added_by("eqthink.cli")
     unused = {"dataclasses", "inspect", "ast", "dis", "hashlib", "_hashlib", "fractions"}
     assert added.isdisjoint(unused | {"eqthink.mapreduce"}), sorted(added)
