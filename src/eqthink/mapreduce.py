@@ -3,50 +3,67 @@
 Mappers and reducers are two-argument operators written in the object
 language and admitted beforehand.  The framework contributes only the
 deterministic plumbing: map in input order, group by key under the
-total value order, reduce per group, concatenate in key order.
+total value order, reduce per group, concatenate in key order.  Grouping
+sorts on each key's flat order key (``values.value_key``), so the sort
+compares native tuples and calls no Python function per comparison.
 
 PageRank keeps the same grouping engine but runs its arithmetic on the
-host side with exact rationals so the rank-conservation invariant is an
-equality, not an approximation.
+host side, exactly: each round's ranks are integer numerators over one
+common denominator, so the rank-conservation invariant is an equality,
+not an approximation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
+from math import gcd, lcm
+from operator import itemgetter
 from typing import TypeVar
 
 from .errors import BadDamping, JobError, MapperArity, ReducerArity, UnknownOperator
 from .evaluator import DefEnv, evaluate
 from .records import Record, set_field
 from .syntax import App, Var
-from .values import Pair, Value, from_list, is_true_list, print_value, to_list, value_compare
+from .values import NIL, Pair, Value, from_list, print_value, to_list, value_key
 
 KVPair = tuple  # (key: Value, value: Value)
 
 V = TypeVar("V")
 
+_KEY_AND_VALUE = (Var("a"), Var("b"))
+
 
 class Job(Record):
-    __slots__ = _fields = ("mapper", "reducer")
+    # map_call and reduce_call are the terms mapreduce evaluates, built once
+    # per job; like App.shape they are carried but never compared.
+    __slots__ = ("mapper", "reducer", "map_call", "reduce_call")
+    _fields = ("mapper", "reducer")
 
     def __init__(self, mapper: str, reducer: str):
         set_field(self, "mapper", mapper)
         set_field(self, "reducer", reducer)
+        set_field(self, "map_call", App(mapper, _KEY_AND_VALUE))
+        set_field(self, "reduce_call", App(reducer, _KEY_AND_VALUE))
 
 
-_VALUE_ORDER = cmp_to_key(value_compare)
+_FIRST = itemgetter(0)
 
 
 def group_pairs(pairs: list[tuple[Value, V]]) -> list[tuple[Value, list[V]]]:
     """Group by key: keys strictly increasing under the total value
-    order, each group's values in emission order (the sort is stable)."""
+    order, each group's values in emission order and its key the first
+    emission's.  The pairs are sorted stably on their keys' ``value_key``
+    tuples and grouped on tuple equality."""
+    keyed = sorted(zip(map(value_key, map(_FIRST, pairs)), pairs), key=_FIRST)
     groups: list[tuple[Value, list[V]]] = []
-    for key, value in sorted(pairs, key=lambda pair: _VALUE_ORDER(pair[0])):
-        if groups and value_compare(groups[-1][0], key) == 0:
-            groups[-1][1].append(value)
+    last = None
+    for order_key, (key, value) in keyed:
+        if order_key == last:
+            values.append(value)
         else:
-            groups.append((key, [value]))
+            values = [value]
+            groups.append((key, values))
+            last = order_key
     return groups
 
 
@@ -59,28 +76,35 @@ def _require_arity(defs: DefEnv, name: str, err) -> None:
 
 
 def _unpack_emissions(op: str, result: Value) -> list[KVPair]:
-    if not is_true_list(result):
-        raise JobError(f"{op} must return a list of pairs, got {print_value(result)}")
+    """The (key, value) pairs of a list of pairs, in one walk of its spine.
+    An improper list is reported before an item that is not a pair."""
     out = []
-    for item in to_list(result):
-        if not isinstance(item, Pair):
-            raise JobError(f"{op} emitted non-pair {print_value(item)}")
-        out.append((item.head, item.tail))
+    stray = None  # the first item that is not a pair
+    node = result
+    while isinstance(node, Pair):
+        item = node.head
+        if isinstance(item, Pair):
+            out.append((item.head, item.tail))
+        elif stray is None:
+            stray = item
+        node = node.tail
+    if node is not NIL:
+        raise JobError(f"{op} must return a list of pairs, got {print_value(result)}")
+    if stray is not None:
+        raise JobError(f"{op} emitted non-pair {print_value(stray)}")
     return out
 
 
 def mapreduce(job: Job, input_pairs: list[KVPair], defs: DefEnv) -> list[KVPair]:
     _require_arity(defs, job.mapper, MapperArity)
     _require_arity(defs, job.reducer, ReducerArity)
-    map_call = App(job.mapper, (Var("a"), Var("b")))
-    reduce_call = App(job.reducer, (Var("a"), Var("b")))
     intermediate: list[KVPair] = []
     for key, value in input_pairs:
-        result = evaluate(map_call, {"a": key, "b": value}, defs)
+        result = evaluate(job.map_call, {"a": key, "b": value}, defs)
         intermediate.extend(_unpack_emissions(job.mapper, result))
     output: list[KVPair] = []
     for key, values in group_pairs(intermediate):
-        result = evaluate(reduce_call, {"a": key, "b": from_list(values)}, defs)
+        result = evaluate(job.reduce_call, {"a": key, "b": from_list(values)}, defs)
         output.extend(_unpack_emissions(job.reducer, result))
     return output
 
@@ -124,11 +148,14 @@ def pagerank(
     graph: list[KVPair], iterations: int, damping: Fraction = DEFAULT_DAMPING
 ) -> list[tuple[Value, Fraction]]:
     """graph: (node, successor list) pairs.  Returns (node, rank) in key
-    order with exact rational ranks summing to 1.
+    order (``value_key``) with exact rational ranks summing to 1.
 
     Each iteration distributes rank(v)/outdegree(v) along edges, then
     every node receives (1-d)/N plus d times its incoming mass; mass at
-    dangling nodes is split uniformly.
+    dangling nodes is split uniformly.  A round's ranks are integer
+    numerators over one common denominator, reduced by their gcd once a
+    round, so they stay exact and sum to the denominator every round;
+    ``Fraction``s are built only for the result.
     """
     damping = Fraction(damping)
     if not 0 < damping < 1:
@@ -144,7 +171,7 @@ def pagerank(
         adjacency.append((node, targets))
         seen.add(node)
         seen.update(targets)
-    nodes = sorted(seen, key=_VALUE_ORDER)
+    nodes = sorted(seen, key=value_key)
     if not nodes:
         return []
     n = len(nodes)
@@ -154,21 +181,29 @@ def pagerank(
     for node, targets in adjacency:
         out_edges[index_of[node]].extend(index_of[t] for t in targets)
 
-    ranks = [Fraction(1, n)] * n
+    # A share rank/outdegree is num * (scale // outdegree) over den * scale.
+    scale = lcm(*(len(targets) for targets in out_edges if targets))
+    p, q = damping.numerator, damping.denominator
+    num, den = [1] * n, n
     for _ in range(iterations):
-        contributions: list[tuple[Value, Fraction]] = []
-        dangling = Fraction(0)
+        contributions: list[tuple[Value, int]] = []
+        dangling = 0
         for i, targets in enumerate(out_edges):
             if targets:
-                share = ranks[i] / len(targets)
+                share = num[i] * (scale // len(targets))
                 for t in targets:
                     contributions.append((nodes[t], share))
             else:
-                dangling += ranks[i]
-        incoming = [Fraction(0)] * n
+                dangling += num[i]
+        incoming = [0] * n
         for key, values in group_pairs(contributions):
-            incoming[index_of[key]] = sum(values, Fraction(0))
-        base = (1 - damping + damping * dangling) / n
-        ranks = [base + damping * incoming[i] for i in range(n)]
-        assert sum(ranks) == 1
-    return list(zip(nodes, ranks))
+            incoming[index_of[key]] = sum(values)
+        # With d = p/q, rank = (1-d)/N + d*(dangling/den)/N
+        # + d*incoming/(den*scale), written over one denominator q*N*den*scale.
+        base = ((q - p) * den + p * dangling) * scale
+        num = [base + p * n * x for x in incoming]
+        den *= q * n * scale
+        g = gcd(den, *num)
+        num, den = [x // g for x in num], den // g
+        assert sum(num) == den
+    return [(node, Fraction(x, den)) for node, x in zip(nodes, num)]

@@ -125,6 +125,35 @@ def value_compare(a: Value, b: Value) -> int:
         a, b = a.tail, b.tail
 
 
+def value_key(v: Value) -> tuple:
+    """The value's place in the total order, as a flat preorder tuple:
+    ``(0, n)`` for an integer, ``(1, name)`` for a symbol, and for a pair
+    ``2`` followed by the head's key and then the tail's.
+
+    No key is a prefix of another, so keys compare as ``value_compare``
+    orders their values and are equal exactly when ``value_equal`` holds.
+    A sort on them compares tuples in C, with no Python call per
+    comparison, and an explicit stack lets nests of any depth in.
+    """
+    if isinstance(v, int):
+        return (0, v)
+    if isinstance(v, Symbol):
+        return (1, v.name)
+    out = []
+    stack = [v]
+    while stack:
+        v = stack.pop()
+        while isinstance(v, Pair):
+            out.append(2)
+            stack.append(v.tail)
+            v = v.head
+        if isinstance(v, Symbol):
+            out += (1, v.name)
+        else:
+            out += (0, v)
+    return tuple(out)
+
+
 def from_list(items) -> Value:
     out: Value = NIL
     for item in reversed(list(items)):
@@ -177,12 +206,6 @@ def without_digit_limit(convert, x):
         return convert(x)
     finally:
         sys.set_int_max_str_digits(limit)
-
-
-def is_true_list(v: Value) -> bool:
-    while isinstance(v, Pair):
-        v = v.tail
-    return v is NIL
 
 
 def print_value(v: Value) -> str:

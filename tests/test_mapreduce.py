@@ -4,12 +4,13 @@ Each job is checked against a host-language oracle that never touches
 the job's own mapper or reducer.
 """
 
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from eqthink import evaluator
@@ -25,7 +26,17 @@ from eqthink.mapreduce import (
     pagerank,
 )
 from eqthink.syntax import parse_program
-from eqthink.values import Pair, Symbol, from_list, to_list, value_compare
+from eqthink.values import (
+    NIL,
+    Pair,
+    Symbol,
+    Value,
+    from_list,
+    to_list,
+    value_compare,
+    value_equal,
+    value_key,
+)
 
 keys = st.one_of(st.integers(-20, 20), st.sampled_from([Symbol(c) for c in "abcde"]))
 
@@ -96,6 +107,95 @@ def test_group_pairs_matches_index_tie_break_oracle(specs):
 def test_group_pairs_keeps_emission_order_within_key():
     pairs = [(1, "c"), (0, "x"), (1, "a"), (1, "b")]
     assert group_pairs(pairs) == [(0, ["x"]), (1, ["c", "a", "b"])]
+
+
+# ---------------------------------------------------------------------------
+# Order keys against the comparison they replace
+
+_VALUE_ORDER = cmp_to_key(value_compare)
+
+
+def _reference_group_pairs(pairs):
+    """``group_pairs`` as it was when it sorted through ``value_compare``."""
+    groups = []
+    for key, value in sorted(pairs, key=lambda pair: _VALUE_ORDER(pair[0])):
+        if groups and value_compare(groups[-1][0], key) == 0:
+            groups[-1][1].append(value)
+        else:
+            groups.append((key, [value]))
+    return groups
+
+
+atoms = st.one_of(
+    st.integers(),
+    st.integers(-(2**100), 2**100),
+    st.sampled_from([Symbol(s) for s in ("nil", "t", "a", "ab", "b", "z")]),
+)
+
+
+def _improper(heads_and_end):
+    heads, end = heads_and_end
+    out = end
+    for head in reversed(heads):
+        out = Pair(head, out)
+    return out
+
+
+values = st.recursive(
+    atoms,
+    lambda v: st.one_of(
+        st.builds(Pair, v, v),
+        st.lists(v, max_size=3).map(from_list),
+        st.tuples(st.lists(v, min_size=1, max_size=3), atoms).map(_improper),
+    ),
+    max_leaves=8,
+)
+
+
+def _rebuilt(v: Value) -> Value:
+    """An equal value with fresh pairs."""
+    return Pair(_rebuilt(v.head), _rebuilt(v.tail)) if isinstance(v, Pair) else v
+
+
+@given(st.lists(values, min_size=1, max_size=5))
+def test_value_key_orders_and_equates_as_value_compare(pool):
+    others = pool + [_rebuilt(v) for v in pool]
+    for a in pool:
+        for b in others:
+            ka, kb = value_key(a), value_key(b)
+            assert (ka > kb) - (ka < kb) == value_compare(a, b)
+            assert (ka == kb) == value_equal(a, b)
+
+
+@given(
+    st.lists(values, min_size=1, max_size=5).flatmap(
+        lambda pool: st.lists(
+            st.tuples(st.sampled_from(pool).map(_rebuilt), st.integers(0, 9)), max_size=30
+        )
+    )
+)
+def test_group_pairs_matches_value_compare_reference(pairs):
+    grouped = group_pairs(pairs)
+    reference = _reference_group_pairs(pairs)
+    assert grouped == reference
+    assert all(got is want for (got, _), (want, _) in zip(grouped, reference))
+
+
+def test_group_pairs_groups_deep_head_nests_at_default_recursion_limit():
+    def nest():
+        v = NIL
+        for _ in range(100_000):
+            v = Pair(v, NIL)
+        return v
+
+    a, b = nest(), nest()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        [(key, grouped)] = group_pairs([(a, 1), (b, 2)])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert key is a and grouped == [1, 2]
 
 
 def _words(corpus_words):
@@ -200,6 +300,33 @@ def test_mapper_emissions_must_be_pair_lists():
         mapreduce(Job("bad-map", "bad-map"), [(1, 2)], env)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("(cons (cons 1 2) 7)", "bad must return a list of pairs, got (cons (cons 1 2) 7)"),
+        # improper and holding a non-pair: the list is reported, not the item
+        (
+            "(cons 5 (cons (cons 1 2) 7))",
+            "bad must return a list of pairs, got (cons 5 (cons (cons 1 2) 7))",
+        ),
+        # a true list with non-pairs at positions 2 and 3: the first is named
+        ("(cons (cons 1 2) '(8 9))", "bad emitted non-pair 8"),
+    ],
+)
+@pytest.mark.parametrize("role", ["mapper", "reducer"])
+def test_emission_errors_name_the_list_before_its_items(body, message, role):
+    env = _defs(
+        f"""
+        (defun bad (k v) :trust {body})
+        (defun ok (k v) :trust (cons (cons k v) nil))
+        """
+    )
+    job = Job("bad", "ok") if role == "mapper" else Job("ok", "bad")
+    with pytest.raises(JobError) as raised:
+        mapreduce(job, [(1, 2)], env)
+    assert raised.value.message == message
+
+
 FOUR_NODE = [
     (Symbol("a"), [Symbol("b"), Symbol("c")]),
     (Symbol("b"), [Symbol("c")]),
@@ -296,3 +423,89 @@ def test_pagerank_parameter_validation():
 def test_pagerank_results_are_exact_fractions():
     ranks = pagerank(FOUR_NODE, 50)
     assert all(isinstance(r, Fraction) for _, r in ranks)
+
+
+# ---------------------------------------------------------------------------
+# PageRank against the Fraction arithmetic it replaces
+
+
+def _reference_pagerank(graph, iterations, damping=Fraction(85, 100)):
+    """``pagerank`` as it was when each rank was a ``Fraction``."""
+    damping = Fraction(damping)
+    if not 0 < damping < 1:
+        raise BadDamping(f"damping must lie strictly between 0 and 1, got {damping}")
+    if iterations < 0:
+        raise BadDamping(f"iterations must be nonnegative, got {iterations}")
+
+    # Values hash and compare structurally, so equal nodes share one key.
+    adjacency = []
+    seen = set()
+    for node, succ in graph:
+        targets = to_list(succ) if not isinstance(succ, list) else list(succ)
+        adjacency.append((node, targets))
+        seen.add(node)
+        seen.update(targets)
+    nodes = sorted(seen, key=_VALUE_ORDER)
+    if not nodes:
+        return []
+    n = len(nodes)
+    index_of = {node: i for i, node in enumerate(nodes)}
+
+    out_edges = [[] for _ in nodes]
+    for node, targets in adjacency:
+        out_edges[index_of[node]].extend(index_of[t] for t in targets)
+
+    ranks = [Fraction(1, n)] * n
+    for _ in range(iterations):
+        contributions = []
+        dangling = Fraction(0)
+        for i, targets in enumerate(out_edges):
+            if targets:
+                share = ranks[i] / len(targets)
+                for t in targets:
+                    contributions.append((nodes[t], share))
+            else:
+                dangling += ranks[i]
+        incoming = [Fraction(0)] * n
+        for key, values in _reference_group_pairs(contributions):
+            incoming[index_of[key]] = sum(values, Fraction(0))
+        base = (1 - damping + damping * dangling) / n
+        ranks = [base + damping * incoming[i] for i in range(n)]
+        assert sum(ranks) == 1
+    return list(zip(nodes, ranks))
+
+
+# Small pools, so that duplicate targets, self-loops and nodes met only as
+# targets are common; pair nodes are built afresh at every mention.
+node_ids = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([Symbol(s) for s in ("a", "b", "nil")]),
+    st.integers(0, 2).map(lambda i: from_list([Symbol("p"), i])),
+    st.builds(Pair, st.integers(0, 1), st.sampled_from([Symbol("q"), 5])),
+)
+successors = st.lists(node_ids, max_size=4)
+graphs = st.lists(
+    st.tuples(node_ids, st.one_of(successors, successors.map(from_list))), max_size=6
+)
+dampings = st.one_of(
+    st.sampled_from(
+        [Fraction(85, 100), Fraction(1, 7), Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3, 2)]
+    ),
+    st.fractions(min_value=0, max_value=1, max_denominator=1000),
+)
+
+
+@given(graphs, st.integers(-1, 8), dampings)
+@example([], 3, Fraction(85, 100))
+@example([(1, [1, 1, 2]), (2, []), (Symbol("a"), [3])], 8, Fraction(1, 7))
+def test_pagerank_matches_fraction_reference(graph, iterations, damping):
+    try:
+        want = _reference_pagerank(graph, iterations, damping)
+    except BadDamping:
+        with pytest.raises(BadDamping):
+            pagerank(graph, iterations, damping)
+        return
+    got = pagerank(graph, iterations, damping)
+    assert [node for node, _ in got] == [node for node, _ in want]
+    assert [rank for _, rank in got] == [rank for _, rank in want]
+    assert all(type(rank) is Fraction for _, rank in got)

@@ -16,7 +16,6 @@ from eqthink.values import (
     _spine,
     from_json,
     from_list,
-    is_true_list,
     print_value,
     to_json,
     to_list,
@@ -60,13 +59,6 @@ def test_from_list_matches_pair_built_lists_without_pair_init(items):
     assert calls == []
     assert made == built and hash(made) == hash(built)
     assert repr(made) == repr(built) and print_value(made) == print_value(built)
-
-
-def test_is_true_list():
-    assert is_true_list(NIL)
-    assert is_true_list(from_list([1, 2]))
-    assert not is_true_list(Pair(1, 2))
-    assert not is_true_list(5)
 
 
 def test_print_value_forms():
